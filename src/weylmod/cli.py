@@ -270,8 +270,10 @@ def cmd_singular(args, decl, rank):
 
 
 def cmd_hseq(args, decl, rank):
-    spec = _hw_spec(args, decl)
     n = args.n
+    if n < 0:
+        raise UsageError("--n must be non-negative")
+    spec = _hw_spec(args, decl)
     values = [spec.h(k) for k in range(n + 1)]
     lines = [
         "h_0 is the eigenvalue of the degree-zero basis element t^0 D^0, "

@@ -392,22 +392,21 @@ def verify_module_axiom(
     n_bound: int,
     deg_bound: int,
     action=None,
-    ordered_pairs: bool = False,
 ) -> AxiomReport:
     """Check [a,b].f = a.(b.f) - b.(a.f) over basis operators and monomials.
 
     With symbolic parameters this certifies the action for all admissible
-    parameter values at once.  By default unordered pairs (a <= b) are
-    checked; the swapped identity is the exact negation, so coverage over
-    ordered pairs follows from bilinearity.  ``action`` may override the
-    module action (used by mutation tests).
+    parameter values at once.  Unordered pairs (a <= b) are checked; the
+    swapped identity is the exact negation, so coverage over ordered pairs
+    follows from bilinearity.  The d/dnu families run on exact machine
+    integers (``_verify_axiom_dnu_fast``).  ``action`` overrides the module
+    action and runs the generic loop instead; tests use it both for mutants
+    and as the oracle of the fast path.
     """
     rank = spec.rank
     if spec.family in ("d", "dnu"):
-        if rank >= 2 and action is None:
+        if action is None:
             return _verify_axiom_dnu_fast(spec, m_bound, n_bound, deg_bound)
-        ctx = AlgebraCtx(rank, central=False)
-        act_fn = action if action is not None else act
         gens = _family_generators(spec, m_bound, n_bound)
         monos = [
             spec.monomial(e)
@@ -416,12 +415,11 @@ def verify_module_axiom(
         ]
         checked = 0
         for i, (la, a) in enumerate(gens):
-            start = 0 if ordered_pairs else i
-            for lb, b in gens[start:]:
+            for lb, b in gens[i:]:
                 br = bracket(a, b)
                 for f in monos:
-                    lhs = act_fn(br, f)
-                    rhs = act_fn(a, act_fn(b, f)) - act_fn(b, act_fn(a, f))
+                    lhs = action(br, f)
+                    rhs = action(a, action(b, f)) - action(b, action(a, f))
                     checked += 1
                     if lhs != rhs:
                         return AxiomReport(False, checked, (la, lb, f, lhs, rhs))
@@ -436,8 +434,7 @@ def verify_module_axiom(
     monos = [spec.monomial((k,)) for k in range(deg_bound + 1)]
     checked = 0
     for i, a in enumerate(gens):
-        start = 0 if ordered_pairs else i
-        for b in gens[start:]:
+        for b in gens[i:]:
             if spec.family == "vir":
                 terms = [(("L", a[1] + b[1]), Fraction(b[1] - a[1]))]
             else:
@@ -453,97 +450,124 @@ def verify_module_axiom(
     return AxiomReport(True, checked)
 
 
-def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
-                           deg_bound: int) -> AxiomReport:
-    """Vectorized rank-nu axiom check over integer action matrices.
+def _action_table(eps: int, m_max: int, n_max: int, j_max: int):
+    """Rank-1 action constants as an int64 array.
 
-    Every basis action on a monomial is Lambda^m times an integer polynomial,
-    so for a fixed operator pair both sides of the axiom share the prefactor
-    Lambda^(m_a + m_b) and the comparison reduces to exact int64 matrices.
-    Magnitudes are certified against overflow with an absolute-value shadow
-    product before trusting the int64 arithmetic.
+    ``A[m + m_max, n, e, j]`` is the coefficient of x^e in
+    (x - eps*m)^n (x - m)^j, the integer part of t^m D^n acting on x^j, for
+    |m| <= m_max, n <= n_max and j <= j_max.  A rank-nu action matrix is the
+    Kronecker product of one such matrix per slot, times the beta sign and
+    Lambda^m.  Filled from rank-1 ``_basis_act_ints`` calls.
     """
     import numpy as np
-    from .liealg import basis_bracket
+
+    table = np.zeros((2 * m_max + 1, n_max + 1, n_max + j_max + 1, j_max + 1),
+                     dtype=np.int64)
+    for m in range(-m_max, m_max + 1):
+        for n in range(n_max + 1):
+            for j in range(j_max + 1):
+                for (e,), k in _basis_act_ints(eps, (m,), (n,), (j,)).items():
+                    if e > n + j:
+                        raise ValueError(f"t^{m} D^{n} raises the degree of x^{j} past {n + j}")
+                    table[m + m_max, n, e, j] = k
+    return table
+
+
+def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
+                           deg_bound: int) -> AxiomReport:
+    """The d/dnu module axiom over exact float64 matrices.
+
+    Every basis action on a monomial is Lambda^m times an integer
+    polynomial, so for a fixed operator pair both sides of the axiom share
+    the prefactor Lambda^(m_a + m_b) and the comparison reduces to integer
+    matrices.  Actions and products factor slot by slot: action matrices are
+    Kronecker products of rank-1 action tables, and the action of a*b, the
+    bracket side's building block, is the Kronecker product over slots of
+    the rank-1 product table contracted with the action table.  For each
+    left operator a, the compositions a.(b.f) and b.(a.f) against every
+    b >= a are one BLAS product each.  Absolute-value shadows bound every
+    entry and partial sum below 2^53, so float64 is exact.  Pairs, then
+    monomials, are visited in the generic loop's order, and a failure
+    reports the same pair, monomial and check count.
+    """
+    import numpy as np
+    from .slots import check_exact, kron_rows, kron_slots, product_table
 
     rank = spec.rank
-    eps = spec.eps
     beta = spec.beta_sign
+    mb, nb = m_bound, n_bound
     ops = [
         (m, n)
-        for m in iproduct(*[range(-m_bound, m_bound + 1)] * rank)
-        for n in iproduct(*[range(n_bound + 1)] * rank)
+        for m in iproduct(*[range(-mb, mb + 1)] * rank)
+        for n in iproduct(*[range(nb + 1)] * rank)
     ]
     in_exps = [e for e in iproduct(*[range(deg_bound + 1)] * rank)
                if sum(e) <= deg_bound]
-    in_pos = {e: i for i, e in enumerate(in_exps)}
-    mid_side = deg_bound + n_bound + 1
-    mid_exps = list(iproduct(*[range(mid_side)] * rank))
-    mid_pos = {e: i for i, e in enumerate(mid_exps)}
-    out_side = deg_bound + 2 * n_bound + 1
-    out_exps = list(iproduct(*[range(out_side)] * rank))
-    out_pos = {e: i for i, e in enumerate(out_exps)}
+    n_in = len(in_exps)
+    # slot exponents of the input monomials: column c is x^in_slot[:, c]
+    in_slot = np.array(in_exps, dtype=np.intp).T
+    in1 = deg_bound + 1
+    mid1 = deg_bound + nb + 1
+    out1 = deg_bound + 2 * nb + 1
 
-    def sign_of(n):
-        return beta ** ((1 - sum(n)) % 2)
+    # rank-1 operators t^m D^n, |m| <= mb, n <= nb; slot s of ops[i] is
+    # the rank-1 operator slot_ops[i, s]
+    m1 = np.repeat(np.arange(-mb, mb + 1), nb + 1)
+    n1 = np.tile(np.arange(nb + 1), 2 * mb + 1)
+    slot_ops = np.array([[(m[s] + mb) * (nb + 1) + n[s] for s in range(rank)]
+                         for m, n in ops], dtype=np.intp).reshape(len(ops), rank)
 
-    def action_matrix(m, n, col_exps, col_pos_unused, row_pos):
-        mat = np.zeros((len(row_pos), len(col_exps)), dtype=np.int64)
-        s = sign_of(n)
-        for ci, j in enumerate(col_exps):
-            for exps, k in _basis_act_ints(eps, m, n, j).items():
-                mat[row_pos[exps], ci] += s * k
-        return mat
+    act1 = _action_table(spec.eps, 2 * mb, 2 * nb, deg_bound + nb)
+    prod1 = product_table(nb, mb, nb)
+    # (t^mx D^nx)(t^my D^ny) acting, with beta^r folded in per slot:
+    # sum_r T[nx, my, ny, r] beta^r A[mx + my, r]
+    ab_coeff = prod1[n1[:, None], m1[None, :] + mb, n1[None, :], :] \
+        * beta ** np.arange(2 * nb + 1)
+    ab_act = act1[m1[:, None] + m1[None, :] + 2 * mb, :, :out1, :in1]
+    check_exact(int(np.abs(ab_coeff).max()) * int(np.abs(ab_act).max()) * (2 * nb + 1),
+                np.int64, "axiom product-action table")
+    prod_act = np.einsum("xyr,xyrei->xyei", ab_coeff, ab_act)
 
-    # full matrices on the mid space (for the outer factor of a composition)
-    full = {}
-    small = {}
-    for (m, n) in ops:
-        full[(m, n)] = action_matrix(m, n, mid_exps, None, out_pos)
-        sm = np.zeros((len(mid_exps), len(in_exps)), dtype=np.int64)
-        s = sign_of(n)
-        for ci, j in enumerate(in_exps):
-            for exps, k in _basis_act_ints(eps, m, n, j).items():
-                sm[mid_pos[exps], ci] += s * k
-        small[(m, n)] = sm
+    full1 = act1[m1 + 2 * mb, n1, :out1, :mid1]
+    small1 = act1[m1 + 2 * mb, n1, :mid1, :in1]
+    check_exact(max(int(np.abs(full1).max()), int(np.abs(small1).max())) ** rank,
+                np.float64, "axiom action matrices")
+    check_exact(2 * int(np.abs(prod_act).max()) ** rank, np.float64,
+                "axiom bracket side")
+    prod_act = [prod_act[..., in_slot[s]].astype(np.float64) for s in range(rank)]
+    # the action sign beta^((1 - |n|) % 2) of each operator; ``full`` also
+    # carries beta, the overall sign of the bracket side, so that the two
+    # sides compare directly
+    signs = np.array([beta ** ((1 - sum(n)) % 2) for _, n in ops], dtype=np.float64)
+    full = (beta * signs)[:, None, None] * kron_slots(
+        [full1[slot_ops[:, s]].astype(np.float64) for s in range(rank)])
+    small = kron_rows([small1[slot_ops[:, s]][..., in_slot[s]].astype(np.float64)
+                       for s in range(rank)])
+    small *= signs[:, None, None]
 
-    # int64 safety: bound every composed entry by the abs-value product
-    max_full = np.max(np.stack([np.abs(v) for v in full.values()]), axis=0)
-    max_small = np.max(np.stack([np.abs(v) for v in small.values()]), axis=0)
-    bound = (max_full.astype(float) @ max_small.astype(float)).max()
-    if bound >= 2.0 ** 61:
-        raise OverflowError("axiom fast path would overflow int64 at these bounds")
+    # every composed entry is bounded by the abs-value product of the
+    # entrywise maxima; the two compositions are then subtracted
+    shadow = np.abs(full).max(axis=0) @ np.abs(small).max(axis=0)
+    check_exact(2 * shadow.max(), np.float64, "axiom composition side")
 
-    bracket_mats: dict = {}
-
-    def bracket_matrix(m, n):
-        key = (m, n)
-        got = bracket_mats.get(key)
-        if got is None:
-            got = action_matrix(m, n, in_exps, None, out_pos)
-            bracket_mats[key] = got
-        return got
-
+    nops, out_dim, mid_dim = full.shape
+    full_cat = full.reshape(nops * out_dim, mid_dim)
     checked = 0
-    nops = len(ops)
     for i in range(nops):
-        ma, na = ops[i]
-        fa = full[(ma, na)]
-        sa = small[(ma, na)]
-        for jdx in range(i, nops):
-            mb, nb = ops[jdx]
-            rhs = fa @ small[(mb, nb)] - full[(mb, nb)] @ sa
-            lhs = np.zeros_like(rhs)
-            for (mk, nk), k in basis_bracket(ma, na, mb, nb).items():
-                lhs += k * bracket_matrix(mk, nk)
-            checked += len(in_exps)
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)
-                ci = int(bad[0][1])
-                return AxiomReport(
-                    False, checked,
-                    ((ma, na), (mb, nb), spec.monomial(in_exps[ci]), None, None),
-                )
+        nj = nops - i
+        rhs = np.matmul(full[i], small[i:])
+        rhs -= (full_cat[i * out_dim:] @ small[i]).reshape(nj, out_dim, n_in)
+        a_slots, b_slots = slot_ops[i], slot_ops[i:]
+        lhs = kron_rows([prod_act[s][a_slots[s], b_slots[:, s]] for s in range(rank)])
+        lhs -= kron_rows([prod_act[s][b_slots[:, s], a_slots[s]] for s in range(rank)])
+        bad = (lhs != rhs).any(axis=1)
+        if bad.any():
+            jj, ci = (int(x) for x in np.argwhere(bad)[0])
+            return AxiomReport(
+                False, checked + jj * n_in + ci + 1,
+                (ops[i], ops[i + jj], spec.monomial(in_exps[ci]), None, None),
+            )
+        checked += nj * n_in
     return AxiomReport(True, checked)
 
 

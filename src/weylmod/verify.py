@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-from math import comb
+from math import comb, lcm
 
 from .scalars import ParamDecl, RATIONALS
 from .liealg import (
@@ -41,7 +41,7 @@ class SuiteResult:
 
 
 def _result(name, ok, checks, t0, detail=""):
-    return SuiteResult(name, ok, checks, time.time() - t0, detail)
+    return SuiteResult(name, ok, checks, time.perf_counter() - t0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def _result(name, ok, checks, t0, detail=""):
 
 
 def suite_bracket_identities(bounds=None) -> SuiteResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = D_ALG
     checks = 0
     ok = True
@@ -134,7 +134,7 @@ def suite_jacobi(bounds=None) -> SuiteResult:
     n1 = bounds.get("n", 3)
     m2 = bounds.get("m2", 2)
     n2 = bounds.get("n2", 2)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
 
     # rank 1 with the center adjoined
@@ -180,17 +180,48 @@ def suite_jacobi(bounds=None) -> SuiteResult:
     return _result("jacobi-antisymmetry", True, checks, t0)
 
 
+def _ad_blocks(table, ops, degs, nq: int, nr: int):
+    """Dense ad blocks of rank-2 basis operators, one per source degree.
+
+    ``out[o, d]`` maps the source n-grid range(nq)^2 at t-degree ``degs[d]``
+    to the target n-grid range(nr)^2: entry (r, q) is the coefficient of
+    t^(m_o + degs[d]) D^r in [ops[o], t^degs[d] D^q].  Both products in the
+    bracket factor over the two slots, so each block is a difference of two
+    Kronecker products of entries of the rank-1 ``table``, a
+    ``product_table`` that the caller has bounded and converted to float64.
+    """
+    import numpy as np
+    from .slots import kron_slots
+
+    mmax = (table.shape[1] - 1) // 2
+    om = np.array([m for m, _ in ops], dtype=np.intp)
+    on = np.array([n for _, n in ops], dtype=np.intp)
+    dm = np.array(degs, dtype=np.intp)
+    left, right = [], []
+    for s in range(2):
+        # op * source: T[n_op, m_src, q, r]; source * op: T[q, m_op, n_op, r]
+        left.append(table[on[:, s, None], dm[None, :, s] + mmax, :nq, :nr].swapaxes(-1, -2))
+        right.append(table[:nq, om[:, s] + mmax, on[:, s], :nr].transpose(1, 2, 0)[:, None])
+    out = kron_slots(left)
+    out -= kron_slots(right)
+    return out
+
+
 def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
     """ad([b,c]) = ad(b) ad(c) - ad(c) ad(b) on the windowed rank-2 basis.
 
     Everything is graded by the t-degree vector, so each ad map is one dense
     integer block per source degree; compositions become batched small
-    matmuls over the 25 source-degree blocks.  Checking the matrix identity
+    matmuls over the source-degree blocks.  Checking the matrix identity
     for a pair (b, c) checks Jacobi against every source basis element a at
     once, and antisymmetry (verified on all ordered pairs first) transfers
-    the unordered-pair coverage to all ordered triples.
+    the unordered-pair coverage to all ordered triples.  The blocks and the
+    brackets [b, c] are assembled from the rank-1 product table; for each b
+    the pairs (b, c), c >= b, are checked one degree of c at a time, in
+    float64 under an absolute-value bound below 2^53.
     """
     import numpy as np
+    from .slots import check_exact, product_table
 
     def degrees(bound):
         return list(iproduct(range(-bound, bound + 1), repeat=2))
@@ -200,82 +231,54 @@ def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
 
     src_deg = degrees(m_bound)
     mid_deg = degrees(2 * m_bound)
-    src_n = ngrid(n_bound)
-    mid_n = ngrid(2 * n_bound)
-    out_n = ngrid(3 * n_bound)
-    src_deg_pos = {d: i for i, d in enumerate(src_deg)}
     mid_deg_pos = {d: i for i, d in enumerate(mid_deg)}
-    src_n_pos = {n: i for i, n in enumerate(src_n)}
-    mid_n_pos = {n: i for i, n in enumerate(mid_n)}
-    out_n_pos = {n: i for i, n in enumerate(out_n)}
-    ns, nm, no = len(src_n), len(mid_n), len(out_n)
-
+    src_n = ngrid(n_bound)
+    ns, nm, no = len(src_n), (2 * n_bound + 1) ** 2, (3 * n_bound + 1) ** 2
     src = [(d, n) for d in src_deg for n in src_n]
-
-    # antisymmetry on every ordered basis pair
-    checks = 0
-    for a in src:
-        for b in src:
-            t1 = basis_bracket(a[0], a[1], b[0], b[1])
-            t2 = basis_bracket(b[0], b[1], a[0], a[1])
-            checks += 1
-            if any(t1.get(k, 0) + t2.get(k, 0) for k in set(t1) | set(t2)):
-                return False, checks, f"rank-2 antisymmetry fails at {a}, {b}"
-
-    # ad(c) blocks on source degrees: (src degree) -> mid n-grid
-    ad_src = np.zeros((len(src), len(src_deg), nm, ns), dtype=np.int64)
-    # ad(b) blocks on mid degrees: mid n-grid -> out n-grid
-    ad_mid = np.zeros((len(src), len(mid_deg), no, nm), dtype=np.int64)
-    for oi, op in enumerate(src):
-        om, on = op
-        for di, mu in enumerate(src_deg):
-            m = ad_src[oi, di]
-            for ci, nn in enumerate(src_n):
-                for (km, kn), v in basis_bracket(om, on, mu, nn).items():
-                    m[mid_n_pos[kn], ci] += v
-        for di, mu in enumerate(mid_deg):
-            m = ad_mid[oi, di]
-            for ci, nn in enumerate(mid_n):
-                for (km, kn), v in basis_bracket(om, on, mu, nn).items():
-                    m[out_n_pos[kn], ci] += v
-
-    # ad(y) blocks on source degrees for every mid basis element y
-    mid_basis = [(d, n) for d in mid_deg for n in mid_n]
-    mid_basis_pos = {y: i for i, y in enumerate(mid_basis)}
-    ad_y = np.zeros((len(mid_basis), len(src_deg), no, ns), dtype=np.int64)
-    for yi, (ym, yn) in enumerate(mid_basis):
-        for di, mu in enumerate(src_deg):
-            m = ad_y[yi, di]
-            for ci, nn in enumerate(src_n):
-                for (km, kn), v in basis_bracket(ym, yn, mu, nn).items():
-                    m[out_n_pos[kn], ci] += v
-
-    # gather tables: for op degree theta, the mid-degree block above source mu
-    shift_idx = {}
-    for theta in set(d for d, _ in src):
-        shift_idx[theta] = np.array(
-            [mid_deg_pos[(mu[0] + theta[0], mu[1] + theta[1])] for mu in src_deg],
-            dtype=np.intp,
-        )
-
     n_src_total = len(src)
+    mid_basis = [(d, n) for d in mid_deg for n in ngrid(2 * n_bound)]
+
+    table = product_table(2 * n_bound, 2 * m_bound, 2 * n_bound)
+    ad_bound = 2 * int(np.abs(table).max()) ** 2
+    check_exact(ad_bound, np.float64, "rank-2 ad blocks")
+    table = table.astype(np.float64)
+    # ad(c) blocks on source degrees: src n-grid -> mid n-grid
+    ad_src = _ad_blocks(table, src, src_deg, n_bound + 1, 2 * n_bound + 1)
+    # ad(b) blocks on mid degrees: mid n-grid -> out n-grid
+    ad_mid = _ad_blocks(table, src, mid_deg, 2 * n_bound + 1, 3 * n_bound + 1)
+    # ad(y) blocks on source degrees for every mid basis element y, grouped
+    # by the degree of y
+    ad_y = _ad_blocks(table, mid_basis, src_deg, n_bound + 1, 3 * n_bound + 1
+                      ).reshape(len(mid_deg), nm, len(src_deg), no, ns)
+
+    # [a, b] for every ordered pair of source elements: ad(a) at b
+    br = ad_src.transpose(0, 1, 3, 2).reshape(n_src_total, n_src_total, nm)
+    bad = (br + br.transpose(1, 0, 2)).any(axis=2).ravel()
+    if bad.any():
+        first = int(np.argmax(bad))
+        a, b = divmod(first, n_src_total)
+        return False, first + 1, f"rank-2 antisymmetry fails at {src[a]}, {src[b]}"
+    checks = n_src_total * n_src_total
+
+    # shift[theta][mu]: the mid degree theta + mu
+    shift = np.array([[mid_deg_pos[(mu[0] + th[0], mu[1] + th[1])] for mu in src_deg]
+                      for th in src_deg], dtype=np.intp)
+    check_exact(max(2 * nm * ad_bound ** 2, np.abs(br).sum(axis=2).max() * ad_bound),
+                np.float64, "rank-2 Jacobi compositions")
+
     for bi in range(n_src_total):
-        b = src[bi]
-        shift_b = shift_idx[b[0]]
-        for ci in range(bi, n_src_total):
-            c = src[ci]
-            comp1 = np.matmul(ad_mid[bi][shift_idx[c[0]]], ad_src[ci])
-            comp2 = np.matmul(ad_mid[ci][shift_b], ad_src[bi])
-            terms = basis_bracket(b[0], b[1], c[0], c[1])
-            if terms:
-                idxs = np.array([mid_basis_pos[k] for k in terms], dtype=np.intp)
-                vals = np.array(list(terms.values()), dtype=np.int64)
-                lhs = np.einsum("t,tdij->dij", vals, ad_y[idxs])
-            else:
-                lhs = np.zeros_like(comp1)
-            checks += n_src_total
-            if not np.array_equal(lhs, comp1 - comp2):
-                return False, checks, f"rank-2 Jacobi fails at {b}, {c}"
+        db = bi // ns
+        for dc in range(db, len(src_deg)):
+            lo, hi = max(bi, dc * ns), (dc + 1) * ns
+            comp1 = np.matmul(ad_mid[bi][shift[dc]], ad_src[lo:hi])
+            comp2 = np.matmul(ad_mid[lo:hi][:, shift[db]], ad_src[bi])
+            lhs = np.tensordot(br[bi, lo:hi], ad_y[shift[db, dc]], axes=1)
+            bad = (lhs != comp1 - comp2).reshape(hi - lo, -1).any(axis=1)
+            if bad.any():
+                k = int(np.argmax(bad))
+                checks += (k + 1) * n_src_total
+                return False, checks, f"rank-2 Jacobi fails at {src[bi]}, {src[lo + k]}"
+            checks += (hi - lo) * n_src_total
     return True, checks, ""
 
 
@@ -284,30 +287,57 @@ def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
 # ---------------------------------------------------------------------------
 
 
+def _cocycle_tensor(mb: int, nb: int):
+    """den * phi([a, b], c) over the keys (m, n), |m| <= mb, n <= nb.
+
+    Returns (keys, S, den) with S[a, b, c] an int64 array: the rank-1
+    bracket table [a, b] (from the product table) contracted with the
+    cocycle values phi(t^m D^r, c), scaled by the common denominator den of
+    those values (den = 2).
+    """
+    import numpy as np
+    from .slots import check_exact, product_table
+
+    keys = [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+    km = np.array([m for m, _ in keys], dtype=np.intp)
+    kn = np.array([n for _, n in keys], dtype=np.intp)
+    table = product_table(nb, mb, nb)
+    # [a, b] = ab - ba, coefficient of t^(m_a + m_b) D^r
+    br = table[kn[:, None], km[None, :] + mb, kn[None, :], :] \
+        - table[kn[None, :], km[:, None] + mb, kn[:, None], :]
+    phi = [[[cocycle_basis(m, r, mc, nc) for mc, nc in keys] for r in range(2 * nb + 1)]
+           for m in range(-2 * mb, 2 * mb + 1)]
+    den = lcm(*(v.denominator for plane in phi for row in plane for v in row))
+    phi = np.array([[[int(v * den) for v in row] for row in plane] for plane in phi],
+                   dtype=np.int64)
+    check_exact(3 * (2 * nb + 1) * 2 * int(np.abs(table).max())
+                * max(int(np.abs(phi).max()), 1), np.int64, "cocycle contraction")
+    # one key a at a time, so that the gathered cocycle values stay
+    # keys^2 * (2 nb + 1) large
+    s = np.stack([np.einsum("br,brc->bc", br[a], phi[km[a] + km + 2 * mb])
+                  for a in range(len(keys))])
+    return keys, s, den
+
+
 def suite_cocycle(bounds=None) -> SuiteResult:
+    import numpy as np
+
     bounds = bounds or {}
     mb = bounds.get("m", 3)
     nb = bounds.get("n", 3)
-    t0 = time.time()
-    checks = 0
-    keys = [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+    t0 = time.perf_counter()
 
-    # 2-cocycle identity phi([a,b],c) + phi([b,c],a) + phi([c,a],b) = 0
-    def phi_of_bracket(a, b, c):
-        total = Fraction(0)
-        for (km, kn), v in basis_bracket((a[0],), (a[1],), (b[0],), (b[1],)).items():
-            total += v * cocycle_basis(km[0], kn[0], c[0], c[1])
-        return total
-
-    for a in keys:
-        for b in keys:
-            for c in keys:
-                checks += 1
-                s = phi_of_bracket(a, b, c) + phi_of_bracket(b, c, a) \
-                    + phi_of_bracket(c, a, b)
-                if s != 0:
-                    return _result("cocycle", False, checks, t0,
-                                   f"cocycle identity fails at {a}, {b}, {c}")
+    # 2-cocycle identity phi([a,b],c) + phi([b,c],a) + phi([c,a],b) = 0 over
+    # all ordered triples, reported at the first failing triple in
+    # lexicographic order
+    keys, s, _ = _cocycle_tensor(mb, nb)
+    bad = np.flatnonzero(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1))
+    if bad.size:
+        a, rest = divmod(int(bad[0]), len(keys) ** 2)
+        b, c = divmod(rest, len(keys))
+        return _result("cocycle", False, int(bad[0]) + 1, t0,
+                       f"cocycle identity fails at {keys[a]}, {keys[b]}, {keys[c]}")
+    checks = len(keys) ** 3
     # Virasoro central values
     for m in range(-6, 7):
         checks += 1
@@ -334,7 +364,7 @@ def suite_module_axiom(bounds=None) -> SuiteResult:
     mb = bounds.get("m", 3)
     nb = bounds.get("n", 3)
     deg = bounds.get("deg", 4)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
 
     decl = ParamDecl(invertible=("lambda",), plain=("alpha", "beta"))
@@ -379,7 +409,7 @@ def suite_assoc_split(bounds=None) -> SuiteResult:
     mb = bounds.get("m", 3)
     nb = bounds.get("n", 3)
     deg = bounds.get("deg", 3)
-    t0 = time.time()
+    t0 = time.perf_counter()
     decl = ParamDecl(invertible=("lambda",))
     lam = decl.param("lambda")
     holds1, _ = U.assoc_action_split(U.omega_d(lam, 1), mb, nb, deg)
@@ -399,7 +429,7 @@ def suite_irreducibility(bounds=None, seed=0) -> SuiteResult:
     bounds = bounds or {}
     max_deg = bounds.get("deg", 8)
     probe_deg = bounds.get("probe_deg", 6)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
     rng = random.Random(seed)
 
@@ -479,7 +509,7 @@ def _bernoulli(n: int) -> list:
 
 def suite_highest_weight(bounds=None) -> SuiteResult:
     bounds = bounds or {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
 
     # h_n = -B_n for phi = x, against the independent recurrence
@@ -573,7 +603,7 @@ def suite_tensor(bounds=None) -> SuiteResult:
     L = bounds.get("L", 2)
     N = bounds.get("N", 1)
     mb = bounds.get("m", 4)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
 
     decl = ParamDecl(invertible=("lambda",), plain=("c",))
@@ -653,7 +683,7 @@ def suite_tensor(bounds=None) -> SuiteResult:
 def suite_span(bounds=None) -> SuiteResult:
     bounds = bounds or {}
     depth = bounds.get("depth", 8)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
 
     ctx = D_ALG

@@ -75,6 +75,13 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_hseq_rejects_negative_n():
+    code, out, err = run_cli(["hseq", "--phi", "x", "--c", "0", "--n", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--n must be non-negative" in err
+
+
 def test_verify_failure_exit_code():
     # an unknown suite is a usage error
     code, _, err = run_cli(["verify", "--suite", "nope"])

@@ -1,0 +1,111 @@
+"""The per-slot tables behind the numpy fast paths, against the library's
+structure constants, and the overflow guard on every machine product."""
+
+from fractions import Fraction
+from itertools import product as iproduct
+
+import numpy as np
+import pytest
+
+from weylmod import slots, umod as U, verify as V
+from weylmod.liealg import basis_bracket, basis_product, cocycle_basis
+from weylmod.scalars import ParamDecl
+from weylmod.slots import check_exact, kron_rows, kron_slots, product_table
+
+
+def test_check_exact_limits():
+    check_exact(2 ** 53 - 2 ** 34, np.float64, "x")
+    check_exact(2 ** 63 - 2 ** 44, np.int64, "x")
+    check_exact(float(2 ** 52), np.float64, "x")
+    with pytest.raises(OverflowError):
+        check_exact(2 ** 53, np.float64, "x")
+    with pytest.raises(OverflowError):
+        check_exact(2 ** 63, np.int64, "x")
+    with pytest.raises(OverflowError):
+        check_exact(10 ** 400, np.int64, "x")
+
+
+def test_rank2_products_factor_over_slots():
+    table = product_table(2, 2, 2)
+    grid = [(m, n) for m in range(-2, 3) for n in range(3)]
+    for (a0, p0), (a1, p1) in iproduct(grid, repeat=2):
+        for (b0, q0), (b1, q1) in iproduct(grid, repeat=2):
+            got = basis_product((a0, a1), (p0, p1), (b0, b1), (q0, q1))
+            want = {}
+            for r0, r1 in iproduct(range(p0 + q0 + 1), range(p1 + q1 + 1)):
+                c = int(table[p0, b0 + 2, q0, r0]) * int(table[p1, b1 + 2, q1, r1])
+                if c:
+                    want[((a0 + b0, a1 + b1), (r0, r1))] = c
+            assert got == want
+
+
+def test_kron_helpers_match_numpy_kron():
+    rng = np.random.default_rng(0)
+    a = rng.integers(-5, 6, size=(3, 2, 4))
+    b = rng.integers(-5, 6, size=(3, 3, 2))
+    got = kron_slots([a, b])
+    cols = list(iproduct(range(4), range(2)))[::3]
+    rows = kron_rows([a[..., [c[0] for c in cols]], b[..., [c[1] for c in cols]]])
+    for k in range(3):
+        assert np.array_equal(got[k], np.kron(a[k], b[k]))
+        assert np.array_equal(rows[k], np.kron(a[k], b[k])[:, ::3])
+
+
+def test_rank2_ad_blocks_match_basis_bracket():
+    table = product_table(2, 2, 2).astype(np.float64)
+    ops = [(d, n) for d in iproduct((-2, 0, 1), repeat=2)
+           for n in iproduct(range(3), repeat=2)]
+    degs = list(iproduct(range(-1, 2), repeat=2))
+    nq, nr = 2, 5
+    blocks = V._ad_blocks(table, ops, degs, nq, nr)
+    qgrid = list(iproduct(range(nq), repeat=2))
+    rpos = {r: i for i, r in enumerate(iproduct(range(nr), repeat=2))}
+    for o, (om, on) in enumerate(ops):
+        for d, mu in enumerate(degs):
+            want = np.zeros((nr * nr, nq * nq))
+            for ci, q in enumerate(qgrid):
+                for (km, kn), v in basis_bracket(om, on, mu, q).items():
+                    assert km == (om[0] + mu[0], om[1] + mu[1])
+                    want[rpos[kn], ci] += v
+            assert np.array_equal(blocks[o, d], want)
+
+
+def test_cocycle_tensor_matches_phi_of_bracket():
+    keys, s, den = V._cocycle_tensor(1, 2)
+    assert den == 2
+
+    def phi_of_bracket(a, b, c):
+        total = Fraction(0)
+        for (km, kn), v in basis_bracket((a[0],), (a[1],), (b[0],), (b[1],)).items():
+            total += v * cocycle_basis(km[0], kn[0], c[0], c[1])
+        return total
+
+    for (i, a), (j, b), (k, c) in iproduct(enumerate(keys), repeat=3):
+        assert s[i, j, k] == den * phi_of_bracket(a, b, c)
+
+
+def _huge_product_table(p_max, m_max, q_max):
+    return np.full((p_max + 1, 2 * m_max + 1, q_max + 1, p_max + q_max + 1),
+                   2 ** 40, dtype=np.int64)
+
+
+def test_fast_paths_refuse_tables_beyond_the_exact_range(monkeypatch):
+    monkeypatch.setattr(slots, "product_table", _huge_product_table)
+    decl = ParamDecl(invertible=("l1", "l2"))
+    spec = U.omega_dnu((decl.param("l1"), decl.param("l2")), 1)
+    with pytest.raises(OverflowError):
+        U.verify_module_axiom(spec, 1, 1, 1)
+    with pytest.raises(OverflowError):
+        V._jacobi_rank2_matrices(1, 1)
+    monkeypatch.setattr(slots, "product_table",
+                        lambda *a: _huge_product_table(*a) << 22)
+    with pytest.raises(OverflowError):
+        V.suite_cocycle({"m": 1, "n": 1})
+
+
+def test_axiom_path_refuses_actions_beyond_the_exact_range(monkeypatch):
+    real = U._action_table
+    monkeypatch.setattr(U, "_action_table", lambda *a: real(*a) * 2 ** 27)
+    decl = ParamDecl(invertible=("lambda",))
+    with pytest.raises(OverflowError):
+        U.verify_module_axiom(U.omega_d(decl.param("lambda"), 0), 1, 1, 1)

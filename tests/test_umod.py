@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -153,28 +154,48 @@ def test_module_axiom_detects_corrupted_action():
 
 
 def test_rank2_fast_path_matches_direct():
+    # the integer fast path against the generic loop over exact actions
     decl = ParamDecl(invertible=("l1", "l2"))
-    lams = (decl.param("l1"), decl.param("l2"))
     for eps in (0, 1):
-        s = omega_dnu(lams, eps)
-        fast = verify_module_axiom(s, 1, 1, 2)
-        ctx = AlgebraCtx(2)
-        # direct symbolic recomputation over the same windows
-        ops = [
-            ctx.basis(m, n)
-            for m in [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
-                      (1, -1), (1, 0), (1, 1)]
-            for n in [(0, 0), (0, 1), (1, 0), (1, 1)]
-        ]
-        monos = [s.monomial(e) for e in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]]
-        checked = 0
-        for i, a in enumerate(ops):
-            for b in ops[i:]:
-                br = bracket(a, b)
-                for f in monos:
-                    assert act(br, f) == act(a, act(b, f)) - act(b, act(a, f))
-                    checked += 1
-        assert fast.ok and checked > 0
+        for spec, bounds in ((spec_d(eps), (2, 2, 3)),
+                             (omega_d(RATIONALS.rational(Fraction(-2, 3)), eps), (2, 1, 2)),
+                             (omega_dnu((decl.param("l1"), decl.param("l2")), eps), (1, 1, 2))):
+            fast = verify_module_axiom(spec, *bounds)
+            direct = verify_module_axiom(spec, *bounds, action=act)
+            assert fast.ok and direct.ok
+            assert fast.checked == direct.checked
+
+
+def _product_without_second_order_terms(m1, n1, m2, n2):
+    """basis_product with the i = 2 term of D^a t^b = sum_i C(a,i) b^i t^b D^(a-i)
+    dropped in every slot: a wrong per-slot product rule."""
+    from math import comb
+    m = tuple(x + y for x, y in zip(m1, m2))
+    out = {}
+    for idx in iproduct(*[range(a + 1) for a in n1]):
+        coeff = 1
+        for a, i, b in zip(n1, idx, m2):
+            coeff *= comb(a, i) * b ** i * (i != 2)
+        if coeff:
+            n = tuple(a + c - i for a, c, i in zip(n1, n2, idx))
+            out[(m, n)] = out.get((m, n), 0) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_fast_path_detects_wrong_product_rule(eps, monkeypatch):
+    from weylmod import liealg
+    monkeypatch.setattr(liealg, "basis_product", _product_without_second_order_terms)
+    decl = ParamDecl(invertible=("l1", "l2"))
+    for spec, bounds in ((spec_d(eps), (2, 2, 3)),
+                         (omega_dnu((decl.param("l1"), decl.param("l2")), eps), (1, 2, 2))):
+        fast = verify_module_axiom(spec, *bounds)
+        assert not fast.ok
+        # the same first failing pair, monomial and check count as the loop
+        direct = verify_module_axiom(spec, *bounds, action=act)
+        assert not direct.ok
+        assert fast.checked == direct.checked
+        assert fast.counterexample[:3] == direct.counterexample[:3]
 
 
 # -- irreducibility ------------------------------------------------------------
