@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .scalars import ParamDecl, RATIONALS, Scalar
+from .scalars import ParamDecl, RATIONALS, Scalar, accumulate
 from .liealg import AlgebraCtx, DiffOp
 from .hwmod import Quasipolynomial
 
@@ -86,12 +86,7 @@ class _Value:
     def add(self, other: "_Value") -> "_Value":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            nc = out.get(k)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = nc
+            accumulate(out, k, c)
         return _Value(self.rank, out)
 
     def neg(self) -> "_Value":
@@ -116,13 +111,7 @@ class _Value:
                     c1 or c2,
                     _exp_mul(e1, e2),
                 )
-                prod = s1 * s2
-                nc = out.get(key)
-                nc = prod if nc is None else nc + prod
-                if nc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = nc
+                accumulate(out, key, s1 * s2)
         return _Value(self.rank, out)
 
 

@@ -18,11 +18,10 @@ raises, because the hosting truncation can no longer represent the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import (
-    Matrix, ParamDecl, RATIONALS, Scalar, Series, SpanBasis, exp_series,
-    series_quotient, solve_linear,
+    Matrix, ParamDecl, RATIONALS, Scalar, Series, SpanBasis, SparseVec,
+    _term_str, accumulate, exp_series, series_quotient, solve_linear,
 )
 from .liealg import D_HAT, DiffOp, basis_bracket, cocycle_basis
 
@@ -89,7 +88,6 @@ class Quasipolynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        from .liealg import _term_str
         chunks = []
         for poly, a in self.terms:
             body = []
@@ -271,21 +269,15 @@ class TruncVerma:
         else:
             g = mono[0]
             rest = mono[1:]
-            inner = self._apply_basis(m, n, rest)
-            out = {}
-            for mo, c in self._left_mul(g, inner).items():
-                _acc(out, mo, c)
+            out = self._left_mul(g, self._apply_basis(m, n, rest))
             jg, ng = g
             comm = basis_bracket((m,), (n,), (-jg,), (ng,))
             for (mk, nk), k in comm.items():
                 for mo, c in self._apply_basis(mk[0], nk[0], rest).items():
-                    _acc(out, mo, c * k)
+                    accumulate(out, mo, c * k)
             phi = cocycle_basis(m, n, -jg, ng)
             if phi:
-                cc = self.spec.c * phi
-                for mo, c in _dict_of(rest).items():
-                    _acc(out, mo, c * cc)
-            out = {mo: c for mo, c in out.items() if not c.is_zero()}
+                accumulate(out, rest, self.spec.c * phi)
         self._apply_memo[key] = out
         return out
 
@@ -293,8 +285,8 @@ class TruncVerma:
         out: dict = {}
         for mono, c in vec.items():
             for mo, k in self._left_mul_mono(g, mono).items():
-                _acc(out, mo, c * k if k != 1 else c)
-        return {mo: c for mo, c in out.items() if not c.is_zero()}
+                accumulate(out, mo, c * k if k != 1 else c)
+        return out
 
     def _left_mul_mono(self, g, mono) -> dict:
         """Insert generator g on the left of a canonical monomial."""
@@ -315,113 +307,17 @@ class TruncVerma:
         inner = self._left_mul_mono(g, rest)
         for mo, c in inner.items():
             for mo2, c2 in self._left_mul_mono(head, mo).items():
-                _acc(out, mo2, c * c2)
+                accumulate(out, mo2, c * c2)
         jg, ng = g
         jh, nh = head
         comm = basis_bracket((-jg,), (ng,), (-jh,), (nh,))
         for (mk, nk), k in comm.items():
             # bracket of two negative generators is again negative; no center
             gen = (-mk[0], nk[0])
-            for mo, c in self._left_mul_mono_scaled(gen, rest, k).items():
-                _acc(out, mo, c)
-        out = {mo: c for mo, c in out.items() if not c.is_zero()}
+            for mo, c in self._left_mul_mono(gen, rest).items():
+                accumulate(out, mo, c * k)
         self._left_memo[key] = out
         return out
-
-    def _left_mul_mono_scaled(self, g, mono, k) -> dict:
-        return {mo: c * k for mo, c in self._left_mul_mono(g, mono).items()}
-
-
-def _acc(d: dict, key, val):
-    old = d.get(key)
-    if old is None:
-        d[key] = val
-    else:
-        d[key] = old + val
-
-
-def _dict_of(mono) -> dict:
-    return {mono: RATIONALS.one}
-
-
-class VermaElem:
-    """Finite Scalar combination of PBW monomials inside one truncation."""
-
-    __slots__ = ("tv", "terms")
-
-    def __init__(self, tv: TruncVerma, terms):
-        self.tv = tv
-        self.terms = {}
-        for mono, c in terms.items():
-            if isinstance(c, (int, Fraction)):
-                c = RATIONALS.rational(c)
-            if monomial_level(mono) > tv.level_bound:
-                raise LevelOverflow("monomial beyond the level bound")
-            if not c.is_zero():
-                self.terms[mono] = c
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def level_components(self) -> dict:
-        out: dict = {}
-        for mono, c in self.terms.items():
-            out.setdefault(monomial_level(mono), {})[mono] = c
-        return {lv: VermaElem(self.tv, t) for lv, t in out.items()}
-
-    def max_level(self) -> int:
-        if not self.terms:
-            return 0
-        return max(monomial_level(m) for m in self.terms)
-
-    def __add__(self, other: "VermaElem") -> "VermaElem":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(terms, m, c)
-        return VermaElem(self.tv, terms)
-
-    def __sub__(self, other: "VermaElem") -> "VermaElem":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "VermaElem":
-        if not isinstance(s, Scalar):
-            s = RATIONALS.rational(s)
-        return VermaElem(self.tv, {m: c * s for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, VermaElem):
-            return NotImplemented
-        return self.tv is other.tv and self.terms == other.terms
-
-    def __str__(self):
-        from .liealg import _term_str
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (monomial_level(m), m)):
-            body = "[" + (
-                " ".join(_gen_str(g) for g in mono) if mono else "1"
-            ) + "]"
-            parts.append(_term_str(self.terms[mono], body))
-        out = []
-        for piece, negated in parts:
-            if not out:
-                out.append(piece if not negated else "-" + piece)
-            else:
-                out.append((" - " if negated else " + ") + piece)
-        return "".join(out)
-
-    def __repr__(self):
-        return f"VermaElem({self})"
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"monomial": [[j, n] for j, n in mono],
-                 "coeff": self.terms[mono].to_json()}
-                for mono in sorted(self.terms)
-            ]
-        }
 
 
 def _gen_str(g) -> str:
@@ -432,6 +328,42 @@ def _gen_str(g) -> str:
     elif n > 1:
         body += f"*D^{n}"
     return body
+
+
+def _verma_label(mono) -> str:
+    return "[" + (" ".join(_gen_str(g) for g in mono) if mono else "1") + "]"
+
+
+class VermaElem(SparseVec):
+    """Finite Scalar combination of PBW monomials inside one truncation."""
+
+    __slots__ = ("tv",)
+    _space = "tv"
+    _label = staticmethod(_verma_label)
+
+    @staticmethod
+    def _sort_key(mono):
+        return (monomial_level(mono), mono)
+
+    def __init__(self, tv: TruncVerma, terms):
+        if any(monomial_level(mono) > tv.level_bound for mono in terms):
+            raise LevelOverflow("monomial beyond the level bound")
+        super().__init__(tv, terms)
+
+    def level_components(self) -> dict:
+        out: dict = {}
+        for mono, c in self.terms.items():
+            out.setdefault(monomial_level(mono), {})[mono] = c
+        return {lv: VermaElem(self.tv, t) for lv, t in out.items()}
+
+    def to_json(self) -> dict:
+        return {
+            "terms": [
+                {"monomial": [[j, n] for j, n in mono],
+                 "coeff": self.terms[mono].to_json()}
+                for mono in sorted(self.terms)
+            ]
+        }
 
 
 def verma_basis(spec: HWSpec, level_bound: int, order_bound: int) -> TruncVerma:
@@ -448,11 +380,11 @@ def act_verma(op: DiffOp, v: VermaElem) -> VermaElem:
         for mono, fc in v.terms.items():
             coeff = c * fc
             for mo, k in tv._apply_basis(m[0], n[0], mono).items():
-                _acc(out, mo, coeff * k)
+                accumulate(out, mo, coeff * k)
     if not op.central.is_zero():
         cc = op.central * tv.spec.c
         for mono, fc in v.terms.items():
-            _acc(out, mono, fc * cc)
+            accumulate(out, mono, fc * cc)
     return VermaElem(tv, out)
 
 

@@ -15,7 +15,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
-from .scalars import ParamDecl, RATIONALS, Scalar
+from .scalars import (
+    ParamDecl, RATIONALS, Scalar, SpanBasis, SparseVec, _term_str, accumulate,
+)
 
 
 class CtxMismatch(ValueError):
@@ -68,12 +70,6 @@ class AlgebraCtx:
             raise ValueError("vir_l is a rank-1 constructor")
         return self.basis((m,), (1,), coeff)
 
-    def heis_i(self, m: int, coeff=1) -> "DiffOp":
-        """Degree-m multiplication operator t^m (rank 1)."""
-        if self.rank != 1:
-            raise ValueError("heis_i is a rank-1 constructor")
-        return self.basis((m,), (0,), coeff)
-
     def center(self, coeff=1, decl: ParamDecl = RATIONALS) -> "DiffOp":
         if not self.central:
             raise CentralUnsupported("context has no central element")
@@ -91,101 +87,6 @@ def term_sort_key(key):
     return (m, tuple(-k for k in n))
 
 
-class DiffOp:
-    """Finite linear combination of basis monomials plus a central part."""
-
-    __slots__ = ("ctx", "terms", "central")
-
-    def __init__(self, ctx: AlgebraCtx, terms, central: Scalar | None = None):
-        self.ctx = ctx
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-        self.central = central if central is not None else RATIONALS.zero
-        if not ctx.central and not self.central.is_zero():
-            raise CentralUnsupported("central coefficient in a centerless context")
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other: "DiffOp"):
-        if self.ctx != other.ctx:
-            raise CtxMismatch(f"{self.ctx} vs {other.ctx}")
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = terms.get(k)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = nc
-        return DiffOp(self.ctx, terms, self.central + other.central)
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.ctx, {k: -c for k, c in self.terms.items()}, -self.central)
-
-    def scale(self, s) -> "DiffOp":
-        if not isinstance(s, Scalar):
-            s = RATIONALS.rational(s)
-        return DiffOp(
-            self.ctx,
-            {k: c * s for k, c in self.terms.items()},
-            self.central * s,
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms and self.central.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.terms == other.terms
-            and self.central == other.central
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.ctx, frozenset(self.terms.items()), self.central)
-        )
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=term_sort_key):
-            parts.append(_term_str(self.terms[key], _monomial_str(key)))
-        if not self.central.is_zero():
-            parts.append(_term_str(self.central, "C"))
-        out = []
-        for piece, negated in parts:
-            if not out:
-                out.append(piece if not negated else "-" + piece)
-            else:
-                out.append((" - " if negated else " + ") + piece)
-        return "".join(out)
-
-    def __repr__(self):
-        return f"DiffOp({self})"
-
-    def to_json(self) -> dict:
-        items = []
-        for (m, n) in sorted(self.terms, key=term_sort_key):
-            items.append({
-                "m": list(m),
-                "n": list(n),
-                "coeff": self.terms[(m, n)].to_json(),
-            })
-        out = {"rank": self.ctx.rank, "terms": items}
-        if self.ctx.central:
-            out["central"] = self.central.to_json()
-        return out
-
-
 def _monomial_str(key) -> str:
     m, n = key
     rank = len(m)
@@ -201,33 +102,68 @@ def _monomial_str(key) -> str:
     return "*".join(factors)
 
 
-def _coeff_prefix(coeff: Scalar):
-    """Render a coefficient as a prefix 'c*'; returns (prefix, negated)."""
-    if coeff.is_rational():
-        q = coeff.rational_value()
-        neg = q < 0
-        q = abs(q)
-        return ("" if q == 1 else f"{q}*", neg)
-    if coeff.is_monomial():
-        (mono, q), = coeff.terms.items()
-        neg = q < 0
-        body = Scalar(coeff.decl, {mono: abs(q)})
-        return (f"{body}*", neg)
-    return (f"({coeff})*", False)
+class DiffOp(SparseVec):
+    """Finite linear combination of basis monomials plus a central part."""
 
+    __slots__ = ("ctx", "central")
+    _space = "ctx"
+    _mismatch = CtxMismatch
+    _label = staticmethod(_monomial_str)
+    _sort_key = staticmethod(term_sort_key)
 
-def _term_str(coeff: Scalar, body: str):
-    """One rendered additive term; returns (text without sign, negated)."""
-    if not body:
-        if coeff.is_rational():
-            q = coeff.rational_value()
-            return (str(abs(q)), q < 0)
-        if coeff.is_monomial():
-            (mono, q), = coeff.terms.items()
-            return (str(Scalar(coeff.decl, {mono: abs(q)})), q < 0)
-        return (f"({coeff})", False)
-    prefix, neg = _coeff_prefix(coeff)
-    return (prefix + body, neg)
+    def __init__(self, ctx: AlgebraCtx, terms, central: Scalar | None = None):
+        super().__init__(ctx, terms)
+        self.central = central if central is not None else RATIONALS.zero
+        if not ctx.central and not self.central.is_zero():
+            raise CentralUnsupported("central coefficient in a centerless context")
+
+    def __add__(self, other: "DiffOp") -> "DiffOp":
+        out = super().__add__(other)
+        out.central = self.central + other.central
+        return out
+
+    def __neg__(self) -> "DiffOp":
+        out = super().__neg__()
+        out.central = -self.central
+        return out
+
+    def scale(self, s) -> "DiffOp":
+        out = super().scale(s)
+        out.central = self.central * s
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms and self.central.is_zero()
+
+    def __eq__(self, other):
+        same = super().__eq__(other)
+        if same is NotImplemented:
+            return same
+        return same and self.central == other.central
+
+    def __hash__(self):
+        return hash(
+            (self.ctx, frozenset(self.terms.items()), self.central)
+        )
+
+    def _pieces(self) -> list:
+        pieces = super()._pieces()
+        if not self.central.is_zero():
+            pieces.append(_term_str(self.central, "C"))
+        return pieces
+
+    def to_json(self) -> dict:
+        items = []
+        for (m, n) in sorted(self.terms, key=term_sort_key):
+            items.append({
+                "m": list(m),
+                "n": list(n),
+                "coeff": self.terms[(m, n)].to_json(),
+            })
+        out = {"rank": self.ctx.rank, "terms": items}
+        if self.ctx.central:
+            out["central"] = self.central.to_json()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +195,7 @@ def basis_bracket(m1, n1, m2, n2) -> dict:
     """[t^m1 D^n1, t^m2 D^n2] as {(m, n): integer coefficient} (no center)."""
     out = basis_product(m1, n1, m2, n2)
     for k, v in basis_product(m2, n2, m1, n1).items():
-        nv = out.get(k, 0) - v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
+        accumulate(out, k, -v)
     return out
 
 
@@ -294,13 +226,7 @@ def assoc_product(a: DiffOp, b: DiffOp) -> DiffOp:
         for (m2, n2), c2 in b.terms.items():
             c = c1 * c2
             for key, k in basis_product(m1, n1, m2, n2).items():
-                nc = terms.get(key)
-                add = c * k
-                nc = add if nc is None else nc + add
-                if nc.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = nc
+                accumulate(terms, key, c * k)
     return DiffOp(a.ctx, terms)
 
 
@@ -317,13 +243,7 @@ def bracket(a: DiffOp, b: DiffOp) -> DiffOp:
         for (m2, n2), c2 in b.terms.items():
             c = c1 * c2
             for key, k in basis_bracket(m1, n1, m2, n2).items():
-                nc = terms.get(key)
-                add = c * k
-                nc = add if nc is None else nc + add
-                if nc.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = nc
+                accumulate(terms, key, c * k)
             if a.ctx.central:
                 phi = cocycle_basis(m1[0], n1[0], m2[0], n2[0])
                 if phi:
@@ -397,83 +317,49 @@ def generated_span_probe(generators, m_bound: int, n_bound: int, depth: int) -> 
         raise CentralUnsupported("span probe works in the centerless algebra")
     rank = ctx.rank
 
-    def in_window(key):
-        m, n = key
-        return all(abs(x) <= m_bound for x in m) and all(x <= n_bound for x in n)
-
-    def clip(vec: dict) -> dict:
-        return {k: c for k, c in vec.items() if in_window(k) and c}
-
     basis_keys = [
         (m, n)
         for m in iproduct(*[range(-m_bound, m_bound + 1)] * rank)
         for n in iproduct(*[range(n_bound + 1)] * rank)
     ]
     basis_keys.sort(key=term_sort_key)
-
-    # Vectors over the window with Fraction entries; echelon by first
-    # nonzero coordinate in the canonical term order.
+    # Vectors over the window with Fraction entries, keyed by window
+    # position, so the echelon pivots on the first nonzero coordinate in the
+    # canonical term order; terms outside the window are dropped.
     key_pos = {k: i for i, k in enumerate(basis_keys)}
-
-    def reduce_against(pivots: dict, vec: dict) -> dict:
-        v = dict(vec)
-        while v:
-            lead = min(v, key=lambda k: key_pos[k])
-            row = pivots.get(lead)
-            if row is None:
-                return v
-            f = v[lead] / row[lead]
-            for k, c in row.items():
-                nc = v.get(k, 0) - f * c
-                if nc:
-                    v[k] = nc
-                else:
-                    v.pop(k, None)
-        return v
-
-    pivots: dict = {}
-    frontier = []
+    span = SpanBasis()
     for g in generators:
-        vec = clip({k: c.rational_value() for k, c in g.terms.items()})
-        v = reduce_against(pivots, vec)
-        if v:
-            pivots[min(v, key=lambda k: key_pos[k])] = v
-            frontier.append(v)
+        span.add({key_pos[k]: c.rational_value() for k, c in g.terms.items() if k in key_pos})
+    # new pivot rows are appended to span.pivots, so each step's frontier
+    # is the tail added during the previous step
+    frontier = list(span.pivots.values())
 
     depth_used = 0
     for step in range(depth):
         if not frontier:
             break
-        new_frontier = []
         # bracket every frontier vector against every current pivot row
-        rows = list(pivots.values())
+        rows = list(span.pivots.values())
         for v in frontier:
             for w in rows:
                 prod: dict = {}
-                for (m1, n1), c1 in v.items():
-                    for (m2, n2), c2 in w.items():
+                for i1, c1 in v.items():
+                    m1, n1 = basis_keys[i1]
+                    for i2, c2 in w.items():
+                        m2, n2 = basis_keys[i2]
                         for key, k in basis_bracket(m1, n1, m2, n2).items():
-                            if not in_window(key):
-                                continue
-                            nc = prod.get(key, 0) + c1 * c2 * k
-                            if nc:
-                                prod[key] = nc
-                            else:
-                                prod.pop(key, None)
-                r = reduce_against(pivots, prod)
-                if r:
-                    pivots[min(r, key=lambda k: key_pos[k])] = r
-                    new_frontier.append(r)
-        if new_frontier:
+                            if key in key_pos:
+                                accumulate(prod, key_pos[key], c1 * c2 * k)
+                span.add(prod)
+        frontier = list(span.pivots.values())[len(rows):]
+        if frontier:
             depth_used = step + 1
-        frontier = new_frontier
 
     reached = []
     missing = []
-    for key in basis_keys:
-        unit = {key: Fraction(1)}
-        if not reduce_against(pivots, unit):
+    for i, key in enumerate(basis_keys):
+        if span.contains({i: Fraction(1)}):
             reached.append(key)
         else:
             missing.append(key)
-    return SpanProbeReport(reached, missing, len(pivots), depth_used)
+    return SpanProbeReport(reached, missing, span.dim, depth_used)

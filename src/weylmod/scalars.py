@@ -383,6 +383,130 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------------
+# Sparse vectors
+# ---------------------------------------------------------------------------
+
+
+def accumulate(d: dict, key, value) -> None:
+    """Add ``value`` into ``d[key]``, dropping the entry when it cancels.
+
+    Zeros are tested by truthiness, which covers Scalar, Fraction and int
+    coefficients alike, so a map built this way never stores a zero.
+    """
+    old = d.get(key)
+    if old is not None:
+        value = old + value
+    if value:
+        d[key] = value
+    else:
+        d.pop(key, None)
+
+
+def _coeff_prefix(coeff: Scalar):
+    """Render a coefficient as a prefix 'c*'; returns (prefix, negated)."""
+    if coeff.is_rational():
+        q = coeff.rational_value()
+        neg = q < 0
+        q = abs(q)
+        return ("" if q == 1 else f"{q}*", neg)
+    if coeff.is_monomial():
+        (mono, q), = coeff.terms.items()
+        neg = q < 0
+        body = Scalar(coeff.decl, {mono: abs(q)})
+        return (f"{body}*", neg)
+    return (f"({coeff})*", False)
+
+
+def _term_str(coeff: Scalar, body: str):
+    """One rendered additive term; returns (text without sign, negated)."""
+    if not body:
+        if coeff.is_rational():
+            q = coeff.rational_value()
+            return (str(abs(q)), q < 0)
+        if coeff.is_monomial():
+            (mono, q), = coeff.terms.items()
+            return (str(Scalar(coeff.decl, {mono: abs(q)})), q < 0)
+        return (f"({coeff})", False)
+    prefix, neg = _coeff_prefix(coeff)
+    return (prefix + body, neg)
+
+
+class SparseVec:
+    """Finite combination of labelled basis vectors with Scalar coefficients.
+
+    ``terms`` maps hashable labels to nonzero Scalars (int and Fraction
+    coefficients are converted); a zero is never stored, so ``==`` is
+    structural.  A subclass keeps its ambient space in the slot named by
+    ``_space``, raises ``_mismatch`` when two operands live in different
+    spaces, and renders and orders its labels with ``_label`` and
+    ``_sort_key``.
+    """
+
+    __slots__ = ("terms",)
+    _space = ""
+    _mismatch = ValueError
+    _sort_key = None  # natural label order
+
+    def __init__(self, space, terms):
+        setattr(self, self._space, space)
+        self.terms = {k: c if isinstance(c, Scalar) else RATIONALS.rational(c)
+                      for k, c in terms.items() if c}
+
+    def _like(self, terms):
+        """A vector of the same type and space with the given terms."""
+        return type(self)(getattr(self, self._space), terms)
+
+    def _check(self, other):
+        mine, theirs = getattr(self, self._space), getattr(other, self._space)
+        if mine != theirs:
+            raise self._mismatch(f"{mine} vs {theirs}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(terms, k, c)
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        if not isinstance(s, Scalar):
+            s = RATIONALS.rational(s)
+        return self._like({k: c * s for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (getattr(self, self._space) == getattr(other, self._space)
+                and self.terms == other.terms)
+
+    def _pieces(self) -> list:
+        """(text without sign, negated) for each term, in printing order."""
+        return [_term_str(self.terms[k], self._label(k))
+                for k in sorted(self.terms, key=self._sort_key)]
+
+    def __str__(self):
+        out = []
+        for piece, negated in self._pieces():
+            if not out:
+                out.append("-" + piece if negated else piece)
+            else:
+                out.append((" - " if negated else " + ") + piece)
+        return "".join(out) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+# ---------------------------------------------------------------------------
 # Truncated power series
 # ---------------------------------------------------------------------------
 
@@ -678,9 +802,10 @@ def solve_linear(m: Matrix, rhs: Matrix | None = None) -> LinearSolution:
 class SpanBasis:
     """Incremental echelon basis for vectors with hashable coordinate keys.
 
-    Vectors are {key: Scalar} dicts.  Reduction is by cross-multiplication,
-    so the span is taken over the fraction field of the parameter ring while
-    all stored entries stay polynomial.
+    Vectors are {key: coefficient} dicts with Scalar or Fraction values;
+    zeros are tested by truthiness, so both work.  Reduction is by
+    cross-multiplication, so the span is taken over the fraction field of
+    the parameter ring while all stored entries stay polynomial.
     """
 
     def __init__(self):
@@ -695,7 +820,7 @@ class SpanBasis:
         return min(vec.keys())
 
     def reduce(self, vec: Mapping) -> dict:
-        v = {k: c for k, c in vec.items() if not c.is_zero()}
+        v = {k: c for k, c in vec.items() if c}
         while v:
             lead = self._lead(v)
             row = self.pivots.get(lead)
@@ -713,7 +838,7 @@ class SpanBasis:
                     nc = b * c
                 else:
                     nc = b * c - a * d
-                if not nc.is_zero():
+                if nc:
                     nv[k] = nc
             v = nv
         return v

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Matrix, RATIONALS, Scalar, SpanBasis, solve_linear
+from .scalars import (
+    Matrix, RATIONALS, Scalar, SpanBasis, SparseVec, accumulate, solve_linear,
+)
 from .liealg import D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act_hv
-from .hwmod import LevelOverflow, TruncVerma, VermaElem, monomial_level
+from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
 
 
 class TensorMismatch(ValueError):
@@ -55,23 +57,19 @@ class TensorSpec:
         ]
 
 
-class TensorElem:
+def _tensor_label(key) -> str:
+    j, mono = key
+    xs = "1" if j == 0 else ("x" if j == 1 else f"x^{j}")
+    return f"{xs}(x){_verma_label(mono)}"
+
+
+class TensorElem(SparseVec):
     """Sparse {(x exponent, PBW monomial): Scalar} combination."""
 
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: TensorSpec, terms):
-        self.spec = spec
-        cleaned = {}
-        for (j, mono), c in terms.items():
-            if isinstance(c, (int, Fraction)):
-                c = RATIONALS.rational(c)
-            if not c.is_zero():
-                cleaned[(j, mono)] = c
-        self.terms = cleaned
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ("spec",)
+    _space = "spec"
+    _mismatch = TensorMismatch
+    _label = staticmethod(_tensor_label)
 
     def x_degree(self) -> int:
         if not self.terms:
@@ -83,51 +81,6 @@ class TensorElem:
         return VermaElem(self.spec.hw, {
             mono: c for (jj, mono), c in self.terms.items() if jj == j
         })
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = terms.get(k)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = nc
-        return TensorElem(self.spec, terms)
-
-    def __sub__(self, other: "TensorElem") -> "TensorElem":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "TensorElem":
-        if not isinstance(s, Scalar):
-            s = RATIONALS.rational(s)
-        return TensorElem(self.spec, {k: c * s for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        return self.spec is other.spec and self.terms == other.terms
-
-    def __str__(self):
-        from .liealg import _term_str
-        from .hwmod import _gen_str
-        if not self.terms:
-            return "0"
-        parts = []
-        for (j, mono) in sorted(self.terms, key=lambda k: (k[0], k[1])):
-            xs = "1" if j == 0 else ("x" if j == 1 else f"x^{j}")
-            vs = "[" + (" ".join(_gen_str(g) for g in mono) if mono else "1") + "]"
-            parts.append(_term_str(self.terms[(j, mono)], f"{xs}(x){vs}"))
-        out = []
-        for piece, negated in parts:
-            if not out:
-                out.append(piece if not negated else "-" + piece)
-            else:
-                out.append((" - " if negated else " + ") + piece)
-        return "".join(out)
-
-    def __repr__(self):
-        return f"TensorElem({self})"
 
     def to_json(self) -> dict:
         return {
@@ -161,23 +114,15 @@ def act_tensor(op: DiffOp, w: TensorElem) -> TensorElem:
             # polynomial side
             coeff = prefactor * fc
             for exps, k in _basis_act_ints(omega.eps, m, n, (j,)).items():
-                _tacc(out, (exps[0], mono), coeff * k)
+                accumulate(out, (exps[0], mono), coeff * k)
             # highest-weight side
             for mo, k in spec.hw._apply_basis(m0, n0, mono).items():
-                _tacc(out, (j, mo), c * fc * k)
+                accumulate(out, (j, mo), c * fc * k)
     if not op.central.is_zero():
         cc = op.central * spec.hw.spec.c
         for key, fc in w.terms.items():
-            _tacc(out, key, fc * cc)
+            accumulate(out, key, fc * cc)
     return TensorElem(spec, out)
-
-
-def _tacc(d: dict, key, val):
-    old = d.get(key)
-    if old is None:
-        d[key] = val
-    else:
-        d[key] = old + val
 
 
 def vanishing_bound(v: VermaElem) -> int:
@@ -312,9 +257,9 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int):
             out: dict = {}
             pf = act_hv(spec.omega, (kind, m), spec.omega.monomial((j,)))
             for (e,), c in pf.terms.items():
-                _tacc(out, (e, mono), c)
+                accumulate(out, (e, mono), c)
             for mo, k in host._apply_basis(m, n, mono).items():
-                _tacc(out, (j, mo), k)
+                accumulate(out, (j, mo), k)
             return TensorElem(hspec, out)
 
         applications = [
@@ -379,8 +324,7 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
                         if col is None:
                             continue
                         for k2, c2 in col.items():
-                            _tacc(out, k2, c * c2)
-                    out = {k: c for k, c in out.items() if not c.is_zero()}
+                            accumulate(out, k2, c * c2)
                     if out and span.add(out):
                         new.append(out)
             frontier = new
@@ -432,13 +376,13 @@ def _modular_full_seeds(keys, moves) -> set:
         rank = 1
         frontier = basis
         while frontier.shape[1] and rank < full:
-            images = np.hstack([(m @ frontier) % p for m in mats])
+            images = np.hstack([_matmul_mod_p(m, frontier, p) for m in mats])
             stacked = np.hstack([basis, images])
-            reduced, rk = _colspace_mod_p(stacked, p)
+            independent, rk = _colspace_mod_p(stacked, p)
             if rk == rank:
                 break
-            frontier = reduced[:, rank:rk]
-            basis = reduced[:, :rk]
+            frontier = independent[:, rank:rk]
+            basis = independent[:, :rk]
             rank = rk
         if rank == full:
             certified.add(seed)
@@ -456,42 +400,90 @@ def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
     return total
 
 
-def _colspace_mod_p(m, p):
-    """Column-echelon basis of the column space of m over GF(p).
+# Primes below 2^26, so that a product of two residues is below 2^52 and
+# an int64 sum of K = (2^63 - 1) // (p - 1)^2 = 2048 such products cannot wrap.
+_PRIMES = (67108859, 67108837, 67108819)
 
-    Returns (basis matrix, rank); the first columns span the same space as
-    the input's leading independent columns, preserving insertion order.
+
+def _matmul_mod_p(a, b, p):
+    """a @ b over GF(p) for int64 arrays with entries in [0, p).
+
+    The inner dimension is summed in chunks of K = (2^63 - 1) // (p - 1)^2
+    terms, each chunk reduced mod p before the next is added, so no partial
+    sum leaves the int64 range (delayed reduction, as in FFLAS-FFPACK).
+    ``a`` may carry leading batch dimensions.
     """
     import numpy as np
 
+    chunk = (2 ** 63 - 1) // (p - 1) ** 2
+    inner = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for lo in range(0, inner, chunk):
+        out += (a[..., lo:lo + chunk] @ b[lo:lo + chunk]) % p
+        out %= p
+    return out
+
+
+def _echelon_mod_p(m, p):
+    """Reduced row echelon form of m over GF(p) by Gauss-Jordan elimination.
+
+    Returns (r, pivot_cols): row i of r has a 1 in column pivot_cols[i] and
+    zeros in every other pivot column; rows past the rank are zero.  Entries
+    stay below p < 2^26, so every intermediate product fits in int64.
+    """
+    import numpy as np
+
+    m = m % p
     rows, cols = m.shape
-    basis = np.zeros((rows, min(rows, cols)), dtype=np.int64)
-    pivots: dict = {}
-    rank = 0
+    pivot_cols: list = []
+    r = 0
     for c in range(cols):
-        v = m[:, c] % p
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                break
-            lead = int(nz[0])
-            if lead not in pivots:
-                inv = pow(int(v[lead]), p - 2, p)
-                v = (v * inv) % p
-                pivots[lead] = rank
-                basis[:, rank] = v
-                rank += 1
-                break
-            v = (v - v[lead] * basis[:, pivots[lead]]) % p
-    return basis[:, :rank], rank
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        mask = col != 0
+        if mask.any():
+            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
+        pivot_cols.append(c)
+        r += 1
+    return m, pivot_cols
+
+
+def _colspace_mod_p(m, p):
+    """Column-space basis of m over GF(p): its pivot columns, in input order.
+
+    Returns (basis matrix, rank).  The basis columns are input columns
+    reduced mod p, so columns that are already independent and come first
+    stay in place.
+    """
+    _, pivot_cols = _echelon_mod_p(m, p)
+    return m[:, pivot_cols] % p, len(pivot_cols)
+
+
+def _nullspace_mod_p(m, p):
+    """Column nullspace basis of m over GF(p), read off the echelon form."""
+    import numpy as np
+
+    r, pivot_cols = _echelon_mod_p(m, p)
+    pivots = set(pivot_cols)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    null = np.zeros((m.shape[1], len(free)), dtype=np.int64)
+    null[free, range(len(free))] = 1
+    null[pivot_cols] = -r[:len(pivot_cols), free] % p
+    return null
 
 
 # ---------------------------------------------------------------------------
 # Bounded intertwiner spaces
 # ---------------------------------------------------------------------------
-
-
-_PRIMES = (2013265921, 1811939329, 1711276033)
 
 
 def _action_matrix(spec: TensorSpec, op: DiffOp, keys, key_pos, host: TruncVerma):
@@ -557,13 +549,10 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
 
     # explicitly verified kernel vectors: the identity for equal data
     explicit = 0
-    if keys_a == keys_b:
-        if all(_cols_equal(ca, cb) for ca, cb in zip(mats_a, mats_b)):
-            explicit = 1
+    if keys_a == keys_b and mats_a == mats_b:
+        explicit = 1
 
     if not symbolic:
-        import numpy as np
-
         dim_a, dim_b = len(keys_a), len(keys_b)
         for p in _PRIMES:
             k = _modular_kernel_dim(mats_a, mats_b, dim_a, dim_b, p)
@@ -572,12 +561,6 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
         # fall through to the exact elimination below on a persistent gap
 
     return _exact_intertwiner_dim(mats_a, mats_b, len(keys_a), len(keys_b))
-
-
-def _cols_equal(ca, cb) -> bool:
-    if len(ca) != len(cb):
-        return False
-    return all(x == y for x, y in zip(ca, cb))
 
 
 def _frac_mod(q: Fraction, p: int) -> int:
@@ -603,49 +586,13 @@ def _modular_kernel_dim(mats_a, mats_b, dim_a, dim_b, p) -> int:
         Ag = dense(cols_a, dim_a)
         Bg = dense(cols_b, dim_b)
         T3 = basis.reshape(dim_b, dim_a, basis.shape[1])
-        TA = np.einsum("iak,ab->ibk", T3, Ag) % p
-        BT = np.einsum("ij,jak->iak", Bg, T3) % p
+        # (T A)[i, b, k] = sum_a T[i, a, k] A[a, b]; (B T) = B @ T
+        TA = _matmul_mod_p(T3.transpose(0, 2, 1), Ag, p).transpose(0, 2, 1)
+        BT = _matmul_mod_p(Bg, T3.reshape(dim_b, -1), p).reshape(T3.shape)
         M = (TA - BT).reshape(dim_b * dim_a, basis.shape[1]) % p
         null = _nullspace_mod_p(M, p)
-        basis = (basis @ null) % p
+        basis = _matmul_mod_p(basis, null, p)
     return basis.shape[1]
-
-
-def _nullspace_mod_p(m, p):
-    """Column nullspace basis of m over GF(p) (vectorized elimination)."""
-    import numpy as np
-
-    m = m % p
-    rows, cols = m.shape
-    piv_rows: list = []
-    piv_cols: list = []
-    r = 0
-    for c in range(cols):
-        sub = m[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in piv_cols]
-    null = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        null[fc, k] = 1
-        for i, pc in enumerate(piv_cols):
-            null[pc, k] = (-int(m[i, fc])) % p
-    return null
 
 
 def _exact_intertwiner_dim(mats_a, mats_b, dim_a, dim_b) -> int:
@@ -666,11 +613,9 @@ def _exact_intertwiner_dim(mats_a, mats_b, dim_a, dim_b) -> int:
             for i in range(dim_b):
                 row: dict = {}
                 for k, c in cols_a[u].items():
-                    row[i * dim_a + k] = row.get(i * dim_a + k, RATIONALS.zero) + c
+                    accumulate(row, i * dim_a + k, c)
                 for k, c in b_rows.get(i, {}).items():
-                    idx = k * dim_a + u
-                    row[idx] = row.get(idx, RATIONALS.zero) - c
-                row = {k: c for k, c in row.items() if not c.is_zero()}
+                    accumulate(row, k * dim_a + u, -c)
                 if row:
                     rows.append(row)
     span = SpanBasis()

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
-from .scalars import RATIONALS, Scalar, SpanBasis
+from .scalars import RATIONALS, Scalar, SpanBasis, SparseVec, accumulate
 from .liealg import AlgebraCtx, DiffOp, bracket, assoc_product
 
 
@@ -116,76 +116,28 @@ def omega_hv(lam: Scalar, alpha: Scalar, beta: Scalar) -> OmegaSpec:
     return OmegaSpec("hv", (lam,), alpha=alpha, beta=beta)
 
 
-class PolyVec:
+def _poly_label(exps) -> str:
+    names = ["x"] if len(exps) == 1 else [f"x{i + 1}" for i in range(len(exps))]
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+class PolyVec(SparseVec):
     """Element of a polynomial module: sparse exponent map with Scalar values."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
+    _space = "spec"
+    _mismatch = FamilyMismatch
+    _label = staticmethod(_poly_label)
 
-    def __init__(self, spec: OmegaSpec, terms):
-        self.spec = spec
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _sort_key(exps):
+        return (-sum(exps), tuple(-k for k in exps))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero vector."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def __add__(self, other: "PolyVec") -> "PolyVec":
-        if self.spec != other.spec:
-            raise FamilyMismatch("vectors live in different modules")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = terms.get(e)
-            nc = c if nc is None else nc + c
-            if nc.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = nc
-        return PolyVec(self.spec, terms)
-
-    def __sub__(self, other: "PolyVec") -> "PolyVec":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "PolyVec":
-        return self.scale(-1)
-
-    def scale(self, s) -> "PolyVec":
-        if not isinstance(s, Scalar):
-            s = RATIONALS.rational(s)
-        return PolyVec(self.spec, {e: c * s for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVec):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __str__(self):
-        from .liealg import _term_str
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e))):
-            body = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = "x" if self.spec.rank == 1 else f"x{i + 1}"
-                body.append(name if e == 1 else f"{name}^{e}")
-            parts.append(_term_str(self.terms[exps], "*".join(body)))
-        out = []
-        for piece, negated in parts:
-            if not out:
-                out.append(piece if not negated else "-" + piece)
-            else:
-                out.append((" - " if negated else " + ") + piece)
-        return "".join(out)
-
-    def __repr__(self):
-        return f"PolyVec({self})"
 
     def to_json(self) -> dict:
         spec = {"family": self.spec.family, "rank": self.spec.rank}
@@ -257,13 +209,7 @@ def act(op: DiffOp, v: PolyVec) -> PolyVec:
         for j, fc in v.terms.items():
             coeff = prefactor * fc
             for exps, k in _basis_act_ints(spec.eps, m, n, j).items():
-                nc = out.get(exps)
-                add = coeff * k
-                nc = add if nc is None else nc + add
-                if nc.is_zero():
-                    out.pop(exps, None)
-                else:
-                    out[exps] = nc
+                accumulate(out, exps, coeff * k)
     return PolyVec(spec, out)
 
 
@@ -273,71 +219,42 @@ def _shift_poly(f: PolyVec, m: int) -> dict:
     for (j,), c in f.terms.items():
         for b in range(j + 1):
             k = comb(j, b) * (-m) ** (j - b)
-            if k == 0:
-                continue
-            key = (b,)
-            nc = out.get(key)
-            add = c * k
-            nc = add if nc is None else nc + add
-            if nc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = nc
+            if k:
+                accumulate(out, (b,), c * k)
     return out
 
 
-def act_vir(spec: OmegaSpec, m: int, f: PolyVec) -> PolyVec:
-    """L_m f = lambda^m (x - m*alpha) f(x - m); the center acts by zero."""
-    if spec.family != "vir":
-        raise FamilyMismatch(f"act_vir expects a vir module, got {spec.family!r}")
-    shifted = _shift_poly(f, m)
-    lam_m = spec.lam[0] ** m
-    out: dict = {}
-    malpha = spec.alpha * m
-    for (j,), c in shifted.items():
-        top = out.get((j + 1,))
-        add = c * lam_m
-        out[(j + 1,)] = add if top is None else top + add
-        low = out.get((j,))
-        sub = add * malpha
-        low = -sub if low is None else low - sub
-        if low.is_zero():
-            out.pop((j,), None)
-        else:
-            out[(j,)] = low
-    return PolyVec(spec, {e: c for e, c in out.items() if not c.is_zero()})
-
-
 def act_hv(spec: OmegaSpec, gen, f: PolyVec) -> PolyVec:
-    """Action of L_m or I_m on the two-parameter rank-1 family.
+    """Action of L_m or I_m on the rank-1 vir and hv families.
 
-    ``gen`` is ("L", m) or ("I", m); I_m f = beta * lambda^m f(x - m).
+    ``gen`` is ("L", m) or ("I", m).  L_m f = lambda^m (x - m*alpha) f(x - m)
+    on both families, the center acting by zero; I_m f = beta * lambda^m
+    f(x - m) exists on the hv family only.
     """
-    if spec.family != "hv":
-        raise FamilyMismatch(f"act_hv expects an hv module, got {spec.family!r}")
+    if spec.family not in ("vir", "hv"):
+        raise FamilyMismatch(f"act_hv expects a vir or hv module, got {spec.family!r}")
     kind, m = gen
+    if kind not in ("L", "I"):
+        raise ValueError(f"generator kind must be 'L' or 'I', got {kind!r}")
+    if kind == "I" and spec.family != "hv":
+        raise FamilyMismatch("I_m generators act on hv modules only")
+    shifted = _shift_poly(f, m)
     lam_m = spec.lam[0] ** m
     if kind == "I":
-        shifted = _shift_poly(f, m)
         s = lam_m * spec.beta
         return PolyVec(spec, {e: c * s for e, c in shifted.items()})
-    if kind != "L":
-        raise ValueError(f"generator kind must be 'L' or 'I', got {kind!r}")
-    shifted = _shift_poly(f, m)
     out: dict = {}
     malpha = spec.alpha * m
     for (j,), c in shifted.items():
         add = c * lam_m
-        top = out.get((j + 1,))
-        out[(j + 1,)] = add if top is None else top + add
-        low = out.get((j,))
-        sub = add * malpha
-        low = -sub if low is None else low - sub
-        if low.is_zero():
-            out.pop((j,), None)
-        else:
-            out[(j,)] = low
-    return PolyVec(spec, {e: c for e, c in out.items() if not c.is_zero()})
+        accumulate(out, (j + 1,), add)
+        accumulate(out, (j,), -(add * malpha))
+    return PolyVec(spec, out)
+
+
+def act_vir(spec: OmegaSpec, m: int, f: PolyVec) -> PolyVec:
+    """L_m f on a vir or hv module; the L-branch of ``act_hv``."""
+    return act_hv(spec, ("L", m), f)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +277,11 @@ def _family_generators(spec: OmegaSpec, m_bound: int, n_bound: int):
         for m in iproduct(*[range(-m_bound, m_bound + 1)] * spec.rank):
             for n in iproduct(*[range(n_bound + 1)] * spec.rank):
                 gens.append(((m, n), ctx.basis(m, n)))
-    elif spec.family == "vir":
-        for m in range(-m_bound, m_bound + 1):
-            gens.append((("L", m), ("L", m)))
     else:
+        kinds = ("L",) if spec.family == "vir" else ("L", "I")
         for m in range(-m_bound, m_bound + 1):
-            gens.append((("L", m), ("L", m)))
-            gens.append((("I", m), ("I", m)))
+            for kind in kinds:
+                gens.append(((kind, m), (kind, m)))
     return gens
 
 
@@ -428,17 +343,13 @@ def verify_module_axiom(
     # vir / hv families act through named generators
     apply_fn = action
     if apply_fn is None:
-        apply_fn = (lambda g, f: act_vir(spec, g[1], f)) if spec.family == "vir" \
-            else (lambda g, f: act_hv(spec, g, f))
+        apply_fn = lambda g, f: act_hv(spec, g, f)
     gens = [g for _, g in _family_generators(spec, m_bound, n_bound)]
     monos = [spec.monomial((k,)) for k in range(deg_bound + 1)]
     checked = 0
     for i, a in enumerate(gens):
         for b in gens[i:]:
-            if spec.family == "vir":
-                terms = [(("L", a[1] + b[1]), Fraction(b[1] - a[1]))]
-            else:
-                terms = _hv_bracket_terms(a, b)
+            terms = _hv_bracket_terms(a, b)
             for f in monos:
                 lhs = spec.zero_vec()
                 for g, k in terms:
@@ -633,16 +544,12 @@ def _probe_generators(spec: OmegaSpec, m_range: int):
                     op = ctx.basis(mv, nv)
                     gens.append(lambda f, op=op: act(op, f))
         return gens
-    if spec.family == "vir":
-        return [
-            (lambda f, m=m: act_vir(spec, m, f))
-            for m in range(-m_range, m_range + 1)
-        ]
-    gens = []
-    for m in range(-m_range, m_range + 1):
-        gens.append(lambda f, m=m: act_hv(spec, ("L", m), f))
-        gens.append(lambda f, m=m: act_hv(spec, ("I", m), f))
-    return gens
+    kinds = ("L",) if spec.family == "vir" else ("L", "I")
+    return [
+        (lambda f, g=(kind, m): act_hv(spec, g, f))
+        for m in range(-m_range, m_range + 1)
+        for kind in kinds
+    ]
 
 
 def simplicity_probe(spec: OmegaSpec, degree_bound: int) -> SimplicityReport:

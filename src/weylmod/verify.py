@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb, lcm
 
-from .scalars import ParamDecl, RATIONALS
+from .scalars import ParamDecl, RATIONALS, accumulate
 from .liealg import (
     AlgebraCtx, D_ALG, D_HAT, DiffOp, basis_bracket, bracket,
     cocycle_basis, generated_span_probe,
@@ -119,11 +119,7 @@ def _hat_apply(table, elems, idx, vec):
     for key, c in vec[0].items():
         (m2,), (n2,) = key
         for k, v in basis_bracket((m1,), (n1,), (m2,), (n2,)).items():
-            nv = out.get(k, 0) + c * v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+            accumulate(out, k, c * v)
         central += c * cocycle_basis(m1, n1, m2, n2)
     return out, central
 
@@ -149,8 +145,8 @@ def suite_jacobi(bounds=None) -> SuiteResult:
             checks += 1
             merged = dict(terms_ij)
             for k, v in terms_ji.items():
-                merged[k] = merged.get(k, 0) + v
-            if any(merged.values()) or c_ij + c_ji != 0:
+                accumulate(merged, k, v)
+            if merged or c_ij + c_ji != 0:
                 return _result("jacobi-antisymmetry", False, checks, t0,
                                f"antisymmetry fails at {elems[i]}, {elems[j]}")
     # Jacobi on unordered distinct triples: with antisymmetry verified on all
@@ -163,10 +159,10 @@ def suite_jacobi(bounds=None) -> SuiteResult:
             inner = table[(y, z)]
             outer_terms, outer_c = _hat_apply(table, elems, x, inner)
             for key, v in outer_terms.items():
-                acc[key] = acc.get(key, 0) + v
+                accumulate(acc, key, v)
             central += outer_c
         checks += 1
-        if any(acc.values()) or central != 0:
+        if acc or central != 0:
             return _result("jacobi-antisymmetry", False, checks, t0,
                            f"Jacobi fails at triple {elems[i]}, {elems[j]}, {elems[k]}")
 

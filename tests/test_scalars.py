@@ -286,3 +286,46 @@ def test_span_basis_membership():
     assert span.contains({0: A, 1: A * LAM})
     assert not span.contains({2: DECL.one})
     assert span.dim == 2
+    # Fraction coordinates, as in the generator-closure probe
+    span = SpanBasis()
+    assert span.add({0: Fraction(1), 1: Fraction(2, 3)})
+    assert not span.add({0: Fraction(-3, 2), 1: Fraction(-1)})
+    assert span.contains({0: Fraction(3), 1: Fraction(2)})
+    assert not span.contains({1: Fraction(1)})
+    assert span.add({1: Fraction(1, 5), 2: Fraction(1)})
+    assert span.contains({0: Fraction(1), 2: Fraction(-10, 3)})
+    assert span.dim == 2
+
+
+def _sparse_pair(kind):
+    """Two vectors of one sparse-vector type that overlap in some labels."""
+    from weylmod.hwmod import HWSpec, Quasipolynomial, verma_basis
+    from weylmod.liealg import D_HAT
+    from weylmod.tensor import TensorSpec
+    from weylmod.umod import omega_d, omega_dnu
+
+    if kind == "DiffOp":
+        return (D_HAT.basis(1, 2, LAM) + D_HAT.center(A) + D_HAT.d_op(1, 3),
+                D_HAT.basis(1, 2, -LAM) + D_HAT.center(2) + D_HAT.basis(-2, 0, A))
+    if kind == "PolyVec":
+        s = omega_dnu((LAM, DECL.param("lambda") ** 2), 1)
+        return (s.monomial((1, 0), A) + s.monomial((0, 2), LAM),
+                s.monomial((1, 0), -A) + s.monomial((0, 0), Fraction(1, 3)))
+    hw = verma_basis(HWSpec(A, Quasipolynomial.poly([RATIONALS.zero, RATIONALS.one])), 2, 1)
+    if kind == "VermaElem":
+        return (hw.elem({(): LAM, ((1, 1),): 2}), hw.elem({(): -LAM, ((2, 0),): A}))
+    ts = TensorSpec(omega_d(LAM, 0), hw)
+    return (ts.elem({(0, ()): A, (2, ((1, 0),)): 1}),
+            ts.elem({(0, ()): -A, (1, ((1, 0), (1, 1))): LAM}))
+
+
+@pytest.mark.parametrize("kind", ["DiffOp", "PolyVec", "VermaElem", "TensorElem"])
+def test_sparse_vector_laws(kind):
+    u, v = _sparse_pair(kind)
+    assert (u + v) - v == u
+    assert ((-u) + u).is_zero()
+    assert u.scale(0).is_zero()
+    assert u.scale(LAM) - u.scale(LAM) == u.scale(0)
+    assert u != v and not (u + v).is_zero()
+    assert str(u.scale(0)) == "0"
+    assert all(u.terms.values()) and all((u + v).terms.values())

@@ -237,3 +237,89 @@ def test_intertwiner_modular_agrees_with_exact():
         mats_b = [_action_matrix(sb, g, keys_b, pos_b, host_b) for g in gens]
         exact = _exact_intertwiner_dim(mats_a, mats_b, len(keys_a), len(keys_b))
         assert fast == exact
+
+
+# -- mod-p kernels --------------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+import numpy as np  # noqa: E402
+
+from weylmod import tensor as T  # noqa: E402
+from weylmod.scalars import Matrix, solve_linear  # noqa: E402
+
+# entries |x| <= 5 in at most 6 x 6 matrices keep every minor below the
+# Hadamard bound 5^6 * 6^3 < 2^22, far below the primes, so ranks and pivot
+# columns over GF(p) equal those over the rationals
+int_matrices = st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-5, 5), min_size=c, max_size=c),
+                       min_size=r, max_size=r)))
+
+
+def test_primes_are_prime_and_below_2_26():
+    for p in T._PRIMES:
+        assert p < 2 ** 26
+        assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+@pytest.mark.parametrize("p", T._PRIMES)
+def test_matmul_mod_p_matches_object_dtype(p):
+    # every product is (p-1)^2 and the inner dimension spans three chunks:
+    # one unreduced int64 sum would wrap
+    a = np.full((2, 4097), p - 1, dtype=np.int64)
+    b = np.full((4097, 3), p - 1, dtype=np.int64)
+    exact = (a.astype(object) @ b.astype(object)) % p
+    assert (T._matmul_mod_p(a, b, p) == exact).all()
+    # batched left operand, as in the intertwiner refinement
+    a3 = np.arange(2 * 3 * 5, dtype=np.int64).reshape(2, 3, 5) * (p // 31)
+    got = T._matmul_mod_p(a3, b[:5], p)
+    assert (got == (a3.astype(object) @ b[:5].astype(object)) % p).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices)
+def test_nullspace_mod_p_is_a_kernel_basis(rows):
+    p = T._PRIMES[0]
+    m = np.array(rows, dtype=np.int64)
+    null = T._nullspace_mod_p(m, p)
+    assert not T._matmul_mod_p(m % p, null, p).any()
+    rank = solve_linear(Matrix.from_rows(
+        [[RATIONALS.rational(x) for x in row] for row in rows])).rank
+    assert rank + null.shape[1] == m.shape[1]
+    assert T._colspace_mod_p(null, p)[1] == null.shape[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_matrices)
+def test_colspace_mod_p_keeps_the_pivot_columns(rows):
+    p = T._PRIMES[0]
+    m = np.array(rows, dtype=np.int64)
+    sol = solve_linear(Matrix.from_rows(
+        [[RATIONALS.rational(x) for x in row] for row in rows]))
+    basis, rank = T._colspace_mod_p(m, p)
+    assert rank == sol.rank
+    # the leftmost independent input columns, in input order
+    assert (basis == (m % p)[:, sol.pivot_cols]).all()
+
+
+def test_pinned_probe_products_match_object_dtype(monkeypatch):
+    # every mod-p product of the tensor suite's probe, at the suite's
+    # bounds, and of a small intertwiner system agrees with unbounded
+    # object-dtype arithmetic
+    matmul = T._matmul_mod_p
+    shadowed = []
+
+    def shadow(a, b, p):
+        got = matmul(a, b, p)
+        assert (got == (a.astype(object) @ b.astype(object)) % p).all()
+        shadowed.append(a.shape)
+        return got
+
+    monkeypatch.setattr(T, "_matmul_mod_p", shadow)
+    rep = irreducibility_probe(make_spec(1, L=2, N=1), 3, 4, 2)
+    assert rep.verdict == "cyclic-within-bounds"
+    probe_products = len(shadowed)
+    assert probe_products > 0
+    hw = HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X)
+    spec = TensorSpec(omega_d(RATIONALS.rational(2), 1), verma_basis(hw, 1, 1))
+    assert intertwiner_dim(spec, spec, 2, 3, 1) == 1
+    assert len(shadowed) > probe_products
