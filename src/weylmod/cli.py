@@ -288,12 +288,10 @@ def cmd_hseq(args, decl, rank):
     return 0
 
 
-def _tensor_spec(args, decl, eps_field="eps", lam_field="lam") -> T.TensorSpec:
+def _tensor_spec(args, decl) -> T.TensorSpec:
     bounds = _parse_bounds(args.bounds)
     hw = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
-    lam = parse_scalar(getattr(args, lam_field), decl)
-    eps = getattr(args, eps_field)
-    return T.TensorSpec(U.omega_d(lam, eps), hw)
+    return T.TensorSpec(U.omega_d(parse_scalar(args.lam, decl), args.eps), hw)
 
 
 def cmd_tensor_act(args, decl, rank):
@@ -344,15 +342,14 @@ def cmd_intertwiner(args, decl, rank):
     d = bounds.get("d", 3)
     m_bound = bounds.get("m", 4)
     n_bound = bounds.get("n", 1)
-    hw_a = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
-    hw_b = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
-    spec_a = T.TensorSpec(U.omega_d(parse_scalar(args.lam_a, decl), args.eps_a), hw_a)
-    spec_b = T.TensorSpec(U.omega_d(parse_scalar(args.lam_b, decl), args.eps_b), hw_b)
+    hw = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
+    spec_a = T.TensorSpec(U.omega_d(parse_scalar(args.lam_a, decl), args.eps_a), hw)
+    spec_b = T.TensorSpec(U.omega_d(parse_scalar(args.lam_b, decl), args.eps_b), hw)
     dim = T.intertwiner_dim(spec_a, spec_b, d, m_bound, n_bound)
     payload = {
         "dimension": dim,
         "bounds": {"d": d, "m": m_bound, "n": n_bound,
-                   "L": hw_a.level_bound, "N": hw_a.order_bound},
+                   "L": hw.level_bound, "N": hw.order_bound},
     }
     _emit(args, payload, f"bounded intertwiner dimension: {dim}")
     return 0

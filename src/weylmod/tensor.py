@@ -18,7 +18,7 @@ from .scalars import (
 )
 from .liealg import D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act_hv
-from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
+from .hwmod import TruncVerma, VermaElem, _verma_label, monomial_level
 
 
 class TensorMismatch(ValueError):
@@ -229,14 +229,14 @@ class TensorProbeReport:
 
 
 def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int):
-    """Compressed generator actions on the bounded space, one {col: {row: c}}
-    sparse matrix per generator; components outside the window are dropped
-    (exactly the intersection-with-bounds semantics of the probes)."""
-    key_pos = {k: i for i, k in enumerate(keys)}
+    """Compressed generator actions on the bounded space, one {col key:
+    {row key: Scalar}} sparse matrix per generator; components outside the
+    window are dropped.  The host reaches m_bound levels past the window and
+    no generator has degree below -m_bound, so no action leaves the host."""
+    window = set(keys)
     host = TruncVerma(spec.hw.spec, spec.hw.level_bound + m_bound,
                       spec.hw.order_bound)
     hspec = TensorSpec(spec.omega, host)
-    moves = []
     if spec.omega.family == "d":
         ops = [
             D_HAT.basis(m, n)
@@ -244,11 +244,10 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int):
             for n in range(n_bound + 1)
         ]
         ops.append(D_HAT.center())
-
-        def apply_d(key, op):
-            return act_tensor(op, hspec.elem({key: RATIONALS.one}))
-
-        applications = [(str(op), lambda key, op=op: apply_d(key, op)) for op in ops]
+        applications = [
+            lambda key, op=op: act_tensor(op, hspec.elem({key: RATIONALS.one})).terms
+            for op in ops
+        ]
     else:
         # degenerate control: L_m / I_m act through the hv action on the
         # polynomial side and the embedding t^m D / t^m on the Verma side
@@ -260,23 +259,21 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int):
                 accumulate(out, (e, mono), c)
             for mo, k in host._apply_basis(m, n, mono).items():
                 accumulate(out, (j, mo), k)
-            return TensorElem(hspec, out)
+            return out
 
         applications = [
-            (f"{kind}_{m}", lambda key, kind=kind, m=m, n=n: apply_hv(key, kind, m, n))
+            lambda key, kind=kind, m=m, n=n: apply_hv(key, kind, m, n)
             for m in range(-m_bound, m_bound + 1)
             for kind, n in (("L", 1), ("I", 0))
         ]
-    for label, app in applications:
+    moves = []
+    for app in applications:
         cols = {}
         for key in keys:
-            res = app(key)
-            col = {
-                k: c for k, c in res.terms.items() if k in key_pos
-            }
+            col = {k: c for k, c in app(key).items() if k in window}
             if col:
                 cols[key] = col
-        moves.append((label, cols))
+        moves.append(cols)
     return moves
 
 
@@ -317,7 +314,7 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
         while frontier:
             new = []
             for vec in frontier:
-                for _, cols in moves:
+                for cols in moves:
                     out: dict = {}
                     for key, c in vec.items():
                         col = cols.get(key)
@@ -344,30 +341,22 @@ def _modular_full_seeds(keys, moves) -> set:
     residue.  Evaluation and reduction are ring homomorphisms on the Laurent
     coefficients, so the specialized closure is a quotient-image of the
     symbolic one and its rank is a lower bound; reaching full rank certifies
-    the seed.  Misses are handed back for exact treatment.
+    the seed.  A prime dividing a denominator is skipped; with no usable
+    prime nothing is certified.  Misses are handed back for exact treatment.
     """
     import numpy as np
 
-    p = _PRIMES[0]
-    names = sorted({
-        n
-        for _, cols in moves
-        for col in cols.values()
-        for c in col.values()
-        for mono in c.terms
-        for n, _ in mono
-    })
-    assign = {n: (37 + 10 * i) % p for i, n in enumerate(names)}
+    assign = _residues(moves)
     key_pos = {k: i for i, k in enumerate(keys)}
     full = len(keys)
-    mats = []
-    for _, cols in moves:
-        m = np.zeros((full, full), dtype=np.int64)
-        for key, col in cols.items():
-            ci = key_pos[key]
-            for k2, c in col.items():
-                m[key_pos[k2], ci] = _scalar_mod_p(c, assign, p)
-        mats.append(m)
+    for p in _PRIMES:
+        try:
+            mats = [_dense_mod_p(cols, key_pos, p, assign) for cols in moves]
+            break
+        except ZeroDivisionError:
+            continue
+    else:
+        return set()
 
     certified = set()
     for seed in keys:
@@ -389,15 +378,48 @@ def _modular_full_seeds(keys, moves) -> set:
     return certified
 
 
+def _residues(moves) -> dict:
+    """The fixed nonzero residues 37, 47, 57, ... assigned to the parameters
+    of the entries of moves, in name order; empty when every entry is
+    rational."""
+    names = sorted({
+        n
+        for cols in moves
+        for col in cols.values()
+        for c in col.values()
+        for mono in c.terms
+        for n, _ in mono
+    })
+    return {n: 37 + 10 * i for i, n in enumerate(names)}
+
+
 def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
+    """s mod p with each parameter sent to assign[name].  Raises
+    ZeroDivisionError when p divides a denominator: reduction is then no
+    ring homomorphism, so the prime is unusable."""
     total = 0
     for mono, q in s.terms.items():
-        v = _frac_mod(q, p)
+        if q.denominator % p == 0:
+            raise ZeroDivisionError(f"{p} divides the denominator of {q}")
+        v = q.numerator * pow(q.denominator, p - 2, p) % p
         for name, e in mono:
             # negative exponents via Fermat: the assigned residues are nonzero
             v = v * pow(assign[name], e % (p - 1), p) % p
         total = (total + v) % p
     return total
+
+
+def _dense_mod_p(cols, pos, p, assign):
+    """The {col key: {row key: Scalar}} matrix cols on the keys indexed by
+    pos, as a dense int64 array over GF(p)."""
+    import numpy as np
+
+    m = np.zeros((len(pos), len(pos)), dtype=np.int64)
+    for key, col in cols.items():
+        ci = pos[key]
+        for k2, c in col.items():
+            m[pos[k2], ci] = _scalar_mod_p(c, assign, p)
+    return m
 
 
 # Primes below 2^26, so that a product of two residues is below 2^52 and
@@ -486,31 +508,6 @@ def _nullspace_mod_p(m, p):
 # ---------------------------------------------------------------------------
 
 
-def _action_matrix(spec: TensorSpec, op: DiffOp, keys, key_pos, host: TruncVerma):
-    """Compressed action on the bounded space: out-of-window parts dropped.
-
-    Entries must be plain rationals for the modular fast path; symbolic
-    entries force the exact fallback.
-    """
-    cols = []
-    for key in keys:
-        j, mono = key
-        w = TensorElem(
-            TensorSpec(spec.omega, host), {(j, mono): RATIONALS.one}
-        )
-        try:
-            res = act_tensor(op, w)
-        except LevelOverflow:
-            res = None
-        col = {}
-        if res is not None:
-            for k, c in res.terms.items():
-                if k in key_pos:
-                    col[key_pos[k]] = c
-        cols.append(col)
-    return cols
-
-
 def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
                     m_bound: int, n_bound: int = 1) -> int:
     """Exact dimension of bounded linear maps commuting with the generators.
@@ -520,71 +517,47 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     both sides, so the identity map always survives for equal data.  The
     dimension is certified exactly: a modular kernel refinement gives an
     upper bound (rank can only drop modulo p), explicitly verified kernel
-    vectors give the lower bound, and a second prime plus a dense exact
-    elimination stand behind the rare gap.
+    vectors give the lower bound, and further primes plus a dense exact
+    elimination stand behind the rare gap.  A prime dividing a denominator
+    is skipped; symbolic systems go straight to the exact elimination.
     """
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
-    pos_a = {k: i for i, k in enumerate(keys_a)}
-    pos_b = {k: i for i, k in enumerate(keys_b)}
-    host_a = TruncVerma(spec_a.hw.spec, spec_a.hw.level_bound + m_bound,
-                        spec_a.hw.order_bound)
-    host_b = TruncVerma(spec_b.hw.spec, spec_b.hw.level_bound + m_bound,
-                        spec_b.hw.order_bound)
-    gens = [
-        D_HAT.basis(m, n)
-        for m in range(-m_bound, m_bound + 1)
-        for n in range(n_bound + 1)
-    ]
-    gens.append(D_HAT.center())
-
-    mats_a = [_action_matrix(spec_a, g, keys_a, pos_a, host_a) for g in gens]
-    mats_b = [_action_matrix(spec_b, g, keys_b, pos_b, host_b) for g in gens]
-
-    symbolic = any(
-        not c.is_rational()
-        for mats in (mats_a, mats_b)
-        for cols in mats for col in cols for c in col.values()
-    )
+    moves_a = _compressed_moves(spec_a, keys_a, m_bound, n_bound)
+    moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound)
 
     # explicitly verified kernel vectors: the identity for equal data
     explicit = 0
-    if keys_a == keys_b and mats_a == mats_b:
+    if keys_a == keys_b and moves_a == moves_b:
         explicit = 1
 
-    if not symbolic:
-        dim_a, dim_b = len(keys_a), len(keys_b)
+    if not _residues(moves_a + moves_b):
         for p in _PRIMES:
-            k = _modular_kernel_dim(mats_a, mats_b, dim_a, dim_b, p)
+            try:
+                k = _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p)
+            except ZeroDivisionError:
+                continue
             if k == explicit:
                 return k
         # fall through to the exact elimination below on a persistent gap
 
-    return _exact_intertwiner_dim(mats_a, mats_b, len(keys_a), len(keys_b))
+    return _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b)
 
 
-def _frac_mod(q: Fraction, p: int) -> int:
-    return (q.numerator % p) * pow(q.denominator % p, p - 2, p) % p
-
-
-def _modular_kernel_dim(mats_a, mats_b, dim_a, dim_b, p) -> int:
-    """Kernel dimension of {T A_g = B_g T} over GF(p) by refinement."""
+def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p) -> int:
+    """Kernel dimension of {T A_g = B_g T} over GF(p) by refinement, for
+    rational systems; raises ZeroDivisionError when p divides a denominator."""
     import numpy as np
 
-    def dense(cols, rows):
-        m = np.zeros((rows, len(cols)), dtype=np.int64)
-        for ci, col in enumerate(cols):
-            for ri, c in col.items():
-                m[ri, ci] = _frac_mod(c.rational_value(), p)
-        return m
-
-    n_unknown = dim_a * dim_b
-    basis = np.eye(n_unknown, dtype=np.int64)
-    for cols_a, cols_b in zip(mats_a, mats_b):
+    pos_a = {k: i for i, k in enumerate(keys_a)}
+    pos_b = {k: i for i, k in enumerate(keys_b)}
+    dim_a, dim_b = len(keys_a), len(keys_b)
+    basis = np.eye(dim_a * dim_b, dtype=np.int64)
+    for cols_a, cols_b in zip(moves_a, moves_b):
         if basis.shape[1] == 0:
             return 0
-        Ag = dense(cols_a, dim_a)
-        Bg = dense(cols_b, dim_b)
+        Ag = _dense_mod_p(cols_a, pos_a, p, {})
+        Bg = _dense_mod_p(cols_b, pos_b, p, {})
         T3 = basis.reshape(dim_b, dim_a, basis.shape[1])
         # (T A)[i, b, k] = sum_a T[i, a, k] A[a, b]; (B T) = B @ T
         TA = _matmul_mod_p(T3.transpose(0, 2, 1), Ag, p).transpose(0, 2, 1)
@@ -595,30 +568,30 @@ def _modular_kernel_dim(mats_a, mats_b, dim_a, dim_b, p) -> int:
     return basis.shape[1]
 
 
-def _exact_intertwiner_dim(mats_a, mats_b, dim_a, dim_b) -> int:
+def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
     """Dense fraction-free elimination over the full constraint system."""
-    n_unknown = dim_a * dim_b
+    pos_a = {k: i for i, k in enumerate(keys_a)}
+    pos_b = {k: i for i, k in enumerate(keys_b)}
+    dim_a = len(keys_a)
+    n_unknown = dim_a * len(keys_b)
     if n_unknown > 700:
         raise RuntimeError(
             "bounded intertwiner system too large for the exact fallback; "
             "modular certification failed to close"
         )
-    rows = []
-    for cols_a, cols_b in zip(mats_a, mats_b):
-        b_rows: dict = {}
-        for ci, col in enumerate(cols_b):
-            for ri, c in col.items():
-                b_rows.setdefault(ri, {})[ci] = c
-        for u in range(dim_a):
-            for i in range(dim_b):
-                row: dict = {}
-                for k, c in cols_a[u].items():
-                    accumulate(row, i * dim_a + k, c)
-                for k, c in b_rows.get(i, {}).items():
-                    accumulate(row, k * dim_a + u, -c)
-                if row:
-                    rows.append(row)
     span = SpanBasis()
-    for row in rows:
-        span.add(row)
+    for cols_a, cols_b in zip(moves_a, moves_b):
+        b_rows: dict = {}
+        for ck, col in cols_b.items():
+            for rk, c in col.items():
+                b_rows.setdefault(rk, {})[ck] = c
+        for u in keys_a:
+            for i in keys_b:
+                row: dict = {}
+                for k, c in cols_a.get(u, {}).items():
+                    accumulate(row, pos_b[i] * dim_a + pos_a[k], c)
+                for k, c in b_rows.get(i, {}).items():
+                    accumulate(row, pos_b[k] * dim_a + pos_a[u], -c)
+                if row:
+                    span.add(row)
     return n_unknown - span.dim

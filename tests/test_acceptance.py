@@ -134,10 +134,13 @@ def test_criterion_10_cli():
             problems.append(f"scalar round trip: {text!r}")
         corpus += 1
 
-    # full verification runs clean through the CLI
+    # full verification runs clean through the CLI, with the pinned lines
+    # and check counts
     code, out, err = run_cli(["verify", "--suite", "all"])
     if code != 0:
         problems.append(f"verify --suite all exited {code}")
+    if out != (GOLDEN_DIR / "verify_all.txt").read_text():
+        problems.append("verify --suite all output drifted from golden/verify_all.txt")
     elapsed = time.time() - t0
     if elapsed > 1200:
         problems.append(f"exceeded the 20 minute budget ({elapsed:.0f}s)")

@@ -6,7 +6,8 @@ from weylmod.hwmod import HWSpec, Quasipolynomial, VermaElem, verma_basis
 from weylmod.liealg import D_HAT
 from weylmod.scalars import ParamDecl, RATIONALS
 from weylmod.tensor import (
-    TensorMismatch, TensorSpec, _exact_intertwiner_dim, _scaled_weight_op,
+    TensorMismatch, TensorSpec, _compressed_moves, _exact_intertwiner_dim,
+    _scaled_weight_op,
     act_tensor, difference_collapse, intertwiner_dim, irreducibility_probe,
     vandermonde_reduce, vanishing_bound,
 )
@@ -219,23 +220,14 @@ def test_intertwiner_separates_lambda_and_eps():
 
 
 def test_intertwiner_modular_agrees_with_exact():
-    from weylmod.tensor import _action_matrix
-    from weylmod.hwmod import TruncVerma
     for la, lb, ea, eb in [(2, 2, 1, 1), (2, 3, 1, 1), (2, 2, 0, 1)]:
         sa, sb = _rational_spec(la, ea), _rational_spec(lb, eb)
         fast = intertwiner_dim(sa, sb, 1, 2, 1)
         # dense exact elimination over the same compressed systems
-        keys_a = sa.basis_keys(1)
-        keys_b = sb.basis_keys(1)
-        pos_a = {k: i for i, k in enumerate(keys_a)}
-        pos_b = {k: i for i, k in enumerate(keys_b)}
-        host_a = TruncVerma(sa.hw.spec, sa.hw.level_bound + 2, sa.hw.order_bound)
-        host_b = TruncVerma(sb.hw.spec, sb.hw.level_bound + 2, sb.hw.order_bound)
-        gens = [D_HAT.basis(m, n) for m in range(-2, 3) for n in range(2)]
-        gens.append(D_HAT.center())
-        mats_a = [_action_matrix(sa, g, keys_a, pos_a, host_a) for g in gens]
-        mats_b = [_action_matrix(sb, g, keys_b, pos_b, host_b) for g in gens]
-        exact = _exact_intertwiner_dim(mats_a, mats_b, len(keys_a), len(keys_b))
+        keys_a, keys_b = sa.basis_keys(1), sb.basis_keys(1)
+        exact = _exact_intertwiner_dim(_compressed_moves(sa, keys_a, 2, 1),
+                                       _compressed_moves(sb, keys_b, 2, 1),
+                                       keys_a, keys_b)
         assert fast == exact
 
 
@@ -323,3 +315,54 @@ def test_pinned_probe_products_match_object_dtype(monkeypatch):
     spec = TensorSpec(omega_d(RATIONALS.rational(2), 1), verma_basis(hw, 1, 1))
     assert intertwiner_dim(spec, spec, 2, 3, 1) == 1
     assert len(shadowed) > probe_products
+
+
+# -- residues ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", T._PRIMES)
+def test_scalar_mod_p_specialises_laurent_scalars(p):
+    c = DECL.param("c")
+    s = Fraction(3, 5) * LAM ** -2 * c + 7
+    for lam, cv in [(37, 47), (p - 1, 2 ** 25), (2, p - 2)]:
+        value = Fraction(3, 5) * Fraction(1, lam ** 2) * cv + 7
+        want = value.numerator * pow(value.denominator, -1, p) % p
+        assert T._scalar_mod_p(s, {"lambda": lam, "c": cv}, p) == want
+
+
+def test_scalar_mod_p_rejects_a_prime_dividing_a_denominator():
+    p = T._PRIMES[0]
+    with pytest.raises(ZeroDivisionError):
+        T._scalar_mod_p(RATIONALS.rational(Fraction(1, p)), {}, p)
+    with pytest.raises(ZeroDivisionError):
+        T._scalar_mod_p(Fraction(2, 3 * p) * LAM + 1, {"lambda": 37}, p)
+    assert T._scalar_mod_p(RATIONALS.rational(Fraction(1, p)), {}, T._PRIMES[1]) != 0
+
+
+def test_first_prime_as_lambda_skips_to_the_next_prime():
+    # every lambda^-k entry has the first prime in its denominator
+    p = T._PRIMES[0]
+    spec = _rational_spec(p, 1)
+    keys = spec.basis_keys(2)
+    moves = _compressed_moves(spec, keys, 3, 2)
+    assert T._modular_full_seeds(keys, moves) == set(keys)
+    rep = irreducibility_probe(spec, 2, 3, 2)
+    assert rep == irreducibility_probe(spec, 2, 3, 2, exact=True)
+    assert rep.verdict == "cyclic-within-bounds"
+    for other in (p, 2):
+        sb = _rational_spec(other, 1)
+        keys_b = sb.basis_keys(2)
+        exact = _exact_intertwiner_dim(_compressed_moves(spec, keys, 3, 1),
+                                       _compressed_moves(sb, keys_b, 3, 1),
+                                       keys, keys_b)
+        assert intertwiner_dim(spec, sb, 2, 3, 1) == exact
+
+
+def test_no_usable_prime_certifies_no_seed(monkeypatch):
+    spec = _rational_spec(T._PRIMES[0], 1)
+    keys = spec.basis_keys(1)
+    moves = _compressed_moves(spec, keys, 2, 1)
+    monkeypatch.setattr(T, "_PRIMES", T._PRIMES[:1])
+    assert T._modular_full_seeds(keys, moves) == set()
+    rep = irreducibility_probe(spec, 1, 2, 1)
+    assert rep == irreducibility_probe(spec, 1, 2, 1, exact=True)
