@@ -215,16 +215,11 @@ def cmd_span_probe(args, decl, rank):
     return 0
 
 
-def _mono_str_for(mono) -> str:
-    from .hwmod import _gen_str
-    return "[" + (" ".join(_gen_str(g) for g in mono) if mono else "1") + "]"
-
-
 def cmd_verma(args, decl, rank):
     bounds = _parse_bounds(args.bounds)
     tv = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
     basis = tv.basis()
-    lines = [f"{_mono_str_for(mono)} (level {H.monomial_level(mono)})"
+    lines = [f"{H._verma_label(mono)} (level {H.monomial_level(mono)})"
              for mono in basis]
     payload = {
         "level_bound": tv.level_bound,
@@ -331,7 +326,7 @@ def cmd_tensor_probe(args, decl, rank):
                                    [[j, n] for j, n in rep.failing_seed[1]]]
         payload["closure_dim"] = rep.witness_dim
         xs, mono = rep.failing_seed
-        text += (f"; seed x^{xs}(x){_mono_str_for(mono)} closes at dimension "
+        text += (f"; seed x^{xs}(x){H._verma_label(mono)} closes at dimension "
                  f"{rep.witness_dim}")
     _emit(args, payload, text)
     return 0 if rep.verdict == "cyclic-within-bounds" or args.control_hv else 1

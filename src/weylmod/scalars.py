@@ -303,8 +303,8 @@ class Scalar:
     def exact_div(self, divisor: "Scalar") -> "Scalar":
         """Exact polynomial division; raises if the quotient does not exist.
 
-        Only called where divisibility is guaranteed (Bareiss pivots), so a
-        nonzero remainder indicates a bug upstream.
+        Callers must know the quotient exists; a nonzero remainder raises
+        ScalarDivisionError.
         """
         if divisor.is_zero():
             raise ScalarDivisionError("division by zero scalar")
@@ -647,13 +647,6 @@ class Matrix:
         cols = len(entries[0]) if rows else 0
         return Matrix(rows, cols, entries)
 
-    @staticmethod
-    def identity(n: int, decl: ParamDecl = RATIONALS) -> "Matrix":
-        return Matrix(
-            n, n,
-            [[decl.one if i == j else decl.zero for j in range(n)] for i in range(n)],
-        )
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -676,127 +669,52 @@ class LinearSolution:
     consistent: bool
 
 
-def _pair_add(a, b):
-    # (na, da) + (nb, db) exact
-    na, da = a
-    nb, db = b
-    return (na * db + nb * da, da * db)
-
-
 def solve_linear(m: Matrix, rhs: Matrix | None = None) -> LinearSolution:
-    """Fraction-free Gaussian elimination over the parameter ring.
+    """Fraction-free elimination over the parameter ring, read off one SpanBasis.
 
-    Returns exact rank, a nullspace basis, and (if rhs given and consistent)
-    one particular solution as a numerator-vector / denominator pair.
+    Column j enters the span as its entries, keyed (0, i), plus the tag
+    (1, j) with coefficient 1; tags sort after the entries.  A column whose
+    entries reduce to zero leaves a tag-only row r, and x_k = r[(1, k)]
+    solves m x = 0: a nullspace vector.  The other columns are the pivot
+    columns.  A right-hand side enters with the tag (1, -1) and is
+    consistent when its entries reduce to zero; the residue r then gives
+    m x = rhs * den for x_k = -r[(1, k)], den = r[(1, -1)].
     """
     if rhs is not None and rhs.rows != m.rows:
         raise ValueError("rhs row count must match the matrix")
-    decl = RATIONALS
-    for row in m.entries:
-        for e in row:
-            if not e.decl.is_empty:
-                decl = e.decl
-                break
-    ncols = m.cols
-    nrhs = rhs.cols if rhs is not None else 0
-    aug = [
-        [m.entries[i][j] for j in range(ncols)]
-        + ([rhs.entries[i][j] for j in range(nrhs)] if rhs is not None else [])
-        for i in range(m.rows)
-    ]
-    total = ncols + nrhs
+    decl = next((e.decl for row in m.entries for e in row if not e.decl.is_empty),
+                RATIONALS)
+    span = SpanBasis()
+
+    def residue(src: Matrix, j: int, tag: int) -> dict:
+        vec = {(0, i): src.entries[i][j] for i in range(src.rows)}
+        vec[(1, tag)] = decl.one
+        return span.reduce(vec)
+
+    def tags(r: dict) -> list:
+        return [r.get((1, k), decl.zero) for k in range(m.cols)]
 
     pivot_cols: list = []
-    prev_pivot = None
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, m.rows):
-            if not aug[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        for i in range(r + 1, m.rows):
-            if aug[i][c].is_zero():
-                # Bareiss still rescales untouched rows below the pivot
-                for j in range(total):
-                    v = aug[i][j] * piv
-                    aug[i][j] = v.exact_div(prev_pivot) if prev_pivot is not None else v
-                continue
-            fi = aug[i][c]
-            for j in range(total):
-                v = aug[i][j] * piv - aug[r][j] * fi
-                aug[i][j] = v.exact_div(prev_pivot) if prev_pivot is not None else v
-        prev_pivot = piv
-        pivot_cols.append(c)
-        r += 1
-        if r == m.rows:
-            break
-
-    rank = len(pivot_cols)
-    consistent = True
-    if rhs is not None:
-        for i in range(rank, m.rows):
-            if any(not aug[i][ncols + j].is_zero() for j in range(nrhs)):
-                consistent = False
-                break
-
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-
-    def back_substitute(col_of_rhs) -> tuple:
-        """Solve U x = rhs-col by fraction pairs; returns (nums, den)."""
-        x = {c: (decl.zero, decl.one) for c in range(ncols)}
-        for fc, val in col_of_rhs.get("free", {}).items():
-            x[fc] = (val, decl.one)
-        for i in range(rank - 1, -1, -1):
-            pc = pivot_cols[i]
-            acc = (col_of_rhs["rhs"][i], decl.one)
-            for j in range(pc + 1, ncols):
-                e = aug[i][j]
-                if e.is_zero():
-                    continue
-                nj, dj = x[j]
-                acc = _pair_add(acc, (-(e * nj), dj))
-            n, d = acc
-            x[pc] = (n, d * aug[i][pc])
-        dens = []
-        for c in range(ncols):
-            dens.append(x[c][1])
-        common = decl.one
-        for d in dens:
-            common = common * d
-        nums = []
-        for c in range(ncols):
-            n, d = x[c]
-            scale = decl.one
-            for c2 in range(ncols):
-                if c2 != c:
-                    scale = scale * dens[c2]
-            nums.append(n * scale)
-        return nums, common
-
     nullspace = []
-    zero_rhs = [decl.zero] * rank
-    for fc in free_cols:
-        rhs_col = [-aug[i][fc] for i in range(rank)]
-        nums, den = back_substitute({"rhs": rhs_col, "free": {fc: decl.zero}})
-        vec = list(nums)
-        vec[fc] = den
-        for other in free_cols:
-            if other != fc:
-                vec[other] = decl.zero
-        nullspace.append(vec)
+    for j in range(m.cols):
+        r = residue(m, j, j)
+        span.add(r)
+        if min(r)[0] == 0:
+            pivot_cols.append(j)
+        else:
+            nullspace.append(tags(r))
 
+    consistent = True
     particular = None
-    if rhs is not None and consistent and nrhs == 1:
-        rhs_col = [aug[i][ncols] for i in range(rank)]
-        particular = back_substitute({"rhs": rhs_col, "free": {}})
+    if rhs is not None:
+        residues = [residue(rhs, j, -1) for j in range(rhs.cols)]
+        consistent = all(min(r)[0] == 1 for r in residues)
+        if consistent and rhs.cols == 1:
+            r, = residues
+            particular = ([-x for x in tags(r)], r[(1, -1)])
 
-    return LinearSolution(rank, pivot_cols, nullspace, particular, consistent)
+    return LinearSolution(len(pivot_cols), pivot_cols, nullspace, particular,
+                          consistent)
 
 
 class SpanBasis:

@@ -228,14 +228,20 @@ class TensorProbeReport:
     witness_dim: int | None = None
 
 
-def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int):
+def _host(hw: TruncVerma, m_bound: int) -> TruncVerma:
+    """The window hw extended by m_bound levels, where the generators act."""
+    return TruncVerma(hw.spec, hw.level_bound + m_bound, hw.order_bound)
+
+
+def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
+                      host: TruncVerma):
     """Compressed generator actions on the bounded space, one {col key:
     {row key: Scalar}} sparse matrix per generator; components outside the
-    window are dropped.  The host reaches m_bound levels past the window and
-    no generator has degree below -m_bound, so no action leaves the host."""
+    window are dropped.  host is ``_host(spec.hw, m_bound)``: it reaches
+    m_bound levels past the window and no generator has degree below
+    -m_bound, so no action leaves it.  Callers that share a window share
+    one host, and with it one straightening memo."""
     window = set(keys)
-    host = TruncVerma(spec.hw.spec, spec.hw.level_bound + m_bound,
-                      spec.hw.order_bound)
     hspec = TensorSpec(spec.omega, host)
     if spec.omega.family == "d":
         ops = [
@@ -297,7 +303,7 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
     negative verdict never rests on the specialization).
     """
     keys = spec.basis_keys(x_degree)
-    moves = _compressed_moves(spec, keys, m_bound, n_bound)
+    moves = _compressed_moves(spec, keys, m_bound, n_bound, _host(spec.hw, m_bound))
     one = (0, ())
     full = len(keys)
 
@@ -520,11 +526,14 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     vectors give the lower bound, and further primes plus a dense exact
     elimination stand behind the rare gap.  A prime dividing a denominator
     is skipped; symbolic systems go straight to the exact elimination.
+    Two sides on one window share one host.
     """
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
-    moves_a = _compressed_moves(spec_a, keys_a, m_bound, n_bound)
-    moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound)
+    host_a = _host(spec_a.hw, m_bound)
+    host_b = host_a if spec_b.hw is spec_a.hw else _host(spec_b.hw, m_bound)
+    moves_a = _compressed_moves(spec_a, keys_a, m_bound, n_bound, host_a)
+    moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound, host_b)
 
     # explicitly verified kernel vectors: the identity for equal data
     explicit = 0

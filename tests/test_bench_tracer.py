@@ -14,3 +14,6 @@ def test_tracer_selftest_resolves_every_target():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 mismatches" in proc.stdout
+    # exact_div is public but has no library caller; every other layer must
+    # be reached by the coverage pass
+    assert "1 not exercised ['scalars.exact_div']" in proc.stdout

@@ -208,6 +208,22 @@ def test_singular_trivial_weights_full_level1():
             assert act_verma(D_HAT.basis(1, mm), v).is_zero()
 
 
+def test_singular_vector_with_symbolic_charge_stays_small():
+    # phi = x with a symbolic central charge has one singular vector at
+    # level 2; it prints with 2,295 characters, and the bound catches an
+    # elimination that multiplies every denominator into every entry
+    # (that printed it with 141,984)
+    decl = ParamDecl(plain=("c",))
+    tv = verma_basis(HWSpec(decl.param("c"), PHI_X), 2, 2)
+    rep = singular_vectors(tv, 2, 1)
+    assert len(rep.vectors) == 1
+    v = rep.vectors[0]
+    for j in range(1, 3):
+        for mm in range(2):
+            assert act_verma(D_HAT.basis(j, mm), v).is_zero()
+    assert len(str(v)) < 10_000
+
+
 def test_weight_space_dims():
     triv = HWSpec(RATIONALS.zero, Quasipolynomial.zero())
     tv = verma_basis(triv, 2, 1)

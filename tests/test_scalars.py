@@ -278,6 +278,66 @@ def test_particular_solution_solves(n, data):
         assert acc == RATIONALS.rational(b[0]) * den
 
 
+# small integers and lambda, lambda^-1, 1 + lambda
+symbolic_entries = st.one_of(
+    st.integers(-3, 3).map(DECL.rational),
+    st.sampled_from([LAM, LAM ** -1, LAM + 1]),
+)
+
+
+def _apply(rows, x):
+    out = []
+    for row in rows:
+        acc = DECL.zero
+        for coeff, v in zip(row, x):
+            acc = acc + coeff * v
+        out.append(acc)
+    return out
+
+
+def _independent(vectors):
+    span = SpanBasis()
+    for v in vectors:
+        span.add(dict(enumerate(v)))
+    return span.dim == len(vectors)
+
+
+def _column(entries):
+    return Matrix.from_rows([[e] for e in entries])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_solve_symbolic_matrices(nr, nc, data):
+    rows = [[data.draw(symbolic_entries) for _ in range(nc)] for _ in range(nr)]
+    m = Matrix.from_rows(rows)
+    sol = solve_linear(m)
+    assert sol.rank + len(sol.nullspace) == nc
+    for v in sol.nullspace:
+        assert not any(_apply(rows, v))
+    # independent kernel vectors and independent pivot columns pin the rank
+    assert _independent(sol.nullspace)
+    assert _independent([[row[j] for row in rows] for j in sol.pivot_cols])
+    x0 = [data.draw(symbolic_entries) for _ in range(nc)]
+    b = _apply(rows, x0)
+    sol_b = solve_linear(m, _column(b))
+    assert sol_b.consistent
+    nums, den = sol_b.particular
+    assert _apply(rows, nums) == [e * den for e in b]
+    # a unit vector lies outside the column space exactly when appending it
+    # raises the rank, and one does whenever the rank is below the row count
+    outside = 0
+    for i in range(nr):
+        e = [DECL.one if k == i else DECL.zero for k in range(nr)]
+        sol_e = solve_linear(m, _column(e))
+        aug_rank = solve_linear(Matrix.from_rows(
+            [row + [ek] for row, ek in zip(rows, e)])).rank
+        assert sol_e.consistent == (aug_rank == sol.rank)
+        assert (sol_e.particular is None) == (not sol_e.consistent)
+        outside += not sol_e.consistent
+    assert (outside > 0) == (sol.rank < nr)
+
+
 def test_span_basis_membership():
     span = SpanBasis()
     assert span.add({0: DECL.one, 1: LAM})

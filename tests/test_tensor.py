@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod.hwmod import HWSpec, Quasipolynomial, VermaElem, verma_basis
+from weylmod.hwmod import (
+    HWSpec, Quasipolynomial, TruncVerma, VermaElem, verma_basis,
+)
 from weylmod.liealg import D_HAT
 from weylmod.scalars import ParamDecl, RATIONALS
 from weylmod.tensor import (
     TensorMismatch, TensorSpec, _compressed_moves, _exact_intertwiner_dim,
-    _scaled_weight_op,
+    _host, _scaled_weight_op,
     act_tensor, difference_collapse, intertwiner_dim, irreducibility_probe,
     vandermonde_reduce, vanishing_bound,
 )
@@ -209,6 +211,10 @@ def _rational_spec(lam, eps, L=1, N=1):
     return TensorSpec(omega_d(RATIONALS.rational(lam), eps), verma_basis(hw, L, N))
 
 
+def _moves(spec, keys, m_bound, n_bound):
+    return _compressed_moves(spec, keys, m_bound, n_bound, _host(spec.hw, m_bound))
+
+
 def test_intertwiner_identity_included():
     a = _rational_spec(2, 1)
     assert intertwiner_dim(a, _rational_spec(2, 1), 2, 3, 1) >= 1
@@ -225,10 +231,31 @@ def test_intertwiner_modular_agrees_with_exact():
         fast = intertwiner_dim(sa, sb, 1, 2, 1)
         # dense exact elimination over the same compressed systems
         keys_a, keys_b = sa.basis_keys(1), sb.basis_keys(1)
-        exact = _exact_intertwiner_dim(_compressed_moves(sa, keys_a, 2, 1),
-                                       _compressed_moves(sb, keys_b, 2, 1),
+        exact = _exact_intertwiner_dim(_moves(sa, keys_a, 2, 1),
+                                       _moves(sb, keys_b, 2, 1),
                                        keys_a, keys_b)
         assert fast == exact
+
+
+def test_intertwiner_builds_one_host_per_window(monkeypatch):
+    built = []
+
+    class CountingVerma(TruncVerma):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(T, "TruncVerma", CountingVerma)
+    hw = HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X)
+    shared = verma_basis(hw, 1, 1)
+    sa = TensorSpec(omega_d(RATIONALS.rational(2), 1), shared)
+    sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), shared)
+    dim = intertwiner_dim(sa, sb, 1, 2, 1)
+    assert len(built) == 1
+    built.clear()
+    sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), verma_basis(hw, 1, 1))
+    assert intertwiner_dim(sa, sb, 1, 2, 1) == dim
+    assert len(built) == 2
 
 
 # -- mod-p kernels --------------------------------------------------------------
@@ -344,7 +371,7 @@ def test_first_prime_as_lambda_skips_to_the_next_prime():
     p = T._PRIMES[0]
     spec = _rational_spec(p, 1)
     keys = spec.basis_keys(2)
-    moves = _compressed_moves(spec, keys, 3, 2)
+    moves = _moves(spec, keys, 3, 2)
     assert T._modular_full_seeds(keys, moves) == set(keys)
     rep = irreducibility_probe(spec, 2, 3, 2)
     assert rep == irreducibility_probe(spec, 2, 3, 2, exact=True)
@@ -352,8 +379,8 @@ def test_first_prime_as_lambda_skips_to_the_next_prime():
     for other in (p, 2):
         sb = _rational_spec(other, 1)
         keys_b = sb.basis_keys(2)
-        exact = _exact_intertwiner_dim(_compressed_moves(spec, keys, 3, 1),
-                                       _compressed_moves(sb, keys_b, 3, 1),
+        exact = _exact_intertwiner_dim(_moves(spec, keys, 3, 1),
+                                       _moves(sb, keys_b, 3, 1),
                                        keys, keys_b)
         assert intertwiner_dim(spec, sb, 2, 3, 1) == exact
 
@@ -361,7 +388,7 @@ def test_first_prime_as_lambda_skips_to_the_next_prime():
 def test_no_usable_prime_certifies_no_seed(monkeypatch):
     spec = _rational_spec(T._PRIMES[0], 1)
     keys = spec.basis_keys(1)
-    moves = _compressed_moves(spec, keys, 2, 1)
+    moves = _moves(spec, keys, 2, 1)
     monkeypatch.setattr(T, "_PRIMES", T._PRIMES[:1])
     assert T._modular_full_seeds(keys, moves) == set()
     rep = irreducibility_probe(spec, 1, 2, 1)
