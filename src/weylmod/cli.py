@@ -3,7 +3,8 @@
 Every subcommand parses its inputs through the shared grammar, dispatches to
 the library, and renders either canonical text or a versioned JSON document
 (schema 1, all numbers as exact "p/q" strings).  Exit codes: 0 success,
-1 verification failure, 2 usage or parse errors.
+1 verification failure, 2 usage or parse errors, 3 bounds beyond what the
+exact machine-integer paths can carry.
 
 Configuration precedence: flags > environment (WEYLMOD_RANK, WEYLMOD_JSON)
 > defaults (rank 1, text output).
@@ -24,6 +25,7 @@ from .liealg import (
 from . import umod as U
 from . import hwmod as H
 from . import tensor as T
+from .slots import BoundsTooLarge
 from .grammar import (
     ParseError, parse_operator, parse_param_decl, parse_pbw_monomial,
     parse_polynomial, parse_quasipolynomial, parse_scalar,
@@ -528,6 +530,9 @@ def main(argv=None) -> int:
             H.LevelOverflow, ValueError) as exc:
         print(f"weylmod: error: {exc}", file=sys.stderr)
         return 2
+    except BoundsTooLarge as exc:
+        print(f"weylmod: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

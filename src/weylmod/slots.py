@@ -17,8 +17,12 @@ from . import liealg
 _EXACT_BITS = {"float64": 53, "int64": 63}
 
 
+class BoundsTooLarge(OverflowError):
+    """The requested bounds need integers beyond a machine dtype's exact range."""
+
+
 def check_exact(bound, dtype, what: str) -> None:
-    """Raise OverflowError unless integers up to ``bound`` in absolute value
+    """Raise BoundsTooLarge unless integers up to ``bound`` in absolute value
     are exact in ``dtype`` (float64 below 2^53, int64 below 2^63).
 
     ``bound`` must dominate every entry and every partial sum of the
@@ -30,7 +34,7 @@ def check_exact(bound, dtype, what: str) -> None:
 
     bits = _EXACT_BITS[np.dtype(dtype).name]
     if not bound < 2.0 ** bits * (1 - 2.0 ** -20):
-        raise OverflowError(
+        raise BoundsTooLarge(
             f"{what} may exceed the exact integer range of "
             f"{np.dtype(dtype).name} (2^{bits}) at these bounds"
         )
@@ -46,8 +50,7 @@ def product_table(p_max: int, m_max: int, q_max: int):
     """
     import numpy as np
 
-    table = np.zeros((p_max + 1, 2 * m_max + 1, q_max + 1, p_max + q_max + 1),
-                     dtype=np.int64)
+    entries = {}
     for p in range(p_max + 1):
         for b in range(-m_max, m_max + 1):
             for q in range(q_max + 1):
@@ -55,7 +58,20 @@ def product_table(p_max: int, m_max: int, q_max: int):
                     if m != b or r > p + q:
                         raise ValueError(f"D^{p} t^{b} D^{q} has a term t^{m} D^{r} "
                                          "outside the grading")
-                    table[p, b + m_max, q, r] = c
+                    entries[p, b + m_max, q, r] = c
+    return int_table((p_max + 1, 2 * m_max + 1, q_max + 1, p_max + q_max + 1),
+                     entries, "product table")
+
+
+def int_table(shape, entries: dict, what: str):
+    """An int64 array of ``shape`` holding the Python ints ``entries``
+    ({index: value}, zeros elsewhere), guarded before any entry is stored."""
+    import numpy as np
+
+    check_exact(max((abs(v) for v in entries.values()), default=0), np.int64, what)
+    table = np.zeros(shape, dtype=np.int64)
+    for idx, v in entries.items():
+        table[idx] = v
     return table
 
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import (
-    Matrix, RATIONALS, Scalar, SpanBasis, SparseVec, accumulate, solve_linear,
-)
+from .scalars import RATIONALS, Scalar, SpanBasis, SparseVec, accumulate
 from .liealg import D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act_hv
 from .hwmod import TruncVerma, VermaElem, _verma_label, monomial_level
@@ -166,11 +164,13 @@ def vandermonde_reduce(spec: TensorSpec, w: TensorElem) -> TensorElem:
     """One step of the degree reduction that drives cyclic vectors to 1 (x) v.
 
     Writes lambda^-m t^m D (w) as a polynomial in m by sampling
-    m = K .. K+s+1 past every component's vanishing bound and solving the
-    exact Vandermonde system.  For the eps = 1 sign structure the top
-    coefficient is +-(1 (x) v_s); for eps = 0 it vanishes identically and the
-    next coefficient +-(x (x) v_s) is extracted instead, followed by one
-    difference step when the degree would not otherwise drop.
+    m = K .. K+s+1 past every component's vanishing bound and interpolating
+    exactly: one inverse of the Vandermonde matrix, read off the Lagrange
+    basis of the sample points, serves every key.  For the eps = 1 sign
+    structure the top coefficient is +-(1 (x) v_s); for eps = 0 it vanishes
+    identically and the next coefficient +-(x (x) v_s) is extracted instead,
+    followed by one difference step when the degree would not otherwise
+    drop.
     """
     if w.is_zero():
         raise ValueError("cannot reduce the zero element")
@@ -184,19 +184,27 @@ def vandermonde_reduce(spec: TensorSpec, w: TensorElem) -> TensorElem:
     samples = [act_tensor(_scaled_weight_op(spec, m, 1), w) for m in ms]
     keys = sorted({k for u in samples for k in u.terms})
     npow = len(ms)
-    vand = Matrix(npow, npow, [
-        [RATIONALS.rational(m ** p) for p in range(npow)] for m in ms
-    ])
+    # inv[p][r]: coefficient of m^p in the Lagrange polynomial that is 1 at
+    # ms[r] and 0 at the other sample points
+    inv = [[RATIONALS.zero] * npow for _ in range(npow)]
+    for r, mr in enumerate(ms):
+        poly, den = [Fraction(1)], 1
+        for mq in ms:
+            if mq != mr:
+                # poly * (m - mq)
+                poly = [up - mq * c for up, c in zip([0] + poly, poly + [0])]
+                den *= mr - mq
+        for p in range(npow):
+            inv[p][r] = RATIONALS.rational(poly[p] / den)
     coeff_vecs = [dict() for _ in range(npow)]
     for key in keys:
-        rhs = Matrix(npow, 1, [[samples[r].terms.get(key, RATIONALS.zero)]
-                               for r in range(npow)])
-        sol = solve_linear(vand, rhs)
-        nums, den = sol.particular
-        dq = Fraction(1) / den.rational_value()
+        vals = [(r, u.terms[key]) for r, u in enumerate(samples) if key in u.terms]
         for p in range(npow):
-            val = nums[p] * dq
-            if not val.is_zero():
+            val = None
+            for r, v in vals:
+                if inv[p][r]:
+                    val = v * inv[p][r] if val is None else val + v * inv[p][r]
+            if val:
                 coeff_vecs[p][key] = val
     top = TensorElem(spec, coeff_vecs[s + 1])
     if eps == 1:

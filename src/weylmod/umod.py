@@ -24,6 +24,7 @@ from math import comb
 
 from .scalars import RATIONALS, Scalar, SpanBasis, SparseVec, accumulate
 from .liealg import AlgebraCtx, DiffOp, bracket, assoc_product
+from .slots import BoundsTooLarge
 
 
 class FamilyMismatch(ValueError):
@@ -314,9 +315,11 @@ def verify_module_axiom(
     parameter values at once.  Unordered pairs (a <= b) are checked; the
     swapped identity is the exact negation, so coverage over ordered pairs
     follows from bilinearity.  The d/dnu families run on exact machine
-    integers (``_verify_axiom_dnu_fast``).  ``action`` overrides the module
-    action and runs the generic loop instead; tests use it both for mutants
-    and as the oracle of the fast path.
+    integers (``_verify_axiom_dnu_fast``); on vir/hv only the pairs whose
+    formal integer tables differ (``_hv_formal_mismatches``) run through the
+    exact loop.  ``action`` overrides the module action and runs the generic
+    loop instead; tests use it both for mutants and as the oracle of the
+    fast paths.
     """
     rank = spec.rank
     if spec.family in ("d", "dnu"):
@@ -342,13 +345,22 @@ def verify_module_axiom(
 
     # vir / hv families act through named generators
     apply_fn = action
+    gens = [g for _, g in _family_generators(spec, m_bound, n_bound)]
+    differ = None
     if apply_fn is None:
         apply_fn = lambda g, f: act_hv(spec, g, f)
-    gens = [g for _, g in _family_generators(spec, m_bound, n_bound)]
+        try:
+            differ = iter(_hv_formal_mismatches(spec.family, gens, m_bound, deg_bound))
+        except BoundsTooLarge:
+            pass
     monos = [spec.monomial((k,)) for k in range(deg_bound + 1)]
     checked = 0
     for i, a in enumerate(gens):
         for b in gens[i:]:
+            if differ is not None and not next(differ):
+                # equal as polynomials in x, alpha and beta: equal as values
+                checked += len(monos)
+                continue
             terms = _hv_bracket_terms(a, b)
             for f in monos:
                 lhs = spec.zero_vec()
@@ -361,6 +373,84 @@ def verify_module_axiom(
     return AxiomReport(True, checked)
 
 
+def _hv_action_table(kinds, m_max: int, j_max: int):
+    """Integer action constants of the vir/hv generators, without lambda^m.
+
+    ``S[g, e, j, i, k]`` is the coefficient of x^e alpha^i beta^k in
+    lambda^-m g.x^j for the generator g = (kinds[t], m) at position
+    (m + m_max) * len(kinds) + t, |m| <= m_max, j <= j_max, e <= j_max + 1
+    and i, k in {0, 1}: L_m gives (x - m*alpha)(x - m)^j and I_m gives
+    beta*(x - m)^j.
+    """
+    from .slots import int_table
+
+    entries = {}
+    for m in range(-m_max, m_max + 1):
+        for t, kind in enumerate(kinds):
+            g = (m + m_max) * len(kinds) + t
+            for j in range(j_max + 1):
+                for e, c in _shift_factor_1d(0, 0, m, j).items():
+                    if kind == "L":
+                        entries[g, e + 1, j, 0, 0] = c
+                        entries[g, e, j, 1, 0] = -m * c
+                    else:
+                        entries[g, e, j, 0, 1] = c
+    return int_table(((2 * m_max + 1) * len(kinds), j_max + 2, j_max + 1, 2, 2),
+                     entries, "vir/hv action table")
+
+
+def _hv_formal_mismatches(family: str, gens, m_bound: int, deg_bound: int):
+    """Per pair gens[i] <= gens[j] in loop order: do the formal axiom tables differ?
+
+    Both sides of the axiom for a pair (a, b) are lambda^(m_a + m_b) times
+    integer polynomials in x, alpha and beta, of degree at most 2 in the
+    parameters.  The tables compare those polynomials on x^j, j <= deg_bound,
+    with the bracket side read off ``_hv_bracket_terms``.  A term it returns
+    that the tables cannot carry (a non-integral coefficient, or a generator
+    outside |m| <= 2*m_bound) marks the pair as differing.  Equal tables
+    imply equal actions for every parameter value; differing tables do not
+    imply the converse, so the caller compares those pairs exactly.
+    """
+    import numpy as np
+    from .slots import check_exact, int_table
+
+    kinds = ("L",) if family == "vir" else ("L", "I")
+    in1 = deg_bound + 1
+    mid1 = deg_bound + 2
+    single = _hv_action_table(kinds, 2 * m_bound, deg_bound + 1)
+    pos = {(kind, m): (m + 2 * m_bound) * len(kinds) + t
+           for m in range(-2 * m_bound, 2 * m_bound + 1) for t, kind in enumerate(kinds)}
+    own = single[[pos[g] for g in gens]]
+    amax = int(np.abs(single).max())
+    # at most mid1 * 4 products per entry, then one difference
+    check_exact(8 * mid1 * amax ** 2, np.int64, "vir/hv compositions")
+    # a.(b.x^j), one parameter monomial alpha^x beta^y of a at a time
+    outer, inner = own[:, :, :mid1], own[:, :mid1, :in1]
+    comp = np.zeros((len(gens), len(gens), mid1 + 1, in1, 3, 3), dtype=np.int64)
+    for x, y in iproduct(range(2), repeat=2):
+        comp[..., x:x + 2, y:y + 2] += np.einsum("aek,bkjuv->abejuv", outer[..., x, y], inner)
+    iu, ju = np.triu_indices(len(gens))
+    rhs = comp[iu, ju] - comp[ju, iu]
+
+    weights, suspect = {}, np.zeros(len(iu), dtype=bool)
+    weight_sum = 0
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        total = 0
+        for g, k in _hv_bracket_terms(gens[i], gens[j]):
+            k = Fraction(k)
+            if g not in pos or k.denominator != 1:
+                suspect[p] = True
+            else:
+                weights[p, pos[g]] = weights.get((p, pos[g]), 0) + int(k)
+                total += abs(int(k))
+        weight_sum = max(weight_sum, total)
+    check_exact(weight_sum * amax, np.int64, "vir/hv bracket side")
+    weights = int_table((len(iu), len(single)), weights, "vir/hv bracket weights")
+    lhs = np.zeros_like(rhs)
+    lhs[..., :2, :2] = np.einsum("pg,gejxy->pejxy", weights, single[:, :, :in1])
+    return suspect | (lhs != rhs).any(axis=(1, 2, 3, 4))
+
+
 def _action_table(eps: int, m_max: int, n_max: int, j_max: int):
     """Rank-1 action constants as an int64 array.
 
@@ -370,18 +460,55 @@ def _action_table(eps: int, m_max: int, n_max: int, j_max: int):
     Kronecker product of one such matrix per slot, times the beta sign and
     Lambda^m.  Filled from rank-1 ``_basis_act_ints`` calls.
     """
-    import numpy as np
+    from .slots import int_table
 
-    table = np.zeros((2 * m_max + 1, n_max + 1, n_max + j_max + 1, j_max + 1),
-                     dtype=np.int64)
+    entries = {}
     for m in range(-m_max, m_max + 1):
         for n in range(n_max + 1):
             for j in range(j_max + 1):
                 for (e,), k in _basis_act_ints(eps, (m,), (n,), (j,)).items():
                     if e > n + j:
                         raise ValueError(f"t^{m} D^{n} raises the degree of x^{j} past {n + j}")
-                    table[m + m_max, n, e, j] = k
-    return table
+                    entries[m + m_max, n, e, j] = k
+    return int_table((2 * m_max + 1, n_max + 1, n_max + j_max + 1, j_max + 1),
+                     entries, "action table")
+
+
+def _rank1_tables(eps: int, mb: int, nb: int, deg_bound: int):
+    """Integer action tables of the rank-1 operators t^m D^n, |m| <= mb, n <= nb.
+
+    Returns (m1, n1, prod_act, full1, small1), with the operators listed
+    m-major: operator x is t^m1[x] D^n1[x].  Inputs are x^j, j <= deg_bound.
+
+    * ``prod_act[x, y]`` is the action of the product op_x op_y:
+      sum_r T[n_x, m_y, n_y, r] beta^r A[m_x + m_y, r], the product table
+      contracted with the action table.  The true action is
+      beta * Lambda^(m_x + m_y) * prod_act, since beta^(1 - r) = beta * beta^r.
+    * ``full1[x]`` and ``small1[x]`` are the action matrices of op_x on
+      inputs of degree up to deg_bound + nb and deg_bound, without the sign
+      beta^((1 - n) % 2) and Lambda^m, so that op_x.(op_y.f) is
+      full1[x] @ small1[y] up to those factors.
+    """
+    import numpy as np
+    from .slots import check_exact, product_table
+
+    beta = (-1) ** (1 - eps)
+    in1 = deg_bound + 1
+    mid1 = deg_bound + nb + 1
+    out1 = deg_bound + 2 * nb + 1
+    m1 = np.repeat(np.arange(-mb, mb + 1), nb + 1)
+    n1 = np.tile(np.arange(nb + 1), 2 * mb + 1)
+    act1 = _action_table(eps, 2 * mb, 2 * nb, deg_bound + nb)
+    prod1 = product_table(nb, mb, nb)
+    ab_coeff = prod1[n1[:, None], m1[None, :] + mb, n1[None, :], :] \
+        * beta ** np.arange(2 * nb + 1)
+    ab_act = act1[m1[:, None] + m1[None, :] + 2 * mb, :, :out1, :in1]
+    check_exact(int(np.abs(ab_coeff).max()) * int(np.abs(ab_act).max()) * (2 * nb + 1),
+                np.int64, "product-action table")
+    prod_act = np.einsum("xyr,xyrei->xyei", ab_coeff, ab_act)
+    full1 = act1[m1 + 2 * mb, n1, :out1, :mid1]
+    small1 = act1[m1 + 2 * mb, n1, :mid1, :in1]
+    return m1, n1, prod_act, full1, small1
 
 
 def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
@@ -392,9 +519,9 @@ def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
     polynomial, so for a fixed operator pair both sides of the axiom share
     the prefactor Lambda^(m_a + m_b) and the comparison reduces to integer
     matrices.  Actions and products factor slot by slot: action matrices are
-    Kronecker products of rank-1 action tables, and the action of a*b, the
-    bracket side's building block, is the Kronecker product over slots of
-    the rank-1 product table contracted with the action table.  For each
+    Kronecker products of the rank-1 action matrices of ``_rank1_tables``,
+    and the action of a*b, the bracket side's building block, is the
+    Kronecker product over slots of its product-action table.  For each
     left operator a, the compositions a.(b.f) and b.(a.f) against every
     b >= a are one BLAS product each.  Absolute-value shadows bound every
     entry and partial sum below 2^53, so float64 is exact.  Pairs, then
@@ -402,7 +529,7 @@ def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
     reports the same pair, monomial and check count.
     """
     import numpy as np
-    from .slots import check_exact, kron_rows, kron_slots, product_table
+    from .slots import check_exact, kron_rows, kron_slots
 
     rank = spec.rank
     beta = spec.beta_sign
@@ -417,30 +544,11 @@ def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
     n_in = len(in_exps)
     # slot exponents of the input monomials: column c is x^in_slot[:, c]
     in_slot = np.array(in_exps, dtype=np.intp).T
-    in1 = deg_bound + 1
-    mid1 = deg_bound + nb + 1
-    out1 = deg_bound + 2 * nb + 1
 
-    # rank-1 operators t^m D^n, |m| <= mb, n <= nb; slot s of ops[i] is
-    # the rank-1 operator slot_ops[i, s]
-    m1 = np.repeat(np.arange(-mb, mb + 1), nb + 1)
-    n1 = np.tile(np.arange(nb + 1), 2 * mb + 1)
+    # slot s of ops[i] is the rank-1 operator slot_ops[i, s]
     slot_ops = np.array([[(m[s] + mb) * (nb + 1) + n[s] for s in range(rank)]
                          for m, n in ops], dtype=np.intp).reshape(len(ops), rank)
-
-    act1 = _action_table(spec.eps, 2 * mb, 2 * nb, deg_bound + nb)
-    prod1 = product_table(nb, mb, nb)
-    # (t^mx D^nx)(t^my D^ny) acting, with beta^r folded in per slot:
-    # sum_r T[nx, my, ny, r] beta^r A[mx + my, r]
-    ab_coeff = prod1[n1[:, None], m1[None, :] + mb, n1[None, :], :] \
-        * beta ** np.arange(2 * nb + 1)
-    ab_act = act1[m1[:, None] + m1[None, :] + 2 * mb, :, :out1, :in1]
-    check_exact(int(np.abs(ab_coeff).max()) * int(np.abs(ab_act).max()) * (2 * nb + 1),
-                np.int64, "axiom product-action table")
-    prod_act = np.einsum("xyr,xyrei->xyei", ab_coeff, ab_act)
-
-    full1 = act1[m1 + 2 * mb, n1, :out1, :mid1]
-    small1 = act1[m1 + 2 * mb, n1, :mid1, :in1]
+    _, _, prod_act, full1, small1 = _rank1_tables(spec.eps, mb, nb, deg_bound)
     check_exact(max(int(np.abs(full1).max()), int(np.abs(small1).max())) ** rank,
                 np.float64, "axiom action matrices")
     check_exact(2 * int(np.abs(prod_act).max()) ** rank, np.float64,
@@ -622,17 +730,59 @@ def simplicity_probe(spec: OmegaSpec, degree_bound: int) -> SimplicityReport:
     )
 
 
+def _assoc_split_first_failure(eps: int, m_bound: int, n_bound: int, deg_bound: int):
+    """First (a, b, j) in the loop's order where act(a*b) x^j != a.(b.x^j).
+
+    a and b are (m, n) for t^m D^n.  Both sides are Lambda^(m_a + m_b)
+    times integer polynomials, so the comparison is between the
+    product-action table and the per-slot compositions of
+    ``_rank1_tables``, signs folded in.  None when the split holds.
+    """
+    import numpy as np
+    from .slots import check_exact
+
+    beta = (-1) ** (1 - eps)
+    m1, n1, prod_act, full1, small1 = _rank1_tables(eps, m_bound, n_bound, deg_bound)
+    check_exact(int(np.abs(full1).max()) * int(np.abs(small1).max()) * full1.shape[2],
+                np.int64, "associative split compositions")
+    signs = beta ** ((1 - n1) % 2)
+    comp = np.matmul(full1[:, None], small1[None, :])
+    comp *= (signs[:, None] * signs[None, :])[:, :, None, None]
+    bad = np.argwhere((beta * prod_act != comp).any(axis=2))
+    if not bad.size:
+        return None
+    x, y, j = (int(v) for v in bad[0])
+    return (int(m1[x]), int(n1[x])), (int(m1[y]), int(n1[y])), j
+
+
 def assoc_action_split(spec: OmegaSpec, m_bound: int, n_bound: int,
-                       deg_bound: int):
+                       deg_bound: int, action=None):
     """Test whether the module is also a module over the associative product.
 
     Returns (holds, counterexample): act(a*b, f) versus act(a, act(b, f))
-    over the windowed basis pairs.  The eps = 1 family satisfies it; the
-    eps = 0 family has explicit counterexamples.
+    over the windowed basis pairs, with the first failing (a, b, f, lhs, rhs)
+    in the order a, then b, then f.  The eps = 1 family satisfies it; the
+    eps = 0 family has explicit counterexamples.  The comparison runs on
+    exact integer tables (``_assoc_split_first_failure``); ``action``
+    overrides the module action and runs the generic loop instead, as does
+    a bound too large for those tables.
     """
     if spec.family != "d":
         raise FamilyMismatch("the associative split is a rank-1 d-family check")
     ctx = AlgebraCtx(1, central=False)
+    if action is None:
+        action = act
+        try:
+            first = _assoc_split_first_failure(spec.eps, m_bound, n_bound, deg_bound)
+        except BoundsTooLarge:
+            pass
+        else:
+            if first is None:
+                return True, None
+            (ma, na), (mb, nb), j = first
+            a, b = ctx.basis((ma,), (na,)), ctx.basis((mb,), (nb,))
+            f = spec.monomial((j,))
+            return False, (a, b, f, act(assoc_product(a, b), f), act(a, act(b, f)))
     gens = [
         ctx.basis((m,), (n,))
         for m in range(-m_bound, m_bound + 1)
@@ -643,8 +793,8 @@ def assoc_action_split(spec: OmegaSpec, m_bound: int, n_bound: int,
         for b in gens:
             ab = assoc_product(a, b)
             for f in monos:
-                lhs = act(ab, f)
-                rhs = act(a, act(b, f))
+                lhs = action(ab, f)
+                rhs = action(a, action(b, f))
                 if lhs != rhs:
                     return False, (a, b, f, lhs, rhs)
     return True, None

@@ -304,10 +304,11 @@ def _cocycle_tensor(mb: int, nb: int):
     phi = [[[cocycle_basis(m, r, mc, nc) for mc, nc in keys] for r in range(2 * nb + 1)]
            for m in range(-2 * mb, 2 * mb + 1)]
     den = lcm(*(v.denominator for plane in phi for row in plane for v in row))
-    phi = np.array([[[int(v * den) for v in row] for row in plane] for plane in phi],
-                   dtype=np.int64)
-    check_exact(3 * (2 * nb + 1) * 2 * int(np.abs(table).max())
-                * max(int(np.abs(phi).max()), 1), np.int64, "cocycle contraction")
+    phi = [[[int(v * den) for v in row] for row in plane] for plane in phi]
+    phi_max = max(abs(v) for plane in phi for row in plane for v in row)
+    check_exact(3 * (2 * nb + 1) * 2 * int(np.abs(table).max()) * max(phi_max, 1),
+                np.int64, "cocycle contraction")
+    phi = np.array(phi, dtype=np.int64)
     # one key a at a time, so that the gathered cocycle values stay
     # keys^2 * (2 nb + 1) large
     s = np.stack([np.einsum("br,brc->bc", br[a], phi[km[a] + km + 2 * mb])

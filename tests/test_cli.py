@@ -88,6 +88,17 @@ def test_verify_failure_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("n", [14, 20])
+def test_bounds_too_large_exit_code(n):
+    # the cocycle values at these bounds do not fit int64: a typed one-line
+    # refusal from the range guard, not a traceback
+    code, out, err = run_cli(["verify", "--suite", "cocycle", "--bounds", f"m=3,n={n}"])
+    assert code == 3
+    assert out == ""
+    assert err == ("weylmod: error: cocycle contraction may exceed the exact "
+                   "integer range of int64 (2^63) at these bounds\n")
+
+
 def test_env_rank_and_json_precedence():
     code, out, _ = run_cli(["bracket", "D1", "t1*t2"],
                            env_extra={"WEYLMOD_RANK": "2"})

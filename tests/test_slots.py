@@ -109,3 +109,13 @@ def test_axiom_path_refuses_actions_beyond_the_exact_range(monkeypatch):
     decl = ParamDecl(invertible=("lambda",))
     with pytest.raises(OverflowError):
         U.verify_module_axiom(U.omega_d(decl.param("lambda"), 0), 1, 1, 1)
+
+
+def test_refusals_are_typed_and_come_before_any_int64_fill():
+    assert issubclass(slots.BoundsTooLarge, OverflowError)
+    with pytest.raises(slots.BoundsTooLarge):
+        slots.int_table((2,), {(0,): 1, (1,): -2 ** 70}, "x")
+    assert slots.int_table((3,), {(2,): -5}, "x").tolist() == [0, 0, -5]
+    # cocycle values past 2^63: numpy would fail converting them
+    with pytest.raises(slots.BoundsTooLarge, match="cocycle contraction"):
+        V._cocycle_tensor(3, 20)

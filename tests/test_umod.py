@@ -2,7 +2,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weylmod import slots, umod as U
 from weylmod.liealg import AlgebraCtx, D_ALG, bracket
 from weylmod.scalars import ParamDecl, RATIONALS
 from weylmod.umod import (
@@ -196,6 +198,166 @@ def test_fast_path_detects_wrong_product_rule(eps, monkeypatch):
         assert not direct.ok
         assert fast.checked == direct.checked
         assert fast.counterexample[:3] == direct.counterexample[:3]
+
+
+def _hv_specs():
+    """vir and hv modules with symbolic, rational and zero parameters."""
+    alpha, beta = DECL.param("alpha"), DECL.param("beta")
+    q = RATIONALS.rational
+    return [omega_vir(LAM, alpha), omega_hv(LAM, alpha, beta),
+            omega_vir(q(Fraction(-2, 3)), q(Fraction(1, 2))),
+            omega_hv(q(3), q(-1), q(Fraction(5, 7))),
+            omega_hv(LAM, q(0), q(0)), omega_hv(q(Fraction(1, 2)), alpha, q(2))]
+
+
+def _hv_loop(spec, *bounds):
+    return verify_module_axiom(spec, *bounds, action=lambda g, f: act_hv(spec, g, f))
+
+
+@pytest.mark.parametrize("bounds", [(2, 0, 3), (3, 1, 2), (1, 0, 0)])
+def test_hv_fast_path_matches_loop(bounds):
+    for spec in _hv_specs():
+        fast = verify_module_axiom(spec, *bounds)
+        loop = _hv_loop(spec, *bounds)
+        assert fast.ok and loop.ok
+        assert fast.checked == loop.checked
+        # the formal tables agree on every pair: no pair needs the exact loop
+        gens = [g for _, g in U._family_generators(spec, bounds[0], bounds[1])]
+        assert not U._hv_formal_mismatches(spec.family, gens, bounds[0], bounds[2]).any()
+
+
+def test_hv_action_table_matches_act_hv():
+    alpha, beta = DECL.param("alpha"), DECL.param("beta")
+    spec = omega_hv(LAM, alpha, beta)
+    table = U._hv_action_table(("L", "I"), 2, 3)
+    for m in range(-2, 3):
+        for t, kind in enumerate(("L", "I")):
+            for j in range(4):
+                got = spec.zero_vec()
+                for e, i, k in iproduct(range(5), range(2), range(2)):
+                    c = int(table[2 * (m + 2) + t, e, j, i, k])
+                    got = got + spec.monomial(e, LAM ** m * alpha ** i * beta ** k * c)
+                assert got == act_hv(spec, (kind, m), spec.monomial(j))
+
+
+_REAL_HV_BRACKET = U._hv_bracket_terms
+
+
+def _wrong_sign_bracket(g1, g2):
+    """[L_m, I_n] = -n I_{m+n}: a wrong sign on the mixed bracket."""
+    terms = _REAL_HV_BRACKET(g1, g2)
+    if g1[0] == "L" and g2[0] == "I":
+        return [(g, -k) for g, k in terms]
+    return terms
+
+
+def _central_ii_bracket(g1, g2):
+    """[I_m, I_n] = I_{m+n} instead of 0: wrong unless beta = 0."""
+    if g1[0] == g2[0] == "I":
+        return [(("I", g1[1] + g2[1]), Fraction(1))]
+    return _REAL_HV_BRACKET(g1, g2)
+
+
+@pytest.mark.parametrize("mutant", [_wrong_sign_bracket, _central_ii_bracket])
+def test_hv_fast_path_reports_the_loop_failure(mutant, monkeypatch):
+    monkeypatch.setattr(U, "_hv_bracket_terms", mutant)
+    q = RATIONALS.rational
+    for spec in (omega_hv(LAM, DECL.param("alpha"), DECL.param("beta")),
+                 omega_hv(q(Fraction(-2, 3)), q(Fraction(1, 2)), q(3))):
+        fast = verify_module_axiom(spec, 2, 0, 3)
+        loop = _hv_loop(spec, 2, 0, 3)
+        assert not fast.ok and not loop.ok
+        assert fast.checked == loop.checked
+        assert fast.counterexample == loop.counterexample
+
+
+def test_hv_formal_mismatch_with_equal_values_passes(monkeypatch):
+    # with beta = 0 the bracket [I_m, I_n] = I_{m+n} acts by 0: the formal
+    # tables differ, the values agree, and the verdict is the loop's
+    monkeypatch.setattr(U, "_hv_bracket_terms", _central_ii_bracket)
+    q = RATIONALS.rational
+    spec = omega_hv(q(Fraction(3, 2)), q(Fraction(-1, 4)), q(0))
+    fast = verify_module_axiom(spec, 2, 0, 3)
+    loop = _hv_loop(spec, 2, 0, 3)
+    assert fast.ok and loop.ok
+    assert fast.checked == loop.checked
+
+
+def _split_loop(spec, *bounds):
+    return assoc_action_split(spec, *bounds, action=act)
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_assoc_split_fast_path_matches_loop(eps):
+    for lam in (LAM, RATIONALS.rational(Fraction(-2, 3))):
+        spec = omega_d(lam, eps)
+        for bounds in ((2, 2, 2), (1, 3, 3), (2, 0, 1)):
+            fast = assoc_action_split(spec, *bounds)
+            assert fast == _split_loop(spec, *bounds)
+            assert fast[0] == (eps == 1)
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_assoc_split_fast_path_detects_wrong_product_rule(eps, monkeypatch):
+    from weylmod import liealg
+    monkeypatch.setattr(liealg, "basis_product", _product_without_second_order_terms)
+    spec = spec_d(eps)
+    fast = assoc_action_split(spec, 2, 2, 3)
+    loop = _split_loop(spec, 2, 2, 3)
+    assert not fast[0]
+    # the first failing pair and monomial in the loop's order, with its values
+    assert fast == loop
+
+
+def _refuse(bound, dtype, what):
+    raise slots.BoundsTooLarge(f"{what} refused")
+
+
+def test_refused_tables_fall_back_to_the_exact_loop(monkeypatch):
+    calls = []
+    real_act_hv = U.act_hv
+
+    def counted(*args):
+        calls.append(args)
+        return real_act_hv(*args)
+
+    monkeypatch.setattr(U, "act_hv", counted)
+    monkeypatch.setattr(slots, "check_exact", _refuse)
+    spec = omega_hv(LAM, DECL.param("alpha"), DECL.param("beta"))
+    refused = verify_module_axiom(spec, 2, 0, 2)
+    assert refused.ok and calls
+    assert refused.checked == _hv_loop(spec, 2, 0, 2).checked
+    monkeypatch.setattr(U, "_hv_bracket_terms", _wrong_sign_bracket)
+    refused = verify_module_axiom(spec, 2, 0, 2)
+    loop = _hv_loop(spec, 2, 0, 2)
+    assert not refused.ok
+    assert (refused.checked, refused.counterexample) == (loop.checked, loop.counterexample)
+    for eps in (0, 1):
+        assert assoc_action_split(spec_d(eps), 1, 2, 2) == _split_loop(spec_d(eps), 1, 2, 2)
+
+
+def _param(draw, name, invertible=False):
+    if draw(st.booleans()):
+        return DECL.param(name)
+    num = draw(st.integers(-4, 4).filter(lambda k: k or not invertible))
+    return RATIONALS.rational(Fraction(num, draw(st.integers(1, 3))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_fast_paths_match_loops_on_random_bounds(data):
+    draw = data.draw
+    lam = _param(draw, "lambda", invertible=True)
+    m_bound, n_bound, deg = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    alpha = _param(draw, "alpha")
+    spec = (omega_hv(lam, alpha, _param(draw, "beta")) if draw(st.booleans())
+            else omega_vir(lam, alpha))
+    fast = verify_module_axiom(spec, m_bound, n_bound, deg)
+    loop = _hv_loop(spec, m_bound, n_bound, deg)
+    assert (fast.ok, fast.checked) == (loop.ok, loop.checked)
+    spec = omega_d(lam, draw(st.integers(0, 1)))
+    assert assoc_action_split(spec, m_bound, n_bound, deg) == \
+        _split_loop(spec, m_bound, n_bound, deg)
 
 
 # -- irreducibility ------------------------------------------------------------
