@@ -4,7 +4,8 @@ Every subcommand parses its inputs through the shared grammar, dispatches to
 the library, and renders either canonical text or a versioned JSON document
 (schema 1, all numbers as exact "p/q" strings).  Exit codes: 0 success,
 1 verification failure, 2 usage or parse errors, 3 bounds beyond what the
-exact machine-integer paths can carry.
+exact machine-integer paths can carry, or an internal error (a failed
+invariant, reported in one line).
 
 Configuration precedence: flags > environment (WEYLMOD_RANK, WEYLMOD_JSON)
 > defaults (rank 1, text output).
@@ -17,7 +18,10 @@ import json
 import os
 import sys
 
-from .scalars import NonInvertibleParameter, ParamDecl, RATIONALS
+from .scalars import (
+    InternalError, NonInvertibleParameter, ParamDecl, RATIONALS,
+    ScalarDivisionError,
+)
 from .liealg import (
     AlgebraCtx, CentralUnsupported, CtxMismatch, DiffOp, assoc_product,
     bracket, cocycle_phi, generated_span_probe, grade_components,
@@ -532,6 +536,10 @@ def main(argv=None) -> int:
         return 2
     except BoundsTooLarge as exc:
         print(f"weylmod: error: {exc}", file=sys.stderr)
+        return 3
+    except (InternalError, ScalarDivisionError, AssertionError) as exc:
+        print(f"weylmod: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -116,7 +116,7 @@ class Quasipolynomial:
 class HWSpec:
     """Central charge plus quasipolynomial weight data."""
 
-    __slots__ = ("c", "phi", "_h_cache", "_series_cache")
+    __slots__ = ("c", "phi", "_h_cache", "_series")
 
     def __init__(self, c: Scalar, phi: Quasipolynomial):
         if not phi.value_at_zero().is_zero():
@@ -124,7 +124,7 @@ class HWSpec:
         self.c = c
         self.phi = phi
         self._h_cache: dict = {}
-        self._series_cache: dict = {}
+        self._series: Series | None = None
 
     @staticmethod
     def generic(order: int, extra_invertible=()) -> "HWSpec":
@@ -141,17 +141,24 @@ class HWSpec:
         return HWSpec(decl.param("c"), Quasipolynomial.poly(coeffs))
 
     def delta_series(self, order: int) -> Series:
-        got = self._series_cache.get(order)
-        if got is None:
-            num = self.phi.series(order + 1)
-            ex = exp_series(RATIONALS.one, order + 1)
-            den = ex - Series(order + 1, tuple(
+        """phi(x)/(e^x - 1) truncated at x^order.
+
+        Quotient coefficients do not depend on the truncation, so only the
+        longest series computed so far is kept; smaller orders are served by
+        truncating it, and a longer one is computed to at least twice its
+        order, so h_0 .. h_n costs O(log n) quotients.
+        """
+        got = self._series
+        if got is None or got.order < order:
+            order_new = order if got is None else max(order, 2 * got.order)
+            num = self.phi.series(order_new + 1)
+            ex = exp_series(RATIONALS.one, order_new + 1)
+            den = ex - Series(order_new + 1, tuple(
                 RATIONALS.one if k == 0 else RATIONALS.zero
-                for k in range(order + 2)
+                for k in range(order_new + 2)
             ))
-            got = series_quotient(num, den)
-            self._series_cache[order] = got
-        return got
+            got = self._series = series_quotient(num, den)
+        return got if got.order == order else got.truncate(order)
 
     def h(self, n: int) -> Scalar:
         got = self._h_cache.get(n)
@@ -385,7 +392,8 @@ def act_verma(op: DiffOp, v: VermaElem) -> VermaElem:
         cc = op.central * tv.spec.c
         for mono, fc in v.terms.items():
             accumulate(out, mono, fc * cc)
-    return VermaElem(tv, out)
+    # _apply_basis raises LevelOverflow before it leaves the window
+    return v._like(out)
 
 
 def weight_of(v: VermaElem):

@@ -1,7 +1,10 @@
 """Exact coefficient arithmetic.
 
 Scalars are Laurent polynomials in a declared finite set of formal parameters
-with arbitrary-precision rational coefficients.  A parameter is either plain
+with arbitrary-precision rational coefficients.  Each coefficient is stored in
+one canonical form: a Python ``int`` when it is integral, a ``Fraction`` only
+otherwise, so the common integral case never pays for Fraction arithmetic.
+A parameter is either plain
 (exponents must stay >= 0) or invertible (any integer exponent, e.g. a
 parameter standing for a nonzero complex number whose negative powers are
 needed).  Division never happens inside Scalar arithmetic; it is confined to
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 
@@ -26,6 +30,11 @@ class NonInvertibleParameter(ValueError):
 
 class ScalarDivisionError(ArithmeticError):
     """Exact division failed (non-unit divisor or non-divisible operands)."""
+
+
+class InternalError(Exception):
+    """An invariant the computation relies on failed: a defect in weylmod,
+    not in its input."""
 
 
 # A monomial key is a tuple of (name, exponent) pairs, sorted by name, with
@@ -46,6 +55,25 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
         else:
             del exps[name]
     return tuple(sorted(exps.items()))
+
+
+def _canon(c):
+    """The canonical form of a rational: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, Integral):  # bool, numpy integers
+            return int(c)
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canon_values(terms: dict) -> dict:
+    """Make every value of ``terms`` canonical, in place."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
 
 
 def _mono_key(mono: Mono, names: Sequence[str]) -> tuple:
@@ -109,8 +137,8 @@ class ParamDecl:
     # -- constructors ------------------------------------------------------
 
     def rational(self, value) -> "Scalar":
-        q = Fraction(value)
-        return Scalar(self, {(): q} if q else {})
+        q = _canon(value)
+        return _scalar(self, {(): q} if q else {})
 
     def param(self, name: str, power: int = 1) -> "Scalar":
         if name not in self.names:
@@ -121,15 +149,15 @@ class ParamDecl:
             raise NonInvertibleParameter(
                 f"parameter {name!r} is not declared invertible"
             )
-        return Scalar(self, {((name, power),): Fraction(1)})
+        return _scalar(self, {((name, power),): 1})
 
     @property
     def zero(self) -> "Scalar":
-        return Scalar(self, {})
+        return _scalar(self, {})
 
     @property
     def one(self) -> "Scalar":
-        return Scalar(self, {(): Fraction(1)})
+        return _scalar(self, {(): 1})
 
 
 RATIONALS = ParamDecl()
@@ -148,7 +176,9 @@ def _merge_decl(a: ParamDecl, b: ParamDecl) -> ParamDecl:
 class Scalar:
     """Immutable sparse Laurent polynomial over the rationals.
 
-    Stored as a map from monomial keys to nonzero Fractions; equal values have
+    Stored as a map from monomial keys to nonzero coefficients in canonical
+    form: an ``int`` when the coefficient is integral, a ``Fraction`` only
+    otherwise (never a Fraction with denominator 1).  Equal values have
     identical stored form, so ``==`` is exact structural equality.
     """
 
@@ -156,7 +186,7 @@ class Scalar:
 
     def __init__(self, decl: ParamDecl, terms: Mapping[Mono, Fraction]):
         self.decl = decl
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: _canon(c) for m, c in terms.items() if c}
 
     # -- coercion ----------------------------------------------------------
 
@@ -164,7 +194,7 @@ class Scalar:
         if isinstance(other, Scalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar(self.decl, {(): Fraction(other)} if other else {})
+            return self.decl.rational(other)
         return NotImplemented
 
     # -- predicates --------------------------------------------------------
@@ -183,7 +213,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not a plain rational")
-        return self.terms[()]
+        return Fraction(self.terms[()])
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -196,29 +226,37 @@ class Scalar:
         return all(self.decl.is_invertible(n) for n, _ in mono)
 
     # -- ring operations ---------------------------------------------------
+    #
+    # Results are built with ``_scalar``: their coefficients are canonical and
+    # nonzero by construction, so ``__init__``'s normalisation is skipped.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        decl = _merge_decl(self.decl, o.decl)
-        if not o.terms:
-            return self if decl is self.decl else Scalar(decl, self.terms)
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        decl = self.decl
+        if other.decl is not decl:
+            decl = _merge_decl(decl, other.decl)
+        if not other.terms:
+            return self if decl is self.decl else _scalar(decl, self.terms)
         if not self.terms:
-            return o if decl is o.decl else Scalar(decl, o.terms)
+            return other if decl is other.decl else _scalar(decl, other.terms)
         terms = dict(self.terms)
-        for m, c in o.terms.items():
+        for m, c in other.terms.items():
             nc = terms.get(m, 0) + c
-            if nc:
-                terms[m] = nc
-            else:
+            if not nc:
                 del terms[m]
-        return Scalar(decl, terms)
+            elif type(nc) is not int and nc.denominator == 1:
+                terms[m] = nc.numerator
+            else:
+                terms[m] = nc
+        return _scalar(decl, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.decl, {m: -c for m, c in self.terms.items()})
+        return _scalar(self.decl, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -230,31 +268,55 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        decl = _merge_decl(self.decl, o.decl)
-        if not self.terms or not o.terms:
-            return Scalar(decl, {})
-        if len(self.terms) == 1:
-            (ma, ca), = self.terms.items()
-            return Scalar(decl, {_mono_mul(ma, mb): ca * cb for mb, cb in o.terms.items()})
-        terms: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in o.terms.items():
-                m = _mono_mul(ma, mb)
-                nc = terms.get(m, 0) + ca * cb
-                if nc:
-                    terms[m] = nc
-                elif m in terms:
-                    del terms[m]
-        return Scalar(decl, terms)
+        kind = type(other)
+        if kind is int or kind is Fraction:
+            if other == 1:
+                return self
+            if not other or not self.terms:
+                return _scalar(self.decl, {})
+            return _scalar(self.decl, _canon_values(
+                {m: c * other for m, c in self.terms.items()}))
+        if kind is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        decl = self.decl
+        if other.decl is not decl:
+            decl = _merge_decl(decl, other.decl)
+        st, ot = self.terms, other.terms
+        if not st or not ot:
+            return _scalar(decl, {})
+        if len(ot) == 1:
+            mono, big = other, self
+        elif len(st) == 1:
+            mono, big = self, other
+        else:
+            terms: dict = {}
+            for ma, ca in st.items():
+                for mb, cb in ot.items():
+                    m = _mono_mul(ma, mb)
+                    nc = terms.get(m, 0) + ca * cb
+                    if nc:
+                        terms[m] = nc
+                    elif m in terms:
+                        del terms[m]
+            return _scalar(decl, _canon_values(terms))
+        # a product with a single monomial maps distinct monomials to distinct
+        # monomials and, over an integral domain, keeps every term nonzero
+        (ma, ca), = mono.terms.items()
+        if not ma:
+            if ca == 1:
+                return big if big.decl is decl else _scalar(decl, big.terms)
+            terms = {mb: ca * cb for mb, cb in big.terms.items()}
+        else:
+            terms = {_mono_mul(ma, mb): ca * cb for mb, cb in big.terms.items()}
+        return _scalar(decl, _canon_values(terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k == 0:
-            return Scalar(self.decl, {(): Fraction(1)})
+            return self.decl.one
         if k < 0:
             return self.inverse() ** (-k)
         result = self
@@ -273,7 +335,7 @@ class Scalar:
                     f"parameter {name!r} is not declared invertible"
                 )
         inv_mono = tuple((n, -e) for n, e in mono)
-        return Scalar(self.decl, {inv_mono: Fraction(1) / coeff})
+        return _scalar(self.decl, {inv_mono: _canon(1 / Fraction(coeff))})
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -304,13 +366,14 @@ class Scalar:
         """Exact polynomial division; raises if the quotient does not exist.
 
         Callers must know the quotient exists; a nonzero remainder raises
-        ScalarDivisionError.
+        ScalarDivisionError.  Coefficients are divided as Fractions (an int
+        divided by an int would give a float) and stored canonically.
         """
         if divisor.is_zero():
             raise ScalarDivisionError("division by zero scalar")
         if divisor.is_rational():
             q = divisor.terms[()]
-            return Scalar(self.decl, {m: c / q for m, c in self.terms.items()})
+            return Scalar(self.decl, {m: Fraction(c) / q for m, c in self.terms.items()})
         decl = _merge_decl(self.decl, divisor.decl)
         rem = dict(self.terms)
         dm, dc = divisor.leading()
@@ -320,7 +383,7 @@ class Scalar:
             for m in rem:
                 if lead is None or _mono_le(lead, m):
                     lead = m
-            qc = rem[lead] / dc
+            qc = Fraction(rem[lead]) / dc
             # exponent subtraction
             exps = dict(lead)
             ok = True
@@ -337,7 +400,7 @@ class Scalar:
                     break
             if not ok:
                 raise ScalarDivisionError(f"{self} is not divisible by {divisor}")
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
+            quot[qm] = quot.get(qm, 0) + qc
             for m, c in divisor.terms.items():
                 mm = _mono_mul(qm, m)
                 nc = rem.get(mm, 0) - qc * c
@@ -380,6 +443,18 @@ class Scalar:
             monos.append({"coeff": f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator),
                           "exps": {n: e for n, e in mono}})
         return {"monomials": monos}
+
+
+def _scalar(decl: ParamDecl, terms: dict) -> Scalar:
+    """A Scalar over ``terms`` taken as they are: the caller guarantees that
+    every coefficient is canonical and nonzero."""
+    s = _new_scalar(Scalar)
+    s.decl = decl
+    s.terms = terms
+    return s
+
+
+_new_scalar = object.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +528,17 @@ class SparseVec:
                       for k, c in terms.items() if c}
 
     def _like(self, terms):
-        """A vector of the same type and space with the given terms."""
-        return type(self)(getattr(self, self._space), terms)
+        """A vector of the same type and space with the given terms.
+
+        Nothing is re-validated: the caller guarantees that the labels are
+        valid in this space and that every value is a nonzero Scalar.  Sums,
+        negatives and nonzero multiples of valid vectors are valid, since
+        Laurent polynomials over Q form an integral domain.
+        """
+        v = object.__new__(type(self))
+        setattr(v, self._space, getattr(self, self._space))
+        v.terms = terms
+        return v
 
     def _check(self, other):
         mine, theirs = getattr(self, self._space), getattr(other, self._space)
@@ -478,8 +562,10 @@ class SparseVec:
         return self + (-other)
 
     def scale(self, s):
-        if not isinstance(s, Scalar):
+        if not isinstance(s, (Scalar, int, Fraction)):
             s = RATIONALS.rational(s)
+        if not s:
+            return self._like({})
         return self._like({k: c * s for k, c in self.terms.items()})
 
     def __eq__(self, other):
@@ -616,9 +702,9 @@ def exp_series(a: Scalar, order: int) -> Series:
     """Truncated expansion of e^(a*x): coefficients a^k / k!."""
     coeffs = []
     power = a.decl.one if isinstance(a, Scalar) else RATIONALS.one
-    fact = Fraction(1)
+    fact = 1
     for k in range(order + 1):
-        coeffs.append(power * Fraction(1, int(fact)))
+        coeffs.append(power * _canon(Fraction(1, fact)))
         power = power * a
         fact *= k + 1
     return Series(order, tuple(coeffs))
@@ -720,8 +806,9 @@ def solve_linear(m: Matrix, rhs: Matrix | None = None) -> LinearSolution:
 class SpanBasis:
     """Incremental echelon basis for vectors with hashable coordinate keys.
 
-    Vectors are {key: coefficient} dicts with Scalar or Fraction values;
-    zeros are tested by truthiness, so both work.  Reduction is by
+    Vectors are {key: coefficient} dicts with Scalar values or plain
+    rationals (int or Fraction); zeros are tested by truthiness, so all of
+    them work.  Reduction is by
     cross-multiplication, so the span is taken over the fraction field of
     the parameter ring while all stored entries stay polynomial.
     """

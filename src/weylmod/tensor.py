@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import RATIONALS, Scalar, SpanBasis, SparseVec, accumulate
+from .scalars import (
+    RATIONALS, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
+)
 from .liealg import D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act_hv
 from .hwmod import TruncVerma, VermaElem, _verma_label, monomial_level
@@ -120,7 +122,7 @@ def act_tensor(op: DiffOp, w: TensorElem) -> TensorElem:
         cc = op.central * spec.hw.spec.c
         for key, fc in w.terms.items():
             accumulate(out, key, fc * cc)
-    return TensorElem(spec, out)
+    return w._like(out)
 
 
 def vanishing_bound(v: VermaElem) -> int:
@@ -209,13 +211,13 @@ def vandermonde_reduce(spec: TensorSpec, w: TensorElem) -> TensorElem:
     top = TensorElem(spec, coeff_vecs[s + 1])
     if eps == 1:
         if top.is_zero():
-            raise AssertionError("top Vandermonde coefficient vanished with eps=1")
+            raise InternalError("top Vandermonde coefficient vanished with eps=1")
         return top
     if not top.is_zero():
-        raise AssertionError("top Vandermonde coefficient should vanish with eps=0")
+        raise InternalError("top Vandermonde coefficient should vanish with eps=0")
     nxt = TensorElem(spec, coeff_vecs[s])
     if nxt.is_zero():
-        raise AssertionError("next Vandermonde coefficient vanished with eps=0")
+        raise InternalError("next Vandermonde coefficient vanished with eps=0")
     if nxt.x_degree() < s:
         return nxt
     # s = 1 and the extracted piece is again x (x) v: one difference step
@@ -413,9 +415,12 @@ def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
     ring homomorphism, so the prime is unusable."""
     total = 0
     for mono, q in s.terms.items():
-        if q.denominator % p == 0:
-            raise ZeroDivisionError(f"{p} divides the denominator of {q}")
-        v = q.numerator * pow(q.denominator, p - 2, p) % p
+        if type(q) is int:
+            v = q % p
+        else:
+            if q.denominator % p == 0:
+                raise ZeroDivisionError(f"{p} divides the denominator of {q}")
+            v = q.numerator * pow(q.denominator, p - 2, p) % p
         for name, e in mono:
             # negative exponents via Fermat: the assigned residues are nonzero
             v = v * pow(assign[name], e % (p - 1), p) % p

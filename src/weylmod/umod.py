@@ -22,7 +22,9 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
-from .scalars import RATIONALS, Scalar, SpanBasis, SparseVec, accumulate
+from .scalars import (
+    RATIONALS, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
+)
 from .liealg import AlgebraCtx, DiffOp, bracket, assoc_product
 from .slots import BoundsTooLarge
 
@@ -626,7 +628,7 @@ def degree_reduction_witness(spec: OmegaSpec, f: PolyVec):
             - ctx.basis(zero, zero, beta_inv)
         cur = act(step_op, cur)
         if cur.is_zero():
-            raise AssertionError("difference step annihilated a positive-degree vector")
+            raise InternalError("difference step annihilated a positive-degree vector")
         chain.append((step_op, cur))
     return chain
 

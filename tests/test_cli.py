@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import run_cli
+from weylmod.scalars import InternalError, ScalarDivisionError
 
 # every documented subcommand appears here with a golden file
 GOLDEN_COMMANDS = [
@@ -120,3 +121,31 @@ def test_json_has_schema_everywhere():
             code, out, _ = run_cli(argv)
             doc = json.loads(out)
             assert doc["schema"] == 1
+
+
+@pytest.mark.parametrize("exc_cls", [InternalError, ScalarDivisionError,
+                                     AssertionError])
+def test_internal_errors_exit_3_with_one_line(monkeypatch, capsys, exc_cls):
+    from weylmod import cli
+
+    def broken(a, b):
+        raise exc_cls("invariant broken")
+
+    monkeypatch.setattr(cli, "bracket", broken)
+    code = cli.main(["bracket", "D", "t"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == f"weylmod: internal error: {exc_cls.__name__}: invariant broken\n"
+
+
+def test_runtime_errors_are_not_internal_errors(monkeypatch):
+    # the exact intertwiner fallback's RuntimeError keeps its own path
+    from weylmod import cli
+
+    def too_large(a, b):
+        raise RuntimeError("too large")
+
+    monkeypatch.setattr(cli, "bracket", too_large)
+    with pytest.raises(RuntimeError):
+        cli.main(["bracket", "D", "t"])

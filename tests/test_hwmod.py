@@ -33,6 +33,48 @@ def test_h_from_phi_is_bernoulli():
         assert h_from_phi(spec, n) == RATIONALS.rational(-bern[n])
 
 
+def test_h_sequence_is_bernoulli_to_60():
+    spec = HWSpec(RATIONALS.zero, PHI_X)
+    bern = bernoulli(60)
+    for n in range(61):
+        assert spec.h(n) == RATIONALS.rational(-bern[n])
+
+
+def test_h_sequence_reuses_the_longest_series(monkeypatch):
+    import weylmod.hwmod as H
+
+    calls = []
+    original = H.series_quotient
+
+    def counted(num, den):
+        calls.append(num.order)
+        return original(num, den)
+
+    monkeypatch.setattr(H, "series_quotient", counted)
+    spec = HWSpec(RATIONALS.zero, PHI_X)
+    for n in range(61):
+        spec.h(n)
+    assert len(calls) <= 8
+    # every smaller order is a truncation of the kept series
+    assert spec.delta_series(5) == spec.delta_series(60).truncate(5)
+    assert spec.delta_series(5).order == 5
+
+
+def test_h_sequence_is_independent_of_the_query_order():
+    bern = bernoulli(60)
+    backwards = HWSpec(RATIONALS.zero, PHI_X)
+    assert backwards.h(60) == RATIONALS.rational(-bern[60])
+    forwards = HWSpec(RATIONALS.zero, PHI_X)
+    got_forwards = [forwards.h(n) for n in (3, 10, 60)]
+    assert [backwards.h(n) for n in (3, 10, 60)] == got_forwards
+    assert got_forwards[0] == RATIONALS.rational(-bern[3])
+    # a generic phi: the truncated series is the same whatever came first
+    gen_a, gen_b = HWSpec.generic(6), HWSpec.generic(6)
+    seq_a = [gen_a.h(n) for n in range(7)]
+    seq_b = [gen_b.h(n) for n in reversed(range(7))][::-1]
+    assert seq_a == seq_b
+
+
 def test_h_from_phi_exponential():
     # phi = e^x - 1: the quotient series is 1, so h_0 = -1 and h_n = 0
     phi = Quasipolynomial([

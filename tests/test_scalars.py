@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmod.scalars import (
-    Matrix, NonInvertibleParameter, ParamDecl, RATIONALS,
-    ScalarDivisionError, Series, SeriesError, SpanBasis, exp_series,
-    series_quotient, solve_linear,
+    Matrix, NonInvertibleParameter, ParamDecl, RATIONALS, Scalar,
+    ScalarDivisionError, Series, SeriesError, SparseVec, SpanBasis,
+    exp_series, series_quotient, solve_linear,
 )
 
 DECL = ParamDecl(invertible=("lambda",), plain=("a",))
@@ -98,6 +98,164 @@ def test_canonical_string():
     s = (LAM ** -2) * Fraction(3, 2) * A - 1
     assert str(s) == "3/2*a*lambda^-2 - 1"
     assert str(DECL.zero) == "0"
+
+
+# -- canonical coefficients against a Fraction-only reference ----------------
+#
+# The reference is a {monomial: Fraction} dict; every Scalar result must
+# match it, with each stored coefficient an int exactly when it is integral.
+
+
+def _mono(le, ae):
+    return tuple(p for p in (("a", ae), ("lambda", le)) if p[1])
+
+
+small_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4),
+    # a Fraction that is really an integer must still be stored as an int
+    st.integers(-3, 3).map(lambda k: Fraction(2 * k, 2)),
+)
+
+
+@st.composite
+def raw_terms(draw, max_terms=4):
+    keys = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
+                         max_size=max_terms, unique=True))
+    return {_mono(le, ae): draw(small_coeffs) for le, ae in keys}
+
+
+def _ref(terms):
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for m, c in y.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            exps = dict(ma)
+            for n, e in mb:
+                exps[n] = exps.get(n, 0) + e
+            m = tuple(sorted((n, e) for n, e in exps.items() if e))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _assert_canonical(s, ref):
+    assert _ref(s.terms) == ref
+    for c in s.terms.values():
+        assert type(c) in (int, Fraction)
+        assert c != 0
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_terms(), raw_terms(), st.integers(0, 3))
+def test_canonical_ring_operations_match_fraction_reference(ta, tb, k):
+    a, b = Scalar(DECL, ta), Scalar(DECL, tb)
+    ra, rb = _ref(ta), _ref(tb)
+    _assert_canonical(a, ra)
+    _assert_canonical(a + b, _ref_add(ra, rb))
+    _assert_canonical(a - b, _ref_add(ra, {m: -c for m, c in rb.items()}))
+    _assert_canonical(-a, {m: -c for m, c in ra.items()})
+    _assert_canonical(a * b, _ref_mul(ra, rb))
+    power = {(): Fraction(1)}
+    for _ in range(k):
+        power = _ref_mul(power, ra)
+    _assert_canonical(a ** k, power)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_terms(), small_coeffs)
+def test_canonical_scaling_by_plain_rationals(ta, q):
+    a = Scalar(DECL, ta)
+    ra = _ref(ta)
+    scaled = {m: c * Fraction(q) for m, c in ra.items() if c * q}
+    _assert_canonical(a * q, scaled)
+    _assert_canonical(q * a, scaled)
+    _assert_canonical(a * DECL.rational(q), scaled)
+    if q:
+        _assert_canonical(a.exact_div(DECL.rational(q)),
+                          {m: c / Fraction(q) for m, c in ra.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-3, 3), small_coeffs.filter(bool), raw_terms())
+def test_canonical_inverse_and_exact_div(le, q, tb):
+    unit = Scalar(DECL, {_mono(le, 0): q})
+    _assert_canonical(unit.inverse(), {_mono(-le, 0): 1 / Fraction(q)})
+    _assert_canonical(unit * unit.inverse(), {(): Fraction(1)})
+    b = Scalar(DECL, tb)
+    d = LAM ** 2 * 3 + A * Fraction(1, 2)
+    quotient = (b * d).exact_div(d)
+    _assert_canonical(quotient, _ref(tb))
+
+
+class _Vec(SparseVec):
+    __slots__ = ("space",)
+    _space = "space"
+    _label = staticmethod(str)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(raw_terms(), max_size=3), st.one_of(small_coeffs, raw_terms()))
+def test_canonical_sparse_vector_scaling(vec_terms, s):
+    v = _Vec("V", {i: Scalar(DECL, t) for i, t in enumerate(vec_terms)})
+    scale = s if not isinstance(s, dict) else Scalar(DECL, s)
+    rs = {(): Fraction(s)} if not isinstance(s, dict) else _ref(s)
+    rs = {m: c for m, c in rs.items() if c}
+    got = v.scale(scale)
+    expected = {i: _ref_mul(_ref(t), rs) for i, t in enumerate(vec_terms)}
+    expected = {i: r for i, r in expected.items() if r}
+    assert set(got.terms) == set(expected)
+    for i, c in got.terms.items():
+        _assert_canonical(c, expected[i])
+    for i, c in (-v).terms.items():
+        _assert_canonical(c, {m: -x for m, x in _ref(vec_terms[i]).items()})
+
+
+def test_sparse_vector_scaled_by_zero_is_empty():
+    v = _Vec("V", {0: LAM, 1: A * Fraction(1, 3)})
+    assert v.scale(0).terms == {}
+    assert v.scale(DECL.zero).terms == {}
+    assert v.scale(Fraction(0)).terms == {}
+    assert v.scale(0) == _Vec("V", {})
+
+
+def test_exact_div_of_integers_by_two_is_exact():
+    s = LAM * 3 + A * 4 + 6
+    q = s.exact_div(DECL.rational(2))
+    assert q.terms == {(("lambda", 1),): Fraction(3, 2), (("a", 1),): 2, (): 3}
+    assert [type(c) for c in q.terms.values()] == [Fraction, int, int]
+    assert q * 2 == s
+
+
+def test_integral_fraction_inputs_are_stored_as_ints():
+    r = DECL.rational(Fraction(4, 2))
+    assert r.terms == {(): 2} and type(r.terms[()]) is int
+    s = Scalar(DECL, {(): Fraction(4, 2)})
+    assert type(s.terms[()]) is int
+    assert s == r and hash(s) == hash(r)
+    assert str(s) == "2"
+    assert s.to_json() == {"monomials": [{"coeff": "2", "exps": {}}]}
+    assert s.rational_value() == Fraction(2)
+    assert type(s.rational_value()) is Fraction
+    half = DECL.rational(Fraction(1, 2))
+    assert str(half) == "1/2"
+    assert half.to_json() == {"monomials": [{"coeff": "1/2", "exps": {}}]}
+
+
+def test_multiplying_by_one_returns_the_operand():
+    s = LAM * Fraction(2, 3) + A
+    assert s * 1 is s
+    assert 1 * s is s
 
 
 # -- series -------------------------------------------------------------------

@@ -357,6 +357,19 @@ def test_scalar_mod_p_specialises_laurent_scalars(p):
         assert T._scalar_mod_p(s, {"lambda": lam, "c": cv}, p) == want
 
 
+@pytest.mark.parametrize("p", T._PRIMES)
+def test_scalar_mod_p_reduces_integer_coefficients(p):
+    # integer coefficients skip the Fermat inverse; negative ones and ones
+    # beyond p must still reduce correctly
+    c = DECL.param("c")
+    s = -9 * LAM ** -1 * c + (3 * p + 4) * c ** 2 - 1
+    assert all(type(q) is int for q in s.terms.values())
+    for lam, cv in [(37, 47), (p - 1, 2 ** 25), (2, p - 2)]:
+        value = Fraction(-9 * cv, lam) + (3 * p + 4) * cv ** 2 - 1
+        want = value.numerator * pow(value.denominator, -1, p) % p
+        assert T._scalar_mod_p(s, {"lambda": lam, "c": cv}, p) == want
+
+
 def test_scalar_mod_p_rejects_a_prime_dividing_a_denominator():
     p = T._PRIMES[0]
     with pytest.raises(ZeroDivisionError):
