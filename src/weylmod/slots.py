@@ -12,6 +12,7 @@ that importing weylmod stays cheap.
 from __future__ import annotations
 
 from . import liealg
+from .scalars import InternalError
 
 # Integers of absolute value below these limits are exact in the dtype.
 _EXACT_BITS = {"float64": 53, "int64": 63}
@@ -56,8 +57,8 @@ def product_table(p_max: int, m_max: int, q_max: int):
             for q in range(q_max + 1):
                 for ((m,), (r,)), c in liealg.basis_product((0,), (p,), (b,), (q,)).items():
                     if m != b or r > p + q:
-                        raise ValueError(f"D^{p} t^{b} D^{q} has a term t^{m} D^{r} "
-                                         "outside the grading")
+                        raise InternalError(f"D^{p} t^{b} D^{q} has a term t^{m} D^{r} "
+                                            "outside the grading")
                     entries[p, b + m_max, q, r] = c
     return int_table((p_max + 1, 2 * m_max + 1, q_max + 1, p_max + q_max + 1),
                      entries, "product table")

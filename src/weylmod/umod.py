@@ -470,7 +470,7 @@ def _action_table(eps: int, m_max: int, n_max: int, j_max: int):
             for j in range(j_max + 1):
                 for (e,), k in _basis_act_ints(eps, (m,), (n,), (j,)).items():
                     if e > n + j:
-                        raise ValueError(f"t^{m} D^{n} raises the degree of x^{j} past {n + j}")
+                        raise InternalError(f"t^{m} D^{n} raises the degree of x^{j} past {n + j}")
                     entries[m + m_max, n, e, j] = k
     return int_table((2 * m_max + 1, n_max + 1, n_max + j_max + 1, j_max + 1),
                      entries, "action table")

@@ -12,13 +12,13 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import comb, lcm
 
-from .scalars import ParamDecl, RATIONALS, accumulate
+from .scalars import ParamDecl, RATIONALS
 from .liealg import (
-    AlgebraCtx, D_ALG, D_HAT, DiffOp, basis_bracket, bracket,
-    cocycle_basis, generated_span_probe,
+    AlgebraCtx, D_ALG, D_HAT, DiffOp, bracket, cocycle_basis,
+    generated_span_probe,
 )
 from . import umod as U
 from . import hwmod as H
@@ -90,101 +90,117 @@ def suite_bracket_identities(bounds=None) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _hat_bracket_table(elems):
-    """Pairwise brackets in the extended rank-1 algebra over Fractions.
+def _degrees(bound: int, rank: int) -> list:
+    return list(iproduct(range(-bound, bound + 1), repeat=rank))
 
-    Elements are (key or "C"); values are (term dict, central Fraction).
+
+def _ngrid(bound: int, rank: int) -> list:
+    return list(iproduct(range(bound + 1), repeat=rank))
+
+
+def _hat_bracket_table(table, keys, degs, n_bound: int):
+    """[a, b] in the extended rank-1 algebra for every ordered pair.
+
+    The elements are ``keys``, ((m,), (n,)) at the t-degrees ``degs`` with
+    n <= n_bound, then the center, whose row and column are zero.  Returns
+    int64 tables (br, phi): br[a, b, r] is the coefficient of
+    t^(m_a + m_b) D^r in [a, b], read off the source-degree ad blocks of the
+    product ``table`` as at rank 2, and phi[a, b] is den * phi(a, b).
     """
-    table = {}
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if a == "C" or b == "C":
-                table[(i, j)] = ({}, Fraction(0))
-                continue
-            (m1,), (n1,) = a
-            (m2,), (n2,) = b
-            terms = {k: Fraction(v) for k, v in basis_bracket((m1,), (n1,), (m2,), (n2,)).items()}
-            table[(i, j)] = (terms, cocycle_basis(m1, n1, m2, n2))
-    return table
+    import numpy as np
+    from .slots import int_table
+
+    ad_src = _ad_blocks(table, keys, degs, n_bound + 1, 2 * n_bound + 1)
+    br = ad_src.transpose(0, 1, 3, 2).reshape(len(keys), len(keys), -1)
+    phi = {(i, j): cocycle_basis(a[0][0], a[1][0], b[0][0], b[1][0])
+           for i, a in enumerate(keys) for j, b in enumerate(keys)}
+    den = lcm(*(v.denominator for v in phi.values()))
+    phi = int_table((len(keys) + 1,) * 2, {k: int(v * den) for k, v in phi.items()},
+                    "rank-1 cocycle values")
+    return np.pad(br, ((0, 1), (0, 1), (0, 0))), phi
 
 
-def _hat_apply(table, elems, idx, vec):
-    """[elems[idx], vec] for vec = (terms dict keyed by basis key, central)."""
-    out: dict = {}
-    central = Fraction(0)
-    a = elems[idx]
-    if a == "C":
-        return out, central
-    (m1,), (n1,) = a
-    for key, c in vec[0].items():
-        (m2,), (n2,) = key
-        for k, v in basis_bracket((m1,), (n1,), (m2,), (n2,)).items():
-            accumulate(out, k, c * v)
-        central += c * cocycle_basis(m1, n1, m2, n2)
-    return out, central
+def _hat_apply(ad_mid, br, deg, x, y, z):
+    """The vector part of [x, [y, z]] for broadcasting index arrays x, y, z:
+    [y, z] sits at the mid degree deg[y] + deg[z], where the ad block of x
+    maps it."""
+    import numpy as np
+
+    return np.einsum("trq,tq->tr", ad_mid[x, deg[y] + deg[z]], br[y, z])
+
+
+def _jacobi_rank1_tables(m_bound: int, n_bound: int):
+    """Antisymmetry and Jacobi of the centrally extended rank-1 algebra.
+
+    The elements are the keys ((m,), (n,)), |m| <= m_bound, n <= n_bound,
+    and the center "C".  Antisymmetry is checked on all ordered pairs,
+    row-major; the Jacobiator is then alternating, so Jacobi is checked on
+    the triples of ``itertools.combinations``.  Its vector part is an int64
+    contraction, guarded by an absolute-value shadow of the actual tables;
+    its central part is -(S[x,y,z] + S[y,z,x] + S[z,x,y]) / den, with
+    S = den * phi([a, b], c) from ``_cocycle_tensor``, since
+    phi(x, [y, z]) = -phi([y, z], x).
+    """
+    import numpy as np
+    from .slots import check_exact, product_table
+
+    src_deg = _degrees(m_bound, 1)
+    keys = [(d, n) for d in src_deg for n in _ngrid(n_bound, 1)]
+    elems = keys + ["C"]
+    n_el = len(elems)
+
+    table = product_table(2 * n_bound, 2 * m_bound, 2 * n_bound)
+    check_exact(2 * int(np.abs(table).max()), np.int64, "rank-1 ad blocks")
+    br, phi = _hat_bracket_table(table, keys, src_deg, n_bound)
+    bad = (br != -br.transpose(1, 0, 2)).any(axis=2) | (phi != -phi.T)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n_el)
+        return False, i * n_el + j + 1, f"antisymmetry fails at {elems[i]}, {elems[j]}"
+    checks = n_el * n_el
+
+    ad_mid = _ad_blocks(table, keys, _degrees(2 * m_bound, 1),
+                        2 * n_bound + 1, 3 * n_bound + 1)
+    shadow = np.abs(ad_mid).astype(np.float64) @ np.abs(br).max(axis=(0, 1)).astype(np.float64)
+    check_exact(3 * shadow.max(), np.int64, "rank-1 Jacobiator")
+    # the center gets a zero ad block and cocycle slice, at degree index 0
+    ad_mid = np.pad(ad_mid, ((0, 1), (0, 0), (0, 0), (0, 0)))
+    _, s, _ = _cocycle_tensor(m_bound, n_bound)
+    central = np.pad(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1), (0, 1))
+    deg = np.append(np.arange(len(keys)) // (n_bound + 1), 0)
+    # one first index i at a time, over its pairs i < j < k in row-major order
+    pj, pk = np.triu_indices(n_el, 1)
+    for i in range(n_el - 2):
+        y, z = pj[pj > i], pk[pj > i]
+        vec = sum(_hat_apply(ad_mid, br, deg, *c) for c in ((i, y, z), (y, z, i), (z, i, y)))
+        bad = vec.any(axis=1) | (central[i, y, z] != 0)
+        if bad.any():
+            t = int(np.argmax(bad))
+            return False, checks + t + 1, \
+                f"Jacobi fails at triple {elems[i]}, {elems[y[t]]}, {elems[z[t]]}"
+        checks += len(y)
+    return True, checks, ""
 
 
 def suite_jacobi(bounds=None) -> SuiteResult:
     bounds = bounds or {}
-    m1 = bounds.get("m", 3)
-    n1 = bounds.get("n", 3)
-    m2 = bounds.get("m2", 2)
-    n2 = bounds.get("n2", 2)
     t0 = time.perf_counter()
-    checks = 0
-
-    # rank 1 with the center adjoined
-    elems = [((m,), (n,)) for m in range(-m1, m1 + 1) for n in range(n1 + 1)]
-    elems.append("C")
-    table = _hat_bracket_table(elems)
-    n_el = len(elems)
-    for i in range(n_el):
-        for j in range(n_el):
-            terms_ij, c_ij = table[(i, j)]
-            terms_ji, c_ji = table[(j, i)]
-            checks += 1
-            merged = dict(terms_ij)
-            for k, v in terms_ji.items():
-                accumulate(merged, k, v)
-            if merged or c_ij + c_ji != 0:
-                return _result("jacobi-antisymmetry", False, checks, t0,
-                               f"antisymmetry fails at {elems[i]}, {elems[j]}")
-    # Jacobi on unordered distinct triples: with antisymmetry verified on all
-    # ordered pairs and bilinearity by construction, the Jacobiator is an
-    # alternating trilinear form, so this covers every ordered triple.
-    for i, j, k in combinations(range(n_el), 3):
-        acc: dict = {}
-        central = Fraction(0)
-        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = table[(y, z)]
-            outer_terms, outer_c = _hat_apply(table, elems, x, inner)
-            for key, v in outer_terms.items():
-                accumulate(acc, key, v)
-            central += outer_c
-        checks += 1
-        if acc or central != 0:
-            return _result("jacobi-antisymmetry", False, checks, t0,
-                           f"Jacobi fails at triple {elems[i]}, {elems[j]}, {elems[k]}")
-
-    # rank 2: the identity ad([b,c]) = ad(b) ad(c) - ad(c) ad(b) as sparse
-    # integer matrices over the windowed source space checks Jacobi for every
-    # source basis element a at once.
-    ok2, checks2, detail = _jacobi_rank2_matrices(m2, n2)
-    checks += checks2
-    if not ok2:
-        return _result("jacobi-antisymmetry", False, checks, t0, detail)
-    return _result("jacobi-antisymmetry", True, checks, t0)
+    # rank 1 with the center adjoined, then rank 2
+    ok, checks, detail = _jacobi_rank1_tables(bounds.get("m", 3), bounds.get("n", 3))
+    if ok:
+        ok, checks2, detail = _jacobi_rank2_matrices(bounds.get("m2", 2), bounds.get("n2", 2))
+        checks += checks2
+    return _result("jacobi-antisymmetry", ok, checks, t0, detail)
 
 
 def _ad_blocks(table, ops, degs, nq: int, nr: int):
-    """Dense ad blocks of rank-2 basis operators, one per source degree.
+    """Dense ad blocks of rank-nu basis operators (nu read off ``ops``).
 
-    ``out[o, d]`` maps the source n-grid range(nq)^2 at t-degree ``degs[d]``
-    to the target n-grid range(nr)^2: entry (r, q) is the coefficient of
+    ``out[o, d]`` maps the source n-grid range(nq)^nu at t-degree ``degs[d]``
+    to the target n-grid range(nr)^nu: entry (r, q) is the coefficient of
     t^(m_o + degs[d]) D^r in [ops[o], t^degs[d] D^q].  Both products in the
-    bracket factor over the two slots, so each block is a difference of two
+    bracket factor over the slots, so each block is a difference of two
     Kronecker products of entries of the rank-1 ``table``, a
-    ``product_table`` that the caller has bounded and converted to float64.
+    ``product_table`` that the caller has bounded (and cast to its dtype).
     """
     import numpy as np
     from .slots import kron_slots
@@ -194,7 +210,7 @@ def _ad_blocks(table, ops, degs, nq: int, nr: int):
     on = np.array([n for _, n in ops], dtype=np.intp)
     dm = np.array(degs, dtype=np.intp)
     left, right = [], []
-    for s in range(2):
+    for s in range(len(ops[0][0])):
         # op * source: T[n_op, m_src, q, r]; source * op: T[q, m_op, n_op, r]
         left.append(table[on[:, s, None], dm[None, :, s] + mmax, :nq, :nr].swapaxes(-1, -2))
         right.append(table[:nq, om[:, s] + mmax, on[:, s], :nr].transpose(1, 2, 0)[:, None])
@@ -219,20 +235,14 @@ def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
     import numpy as np
     from .slots import check_exact, product_table
 
-    def degrees(bound):
-        return list(iproduct(range(-bound, bound + 1), repeat=2))
-
-    def ngrid(bound):
-        return list(iproduct(range(bound + 1), repeat=2))
-
-    src_deg = degrees(m_bound)
-    mid_deg = degrees(2 * m_bound)
+    src_deg = _degrees(m_bound, 2)
+    mid_deg = _degrees(2 * m_bound, 2)
     mid_deg_pos = {d: i for i, d in enumerate(mid_deg)}
-    src_n = ngrid(n_bound)
+    src_n = _ngrid(n_bound, 2)
     ns, nm, no = len(src_n), (2 * n_bound + 1) ** 2, (3 * n_bound + 1) ** 2
     src = [(d, n) for d in src_deg for n in src_n]
     n_src_total = len(src)
-    mid_basis = [(d, n) for d in mid_deg for n in ngrid(2 * n_bound)]
+    mid_basis = [(d, n) for d in mid_deg for n in _ngrid(2 * n_bound, 2)]
 
     table = product_table(2 * n_bound, 2 * m_bound, 2 * n_bound)
     ad_bound = 2 * int(np.abs(table).max()) ** 2
@@ -366,33 +376,21 @@ def suite_module_axiom(bounds=None) -> SuiteResult:
 
     decl = ParamDecl(invertible=("lambda",), plain=("alpha", "beta"))
     lam = decl.param("lambda")
-    for eps in (1, 0):
-        rep = U.verify_module_axiom(U.omega_d(lam, eps), mb, nb, deg)
+    decl2 = ParamDecl(invertible=("l1", "l2"))
+    lams = (decl2.param("l1"), decl2.param("l2"))
+    # each family with its failure detail; "{}" takes the counterexample
+    families = [(U.omega_d(lam, eps), f"d-family eps={eps}: {{}}") for eps in (1, 0)] + [
+        (U.omega_hv(lam, decl.param("alpha"), decl.param("beta")), "hv family"),
+        (U.omega_vir(lam, decl.param("alpha")), "vir family"),
+        (U.omega_dnu(lams, 1), "rank-2 eps=1"),
+        (U.omega_dnu(lams, 0), "rank-2 eps=0"),
+    ]
+    for spec, detail in families:
+        rep = U.verify_module_axiom(spec, mb, nb, deg)
         checks += rep.checked
         if not rep.ok:
             return _result("module-axiom", False, checks, t0,
-                           f"d-family eps={eps}: {rep.counterexample[:3]}")
-    rep = U.verify_module_axiom(
-        U.omega_hv(lam, decl.param("alpha"), decl.param("beta")), mb, nb, deg)
-    checks += rep.checked
-    if not rep.ok:
-        return _result("module-axiom", False, checks, t0, "hv family")
-    rep = U.verify_module_axiom(U.omega_vir(lam, decl.param("alpha")), mb, nb, deg)
-    checks += rep.checked
-    if not rep.ok:
-        return _result("module-axiom", False, checks, t0, "vir family")
-
-    decl2 = ParamDecl(invertible=("l1", "l2"))
-    spec2 = U.omega_dnu((decl2.param("l1"), decl2.param("l2")), 1)
-    rep = U.verify_module_axiom(spec2, mb, nb, deg)
-    checks += rep.checked
-    if not rep.ok:
-        return _result("module-axiom", False, checks, t0, "rank-2 eps=1")
-    spec2b = U.omega_dnu((decl2.param("l1"), decl2.param("l2")), 0)
-    rep = U.verify_module_axiom(spec2b, mb, nb, deg)
-    checks += rep.checked
-    if not rep.ok:
-        return _result("module-axiom", False, checks, t0, "rank-2 eps=0")
+                           detail.format(rep.counterexample[:3]))
     return _result("module-axiom", True, checks, t0)
 
 

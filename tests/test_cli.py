@@ -149,3 +149,24 @@ def test_runtime_errors_are_not_internal_errors(monkeypatch):
     monkeypatch.setattr(cli, "bracket", too_large)
     with pytest.raises(RuntimeError):
         cli.main(["bracket", "D", "t"])
+
+
+@pytest.mark.parametrize("suite,module,name,off_grading", [
+    ("cocycle", "liealg", "basis_product",
+     lambda m1, n1, m2, n2: {((m1[0] + m2[0] + 1,), n2): 1}),
+    ("assoc-split", "umod", "_basis_act_ints",
+     lambda eps, m, n, j: {(n[0] + j[0] + 1,): 1}),
+], ids=["cocycle", "assoc-split"])
+def test_grading_defects_are_internal_errors(monkeypatch, capsys, suite, module,
+                                             name, off_grading):
+    # a structure constant outside the grading is a defect in weylmod, not
+    # a usage error
+    import importlib
+    from weylmod import cli
+
+    monkeypatch.setattr(importlib.import_module(f"weylmod.{module}"), name, off_grading)
+    code = cli.main(["verify", "--suite", suite])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err.startswith("weylmod: internal error: InternalError:")
+    assert err.count("\n") == 1

@@ -1,0 +1,91 @@
+"""The rank-1 centrally extended Jacobi check on int64 tables, against a
+term-by-term oracle built from ``liealg.bracket``, on correct and mutated
+structure constants."""
+
+import sys
+from fractions import Fraction
+from itertools import combinations, product as iproduct
+
+import pytest
+
+from weylmod import liealg, verify as V
+from weylmod.liealg import D_HAT, bracket
+
+from test_umod import _product_without_second_order_terms
+
+
+def _oracle(mb, nb):
+    """(ok, checks, detail) of the rank-1 half of ``suite_jacobi``, bracket by
+    bracket: antisymmetry on ordered pairs, then the cyclic sum on triples."""
+    elems = [((m,), (n,)) for m in range(-mb, mb + 1) for n in range(nb + 1)] + ["C"]
+    ops = [D_HAT.center() if e == "C" else D_HAT.basis(*e) for e in elems]
+    checks = 0
+    for i, j in iproduct(range(len(ops)), repeat=2):
+        checks += 1
+        if not (bracket(ops[i], ops[j]) + bracket(ops[j], ops[i])).is_zero():
+            return False, checks, f"antisymmetry fails at {elems[i]}, {elems[j]}"
+    for i, j, k in combinations(range(len(ops)), 3):
+        x, y, z = ops[i], ops[j], ops[k]
+        checks += 1
+        if not (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
+                + bracket(z, bracket(x, y))).is_zero():
+            return False, checks, f"Jacobi fails at triple {elems[i]}, {elems[j]}, {elems[k]}"
+    return True, checks, ""
+
+
+def _shifted_cocycle(antisymmetric):
+    """cocycle_basis with phi(t, t^-1) raised by 1; with ``antisymmetric``,
+    phi(t^-1, t) is lowered by 1 as well, so only the cocycle identity breaks."""
+    real = liealg.cocycle_basis
+
+    def phi(m1, n1, m2, n2):
+        # never through the recursion of the real function, which would
+        # reach this mutant again
+        value = real(m1, n1, m2, n2) if m1 >= 0 else -real(m2, n2, m1, n1)
+        if (m1, n1, m2, n2) == (1, 0, -1, 0):
+            value += 1
+        if antisymmetric and (m1, n1, m2, n2) == (-1, 0, 1, 0):
+            value -= 1
+        return Fraction(value)
+    return phi
+
+
+@pytest.mark.parametrize("bounds", [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (1, 2)])
+def test_rank1_tables_match_the_bracket_oracle(bounds):
+    want = _oracle(*bounds)
+    assert want[0]
+    assert V._jacobi_rank1_tables(*bounds) == want
+
+
+@pytest.mark.parametrize("mutant", ["product", "asymmetric cocycle", "antisymmetric cocycle"])
+def test_rank1_mutants_fail_where_the_oracle_fails(mutant, monkeypatch):
+    if mutant == "product":
+        monkeypatch.setattr(liealg, "basis_product", _product_without_second_order_terms)
+    else:
+        phi = _shifted_cocycle(mutant == "antisymmetric cocycle")
+        monkeypatch.setattr(liealg, "cocycle_basis", phi)
+        monkeypatch.setattr(V, "cocycle_basis", phi)
+    want = _oracle(2, 2)
+    assert not want[0]
+    res = V.suite_jacobi({"m": 2, "n": 2, "m2": 0, "n2": 0})
+    assert (res.ok, res.checks, res.detail) == want
+    if mutant == "antisymmetric cocycle":
+        assert want[2].startswith("Jacobi fails")
+
+
+def test_suite_jacobi_makes_no_basis_bracket_calls(monkeypatch):
+    real = liealg.basis_bracket
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weylmod") and getattr(module, "basis_bracket", None) is real:
+            monkeypatch.setattr(module, "basis_bracket", counted)
+    assert V.suite_jacobi({"m": 2, "n": 2, "m2": 1, "n2": 1}).ok
+    assert calls == []
+    # the counter itself is live
+    bracket(D_HAT.basis(1, 1), D_HAT.basis(-1, 2))
+    assert calls

@@ -52,22 +52,25 @@ def test_kron_helpers_match_numpy_kron():
 
 
 def test_rank2_ad_blocks_match_basis_bracket():
-    table = product_table(2, 2, 2).astype(np.float64)
-    ops = [(d, n) for d in iproduct((-2, 0, 1), repeat=2)
-           for n in iproduct(range(3), repeat=2)]
-    degs = list(iproduct(range(-1, 2), repeat=2))
+    # one builder for both ranks, on the dtype each Jacobi path uses
     nq, nr = 2, 5
-    blocks = V._ad_blocks(table, ops, degs, nq, nr)
-    qgrid = list(iproduct(range(nq), repeat=2))
-    rpos = {r: i for i, r in enumerate(iproduct(range(nr), repeat=2))}
-    for o, (om, on) in enumerate(ops):
-        for d, mu in enumerate(degs):
-            want = np.zeros((nr * nr, nq * nq))
-            for ci, q in enumerate(qgrid):
-                for (km, kn), v in basis_bracket(om, on, mu, q).items():
-                    assert km == (om[0] + mu[0], om[1] + mu[1])
-                    want[rpos[kn], ci] += v
-            assert np.array_equal(blocks[o, d], want)
+    for rank, dtype in ((1, np.int64), (2, np.float64)):
+        table = product_table(2, 2, 2).astype(dtype)
+        ops = [(d, n) for d in iproduct((-2, 0, 1), repeat=rank)
+               for n in iproduct(range(3), repeat=rank)]
+        degs = list(iproduct(range(-1, 2), repeat=rank))
+        blocks = V._ad_blocks(table, ops, degs, nq, nr)
+        assert blocks.dtype == dtype
+        qgrid = list(iproduct(range(nq), repeat=rank))
+        rpos = {r: i for i, r in enumerate(iproduct(range(nr), repeat=rank))}
+        for o, (om, on) in enumerate(ops):
+            for d, mu in enumerate(degs):
+                want = np.zeros((nr ** rank, nq ** rank))
+                for ci, q in enumerate(qgrid):
+                    for (km, kn), v in basis_bracket(om, on, mu, q).items():
+                        assert km == tuple(a + b for a, b in zip(om, mu))
+                        want[rpos[kn], ci] += v
+                assert np.array_equal(blocks[o, d], want)
 
 
 def test_cocycle_tensor_matches_phi_of_bracket():
@@ -90,6 +93,7 @@ def _huge_product_table(p_max, m_max, q_max):
 
 
 def test_fast_paths_refuse_tables_beyond_the_exact_range(monkeypatch):
+    real = slots.product_table
     monkeypatch.setattr(slots, "product_table", _huge_product_table)
     decl = ParamDecl(invertible=("l1", "l2"))
     spec = U.omega_dnu((decl.param("l1"), decl.param("l2")), 1)
@@ -101,6 +105,13 @@ def test_fast_paths_refuse_tables_beyond_the_exact_range(monkeypatch):
                         lambda *a: _huge_product_table(*a) << 22)
     with pytest.raises(OverflowError):
         V.suite_cocycle({"m": 1, "n": 1})
+    with pytest.raises(OverflowError, match="rank-1 ad blocks"):
+        V.suite_jacobi({"m": 1, "n": 1, "m2": 0, "n2": 0})
+    # the rank-1 Jacobiator guard reads the actual ad and bracket tables,
+    # which a constant product table would make zero
+    monkeypatch.setattr(slots, "product_table", lambda *a: real(*a) << 40)
+    with pytest.raises(OverflowError, match="rank-1 Jacobiator"):
+        V.suite_jacobi({"m": 1, "n": 1, "m2": 0, "n2": 0})
 
 
 def test_axiom_path_refuses_actions_beyond_the_exact_range(monkeypatch):

@@ -437,3 +437,23 @@ def test_polyvec_printing():
     decl = ParamDecl(plain=("h0",))
     w = s.monomial(1, decl.param("h0") + 1)
     assert str(w) == "(h0 + 1)*x"
+
+
+@pytest.mark.parametrize("failing,detail", [
+    (0, "d-family eps=1: ('a', 'b', 'f')"), (1, "d-family eps=0: ('a', 'b', 'f')"),
+    (2, "hv family"), (3, "vir family"), (4, "rank-2 eps=1"), (5, "rank-2 eps=0"),
+], ids=["d-eps1", "d-eps0", "hv", "vir", "dnu-eps1", "dnu-eps0"])
+def test_module_axiom_suite_reports_the_first_failing_family(monkeypatch, failing, detail):
+    from weylmod import verify as V
+    seen = []
+
+    def fake(spec, *bounds):
+        seen.append((spec.family, spec.eps))
+        ok = len(seen) - 1 != failing
+        return U.AxiomReport(ok, 10, None if ok else ("a", "b", "f", "lhs", "rhs"))
+
+    monkeypatch.setattr(U, "verify_module_axiom", fake)
+    res = V.suite_module_axiom()
+    assert (res.ok, res.checks, res.detail) == (False, 10 * (failing + 1), detail)
+    families = [("d", 1), ("d", 0), ("hv", None), ("vir", None), ("dnu", 1), ("dnu", 0)]
+    assert seen == families[:failing + 1]
