@@ -259,13 +259,32 @@ class Scalar:
         return _scalar(self.decl, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        # one merge, like __add__, without the negated temporary
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        decl = self.decl
+        if other.decl is not decl:
+            decl = _merge_decl(decl, other.decl)
+        if not other.terms:
+            return self if decl is self.decl else _scalar(decl, self.terms)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            nc = terms.get(m, 0) - c
+            if not nc:
+                del terms[m]
+            elif type(nc) is not int and nc.denominator == 1:
+                terms[m] = nc.numerator
+            else:
+                terms[m] = nc
+        return _scalar(decl, terms)
+
+    def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return o - self
 
     def __mul__(self, other):
         kind = type(other)

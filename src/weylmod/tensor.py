@@ -4,8 +4,9 @@ Elements are finite sums x^j (x) v with v ranging over PBW monomials of the
 hosting truncation.  The algebra acts by the Leibniz rule, the center acting
 by 0 on the polynomial side plus the central charge on the highest-weight
 side.  The probes here exercise the constructive reduction (sampling the
-one-parameter operator family and solving an exact Vandermonde system),
-bounded cyclicity, and bounded intertwiner spaces.
+one-parameter operator family and interpolating the samples with the exact
+inverse of their Vandermonde matrix), bounded cyclicity, and bounded
+intertwiner spaces.
 """
 
 from __future__ import annotations
@@ -247,46 +248,55 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
                       host: TruncVerma):
     """Compressed generator actions on the bounded space, one {col key:
     {row key: Scalar}} sparse matrix per generator; components outside the
-    window are dropped.  host is ``_host(spec.hw, m_bound)``: it reaches
-    m_bound levels past the window and no generator has degree below
-    -m_bound, so no action leaves it.  Callers that share a window share
-    one host, and with it one straightening memo."""
-    window = set(keys)
-    hspec = TensorSpec(spec.omega, host)
-    if spec.omega.family == "d":
-        ops = [
-            D_HAT.basis(m, n)
-            for m in range(-m_bound, m_bound + 1)
-            for n in range(n_bound + 1)
-        ]
-        ops.append(D_HAT.center())
-        applications = [
-            lambda key, op=op: act_tensor(op, hspec.elem({key: RATIONALS.one})).terms
-            for op in ops
-        ]
+    window are dropped.
+
+    A generator acts on x^j (x) v as the Kronecker sum P (x) 1 + 1 (x) V,
+    plus its central part times the central charge.  The polynomial-side
+    map P (j -> {j': Scalar}) and the Verma-side map V (PBW monomial ->
+    {monomial: Scalar}) are computed once per generator, and every column
+    is assembled from them.  host is ``_host(spec.hw, m_bound)``: it
+    reaches m_bound levels past the window and no generator has degree
+    below -m_bound, so no action leaves it.  Callers that share a window
+    share one host, and with it one straightening memo."""
+    omega = spec.omega
+    degrees = sorted({j for j, _ in keys})
+    # (P, (m, n) of the Verma-side operator t^m D^n or None, central part)
+    if omega.family == "d":
+        beta = omega.beta_sign
+        gens = []
+        for m in range(-m_bound, m_bound + 1):
+            for n in range(n_bound + 1):
+                pre = omega.lam_power((m,)) * beta ** ((1 - n) % 2)
+                poly = {j: {e: pre * k for (e,), k in
+                            _basis_act_ints(omega.eps, (m,), (n,), (j,)).items()}
+                        for j in degrees}
+                gens.append((poly, (m, n), None))
+        # the center: 0 on the polynomial side, the charge on the Verma side
+        gens.append(({}, None, host.spec.c))
     else:
         # degenerate control: L_m / I_m act through the hv action on the
         # polynomial side and the embedding t^m D / t^m on the Verma side
-        def apply_hv(key, kind, m, n):
-            j, mono = key
-            out: dict = {}
-            pf = act_hv(spec.omega, (kind, m), spec.omega.monomial((j,)))
-            for (e,), c in pf.terms.items():
-                accumulate(out, (e, mono), c)
-            for mo, k in host._apply_basis(m, n, mono).items():
-                accumulate(out, (j, mo), k)
-            return out
-
-        applications = [
-            lambda key, kind=kind, m=m, n=n: apply_hv(key, kind, m, n)
-            for m in range(-m_bound, m_bound + 1)
-            for kind, n in (("L", 1), ("I", 0))
-        ]
+        gens = [({j: {e: c for (e,), c in
+                      act_hv(omega, (kind, m), omega.monomial((j,))).terms.items()}
+                  for j in degrees}, (m, n), None)
+                for m in range(-m_bound, m_bound + 1)
+                for kind, n in (("L", 1), ("I", 0))]
+    window = set(keys)
+    monos = list(dict.fromkeys(mono for _, mono in keys))
     moves = []
-    for app in applications:
+    for poly, mn, central in gens:
+        verma = {mono: host._apply_basis(*mn, mono) for mono in monos} if mn else {}
         cols = {}
         for key in keys:
-            col = {k: c for k, c in app(key).items() if k in window}
+            j, mono = key
+            col: dict = {}
+            for e, c in poly.get(j, {}).items():
+                accumulate(col, (e, mono), c)
+            for mo, c in verma.get(mono, {}).items():
+                accumulate(col, (j, mo), c)
+            if central:
+                accumulate(col, key, central)
+            col = {k: c for k, c in col.items() if k in window}
             if col:
                 cols[key] = col
         moves.append(cols)
@@ -305,12 +315,14 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
     exact closure dimension are reported.  Either way this is a statement
     about the bounded model, not a proof about the full module.
 
-    A seed whose closure already spans the full space modulo a large prime
-    (with symbolic parameters specialized to fixed residues) is certified:
-    specialization and reduction can only shrink the span, so fullness lifts
-    to the symbolic closure, which then also contains 1 (x) 1.  Seeds that
-    fall short are re-examined with exact symbolic arithmetic (always, so a
-    negative verdict never rests on the specialization).
+    A seed whose closure spans the full space modulo a prime (with symbolic
+    parameters specialized to fixed residues) is certified: specialization
+    and reduction can only shrink the span, so fullness lifts to the
+    symbolic closure, which then also contains 1 (x) 1.  Mod p, a seed whose
+    closure contains 1 (x) 1 spans the full space once the closure of
+    1 (x) 1 does (``_modular_full_seeds``).  Seeds that fall short are
+    re-examined with exact symbolic arithmetic (always, so a negative
+    verdict never rests on the specialization).
     """
     keys = spec.basis_keys(x_degree)
     moves = _compressed_moves(spec, keys, m_bound, n_bound, _host(spec.hw, m_bound))
@@ -357,41 +369,86 @@ def _modular_full_seeds(keys, moves) -> set:
     residue.  Evaluation and reduction are ring homomorphisms on the Laurent
     coefficients, so the specialized closure is a quotient-image of the
     symbolic one and its rank is a lower bound; reaching full rank certifies
-    the seed.  A prime dividing a denominator is skipped; with no usable
-    prime nothing is certified.  Misses are handed back for exact treatment.
+    a seed.  A seed's closure is invariant under the generators, so once it
+    contains e(1 (x) 1) it contains the closure of 1 (x) 1.  That closure is
+    spun to full rank once, and every other seed only until its span
+    contains e(1 (x) 1); when the closure of 1 (x) 1 falls short mod p,
+    nothing is certified.  A prime dividing a denominator is skipped; with
+    no usable prime nothing is certified.  Misses are handed back for exact
+    treatment.
     """
     import numpy as np
 
     assign = _residues(moves)
     key_pos = {k: i for i, k in enumerate(keys)}
-    full = len(keys)
     for p in _PRIMES:
         try:
-            mats = [_dense_mod_p(cols, key_pos, p, assign) for cols in moves]
+            # one (G n) x n matrix, so that a spin step is one product
+            gens = np.vstack([_dense_mod_p(cols, key_pos, p, assign) for cols in moves])
             break
         except ZeroDivisionError:
             continue
     else:
         return set()
 
-    certified = set()
-    for seed in keys:
-        basis = np.zeros((full, 1), dtype=np.int64)
-        basis[key_pos[seed], 0] = 1
-        rank = 1
-        frontier = basis
-        while frontier.shape[1] and rank < full:
-            images = np.hstack([_matmul_mod_p(m, frontier, p) for m in mats])
-            stacked = np.hstack([basis, images])
-            independent, rk = _colspace_mod_p(stacked, p)
-            if rk == rank:
-                break
-            frontier = independent[:, rank:rk]
-            basis = independent[:, :rk]
-            rank = rk
-        if rank == full:
-            certified.add(seed)
+    one = key_pos[(0, ())]
+    if len(_spin_mod_p(gens, one, p)[1]) < len(keys):
+        return set()
+    certified = {keys[one]}
+    # closures that miss e(1 (x) 1); a seed inside one has a closure inside it
+    short = []
+    for seed, key in enumerate(keys):
+        if seed == one or any(_contains_unit(*span, seed) for span in short):
+            continue
+        span = _spin_mod_p(gens, seed, p, one)
+        if _contains_unit(*span, one):
+            certified.add(key)
+        else:
+            short.append(span)
     return certified
+
+
+def _spin_mod_p(gens, seed, p, target=None):
+    """The span of the closure of e(seed) under the stacked generators
+    ``gens`` over GF(p), or of a part of it that already contains
+    e(target).
+
+    Each spin step maps the newest vectors by every generator in one
+    product, reduces the images against the span, and extends the span by
+    the independent residues.  The span is kept in reduced row echelon form
+    (rows, pivots): rows[i] has a 1 in column pivots[i] and 0 in every other
+    pivot column, so reducing is one product as well.
+    """
+    import numpy as np
+
+    n = gens.shape[1]
+    rows = np.zeros((1, n))
+    rows[0, seed] = 1
+    pivots = [seed]
+    frontier = rows
+    while len(pivots) < n and not (target is not None
+                                   and _contains_unit(rows, pivots, target)):
+        images = _matmul_mod_p(gens, frontier.T, p)
+        images = images.reshape(-1, n, len(frontier)).transpose(0, 2, 1).reshape(-1, n)
+        images = _mod_p(images - _matmul_mod_p(images[:, pivots], rows, p), p)
+        images = images[images.any(axis=1)]
+        new, k = _colspace_mod_p(images.T, p)
+        if not k:
+            break
+        new, new_pivots = _echelon_mod_p(new.T, p)
+        frontier = new[:k].astype(np.float64)
+        rows = _mod_p(rows - _matmul_mod_p(rows[:, new_pivots], frontier, p), p)
+        rows = np.vstack([rows, frontier])
+        pivots += new_pivots
+    return rows, pivots
+
+
+def _contains_unit(rows, pivots, i) -> bool:
+    """Whether the span (rows, pivots) of ``_spin_mod_p`` contains e(i):
+    reducing e(i) leaves e(i) minus the row with pivot i, if there is one."""
+    import numpy as np
+
+    return i in pivots and np.count_nonzero(rows[pivots.index(i)]) == 1
 
 
 def _residues(moves) -> dict:
@@ -430,10 +487,10 @@ def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
 
 def _dense_mod_p(cols, pos, p, assign):
     """The {col key: {row key: Scalar}} matrix cols on the keys indexed by
-    pos, as a dense int64 array over GF(p)."""
+    pos, as a dense float64 array over GF(p)."""
     import numpy as np
 
-    m = np.zeros((len(pos), len(pos)), dtype=np.int64)
+    m = np.zeros((len(pos), len(pos)))
     for key, col in cols.items():
         ci = pos[key]
         for k2, c in col.items():
@@ -441,40 +498,69 @@ def _dense_mod_p(cols, pos, p, assign):
     return m
 
 
-# Primes below 2^26, so that a product of two residues is below 2^52 and
-# an int64 sum of K = (2^63 - 1) // (p - 1)^2 = 2048 such products cannot wrap.
-_PRIMES = (67108859, 67108837, 67108819)
+# Primes below 2^20, so that a float64 sum of K = 8192 products of two
+# residues is exact (see ``_matmul_mod_p``).
+_PRIMES = (1048573, 1048571, 1048559)
 
 
 def _matmul_mod_p(a, b, p):
-    """a @ b over GF(p) for int64 arrays with entries in [0, p).
+    """a @ b over GF(p) for arrays of integers in [0, p), as float64.
 
-    The inner dimension is summed in chunks of K = (2^63 - 1) // (p - 1)^2
-    terms, each chunk reduced mod p before the next is added, so no partial
-    sum leaves the int64 range (delayed reduction, as in FFLAS-FFPACK).
-    ``a`` may carry leading batch dimensions.
+    BLAS float64 products are exact while every partial sum stays below
+    2^53.  The inner dimension is summed in chunks of
+    K = (2^53 - p) // (p - 1)^2 terms (8192 for the primes of ``_PRIMES``),
+    each chunk reduced mod p before the next is added (delayed reduction,
+    as in FFLAS-FFPACK); the margin p keeps ``_mod_p`` exact on a chunk's
+    sum.  ``a`` may carry leading batch dimensions.
     """
     import numpy as np
 
-    chunk = (2 ** 63 - 1) // (p - 1) ** 2
+    chunk = (2 ** 53 - p) // (p - 1) ** 2
+    if not chunk:
+        raise ValueError(f"products of residues mod {p} are not exact in float64")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     inner = a.shape[-1]
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    if inner <= chunk:
+        return _mod_p(a @ b, p)
+    out = np.zeros(a.shape[:-1] + b.shape[1:])
     for lo in range(0, inner, chunk):
-        out += (a[..., lo:lo + chunk] @ b[lo:lo + chunk]) % p
-        out %= p
+        out += _mod_p(a[..., lo:lo + chunk] @ b[lo:lo + chunk], p)
+        out = _mod_p(out, p)
     return out
+
+
+def _mod_p(x, p):
+    """x mod p, in place, for a float64 array of integers with |x| + p < 2^53.
+
+    x - p floor(x / p) with the quotient rounded: it is off by at most one,
+    and one correction each way fixes that.  Every intermediate is an
+    integer below 2^53, so the result is exact; numpy's float ``%`` is
+    several times slower.
+    """
+    import numpy as np
+
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    x[x < 0] += p
+    x[x >= p] -= p
+    return x
 
 
 def _echelon_mod_p(m, p):
     """Reduced row echelon form of m over GF(p) by Gauss-Jordan elimination.
 
     Returns (r, pivot_cols): row i of r has a 1 in column pivot_cols[i] and
-    zeros in every other pivot column; rows past the rank are zero.  Entries
-    stay below p < 2^26, so every intermediate product fits in int64.
+    zeros in every other pivot column; rows past the rank are zero.  The
+    elimination runs on an int64 copy of m (integer entries, in any range);
+    entries stay below p, so every intermediate product fits in int64.
     """
     import numpy as np
 
-    m = m % p
+    m = m.astype(np.int64)
+    m %= p
     rows, cols = m.shape
     pivot_cols: list = []
     r = 0
@@ -568,30 +654,42 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
 
 def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p) -> int:
     """Kernel dimension of {T A_g = B_g T} over GF(p) by refinement, for
-    rational systems; raises ZeroDivisionError when p divides a denominator."""
+    rational systems; raises ZeroDivisionError when p divides a denominator.
+
+    T is the dim_b x dim_a matrix of unknowns, flattened row-major.  The
+    first generator's constraints form the Kronecker system
+    I (x) A^T - B (x) I, whose nullspace is the first kernel basis; each
+    later generator cuts the basis down by the nullspace of its constraints
+    on it.
+    """
     import numpy as np
 
     pos_a = {k: i for i, k in enumerate(keys_a)}
     pos_b = {k: i for i, k in enumerate(keys_b)}
     dim_a, dim_b = len(keys_a), len(keys_b)
-    basis = np.eye(dim_a * dim_b, dtype=np.int64)
+    basis = None
     for cols_a, cols_b in zip(moves_a, moves_b):
-        if basis.shape[1] == 0:
-            return 0
         Ag = _dense_mod_p(cols_a, pos_a, p, {})
         Bg = _dense_mod_p(cols_b, pos_b, p, {})
-        T3 = basis.reshape(dim_b, dim_a, basis.shape[1])
-        # (T A)[i, b, k] = sum_a T[i, a, k] A[a, b]; (B T) = B @ T
-        TA = _matmul_mod_p(T3.transpose(0, 2, 1), Ag, p).transpose(0, 2, 1)
-        BT = _matmul_mod_p(Bg, T3.reshape(dim_b, -1), p).reshape(T3.shape)
-        M = (TA - BT).reshape(dim_b * dim_a, basis.shape[1]) % p
-        null = _nullspace_mod_p(M, p)
-        basis = _matmul_mod_p(basis, null, p)
-    return basis.shape[1]
+        if basis is None:
+            basis = _nullspace_mod_p(np.kron(np.eye(dim_b), Ag.T)
+                                     - np.kron(Bg, np.eye(dim_a)), p)
+        else:
+            T3 = basis.reshape(dim_b, dim_a, basis.shape[1])
+            # (T A)[i, b, k] = sum_a T[i, a, k] A[a, b]; (B T) = B @ T
+            TA = _matmul_mod_p(T3.transpose(0, 2, 1), Ag, p).transpose(0, 2, 1)
+            BT = _matmul_mod_p(Bg, T3.reshape(dim_b, -1), p).reshape(T3.shape)
+            M = (TA - BT).reshape(dim_b * dim_a, basis.shape[1])
+            basis = _matmul_mod_p(basis, _nullspace_mod_p(M, p), p)
+        if basis.shape[1] == 0:
+            return 0
+    return dim_a * dim_b if basis is None else basis.shape[1]
 
 
 def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
-    """Dense fraction-free elimination over the full constraint system."""
+    """Exact kernel dimension of {T A_g = B_g T}: every constraint row,
+    one per generator and entry of T, goes into one sparse ``SpanBasis``
+    (cross-multiplying elimination over the parameter fraction field)."""
     pos_a = {k: i for i, k in enumerate(keys_a)}
     pos_b = {k: i for i, k in enumerate(keys_b)}
     dim_a = len(keys_a)

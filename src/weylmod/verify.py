@@ -129,7 +129,7 @@ def _hat_apply(ad_mid, br, deg, x, y, z):
     return np.einsum("trq,tq->tr", ad_mid[x, deg[y] + deg[z]], br[y, z])
 
 
-def _jacobi_rank1_tables(m_bound: int, n_bound: int):
+def _jacobi_rank1_tables(m_bound: int, n_bound: int, table=None):
     """Antisymmetry and Jacobi of the centrally extended rank-1 algebra.
 
     The elements are the keys ((m,), (n,)), |m| <= m_bound, n <= n_bound,
@@ -139,17 +139,19 @@ def _jacobi_rank1_tables(m_bound: int, n_bound: int):
     contraction, guarded by an absolute-value shadow of the actual tables;
     its central part is -(S[x,y,z] + S[y,z,x] + S[z,x,y]) / den, with
     S = den * phi([a, b], c) from ``_cocycle_tensor``, since
-    phi(x, [y, z]) = -phi([y, z], x).
+    phi(x, [y, z]) = -phi([y, z], x).  ``table`` is the
+    ``product_table(2 n_bound, 2 m_bound, 2 n_bound)`` when the caller has
+    built it already.
     """
     import numpy as np
-    from .slots import check_exact, product_table
+    from .slots import check_exact
 
     src_deg = _degrees(m_bound, 1)
     keys = [(d, n) for d in src_deg for n in _ngrid(n_bound, 1)]
     elems = keys + ["C"]
     n_el = len(elems)
 
-    table = product_table(2 * n_bound, 2 * m_bound, 2 * n_bound)
+    table = _product_subtable(table, 2 * n_bound, 2 * m_bound, 2 * n_bound)
     check_exact(2 * int(np.abs(table).max()), np.int64, "rank-1 ad blocks")
     br, phi = _hat_bracket_table(table, keys, src_deg, n_bound)
     bad = (br != -br.transpose(1, 0, 2)).any(axis=2) | (phi != -phi.T)
@@ -164,7 +166,7 @@ def _jacobi_rank1_tables(m_bound: int, n_bound: int):
     check_exact(3 * shadow.max(), np.int64, "rank-1 Jacobiator")
     # the center gets a zero ad block and cocycle slice, at degree index 0
     ad_mid = np.pad(ad_mid, ((0, 1), (0, 0), (0, 0), (0, 0)))
-    _, s, _ = _cocycle_tensor(m_bound, n_bound)
+    _, s, _ = _cocycle_tensor(m_bound, n_bound, table)
     central = np.pad(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1), (0, 1))
     deg = np.append(np.arange(len(keys)) // (n_bound + 1), 0)
     # one first index i at a time, over its pairs i < j < k in row-major order
@@ -182,14 +184,34 @@ def _jacobi_rank1_tables(m_bound: int, n_bound: int):
 
 
 def suite_jacobi(bounds=None) -> SuiteResult:
+    from .slots import product_table
+
     bounds = bounds or {}
     t0 = time.perf_counter()
-    # rank 1 with the center adjoined, then rank 2
-    ok, checks, detail = _jacobi_rank1_tables(bounds.get("m", 3), bounds.get("n", 3))
+    # rank 1 with the center adjoined, then rank 2; the cocycle and rank-2
+    # tables are sliced out of the rank-1 product table where they fit
+    mb, nb = bounds.get("m", 3), bounds.get("n", 3)
+    table = product_table(2 * nb, 2 * mb, 2 * nb)
+    ok, checks, detail = _jacobi_rank1_tables(mb, nb, table)
     if ok:
-        ok, checks2, detail = _jacobi_rank2_matrices(bounds.get("m2", 2), bounds.get("n2", 2))
+        ok, checks2, detail = _jacobi_rank2_matrices(bounds.get("m2", 2), bounds.get("n2", 2),
+                                                     table)
         checks += checks2
     return _result("jacobi-antisymmetry", ok, checks, t0, detail)
+
+
+def _product_subtable(table, p_max: int, m_max: int, q_max: int):
+    """``product_table(p_max, m_max, q_max)``, sliced out of the product
+    table ``table`` when it fits inside (entries past r = p + q are zero by
+    the grading), else built."""
+    from .slots import product_table
+
+    if table is not None:
+        mid = (table.shape[1] - 1) // 2
+        if p_max < table.shape[0] and m_max <= mid and q_max < table.shape[2]:
+            return table[:p_max + 1, mid - m_max:mid + m_max + 1, :q_max + 1,
+                         :p_max + q_max + 1]
+    return product_table(p_max, m_max, q_max)
 
 
 def _ad_blocks(table, ops, degs, nq: int, nr: int):
@@ -219,7 +241,7 @@ def _ad_blocks(table, ops, degs, nq: int, nr: int):
     return out
 
 
-def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
+def _jacobi_rank2_matrices(m_bound: int, n_bound: int, table=None):
     """ad([b,c]) = ad(b) ad(c) - ad(c) ad(b) on the windowed rank-2 basis.
 
     Everything is graded by the t-degree vector, so each ad map is one dense
@@ -230,10 +252,12 @@ def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
     the unordered-pair coverage to all ordered triples.  The blocks and the
     brackets [b, c] are assembled from the rank-1 product table; for each b
     the pairs (b, c), c >= b, are checked one degree of c at a time, in
-    float64 under an absolute-value bound below 2^53.
+    float64 under an absolute-value bound below 2^53.  ``table`` is a
+    product table to slice the rank-1 structure constants from, if it holds
+    them.
     """
     import numpy as np
-    from .slots import check_exact, product_table
+    from .slots import check_exact
 
     src_deg = _degrees(m_bound, 2)
     mid_deg = _degrees(2 * m_bound, 2)
@@ -244,7 +268,7 @@ def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
     n_src_total = len(src)
     mid_basis = [(d, n) for d in mid_deg for n in _ngrid(2 * n_bound, 2)]
 
-    table = product_table(2 * n_bound, 2 * m_bound, 2 * n_bound)
+    table = _product_subtable(table, 2 * n_bound, 2 * m_bound, 2 * n_bound)
     ad_bound = 2 * int(np.abs(table).max()) ** 2
     check_exact(ad_bound, np.float64, "rank-2 ad blocks")
     table = table.astype(np.float64)
@@ -293,21 +317,21 @@ def _jacobi_rank2_matrices(m_bound: int, n_bound: int):
 # ---------------------------------------------------------------------------
 
 
-def _cocycle_tensor(mb: int, nb: int):
+def _cocycle_tensor(mb: int, nb: int, table=None):
     """den * phi([a, b], c) over the keys (m, n), |m| <= mb, n <= nb.
 
     Returns (keys, S, den) with S[a, b, c] an int64 array: the rank-1
-    bracket table [a, b] (from the product table) contracted with the
-    cocycle values phi(t^m D^r, c), scaled by the common denominator den of
-    those values (den = 2).
+    bracket table [a, b] (from the product table, sliced out of ``table``
+    when it holds it) contracted with the cocycle values phi(t^m D^r, c),
+    scaled by the common denominator den of those values (den = 2).
     """
     import numpy as np
-    from .slots import check_exact, product_table
+    from .slots import check_exact
 
     keys = [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
     km = np.array([m for m, _ in keys], dtype=np.intp)
     kn = np.array([n for _, n in keys], dtype=np.intp)
-    table = product_table(nb, mb, nb)
+    table = _product_subtable(table, nb, mb, nb)
     # [a, b] = ab - ba, coefficient of t^(m_a + m_b) D^r
     br = table[kn[:, None], km[None, :] + mb, kn[None, :], :] \
         - table[kn[None, :], km[:, None] + mb, kn[:, None], :]

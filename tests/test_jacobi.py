@@ -89,3 +89,34 @@ def test_suite_jacobi_makes_no_basis_bracket_calls(monkeypatch):
     # the counter itself is live
     bracket(D_HAT.basis(1, 1), D_HAT.basis(-1, 2))
     assert calls
+
+
+def test_suite_jacobi_builds_one_product_table(monkeypatch):
+    # the cocycle and rank-2 tables are sliced out of the rank-1 table
+    # (2n, 2m, 2n): 7 * 13 * 7 = 637 basis_product calls instead of
+    # 637 + 112 (cocycle, (n, m, n)) + 225 (rank 2, (2n2, 2m2, 2n2)) = 974
+    real = liealg.basis_product
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(liealg, "basis_product", counted)
+    res = V.suite_jacobi()
+    assert (res.ok, res.checks) == (True, 5775745)
+    assert len(calls) == 637
+    # bounds beyond the rank-1 table still build their own rank-2 table
+    calls.clear()
+    small = V.suite_jacobi({"m": 1, "n": 1, "m2": 1, "n2": 2})
+    assert small.ok and len(calls) == 3 * 5 * 3 + 5 * 5 * 5
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 1, 1), (2, 2, 1, 1), (1, 0, 0, 0), (2, 1, 2, 1)])
+def test_sliced_tables_match_built_tables(bounds):
+    from weylmod.slots import product_table
+    m, n, m2, n2 = bounds
+    big = product_table(2 * n, 2 * m, 2 * n)
+    for shape in ((n, m, n), (2 * n2, 2 * m2, 2 * n2)):
+        assert (V._product_subtable(big, *shape) == product_table(*shape)).all()
+    assert V._cocycle_tensor(m, n, big)[1].tolist() == V._cocycle_tensor(m, n)[1].tolist()

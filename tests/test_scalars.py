@@ -172,6 +172,27 @@ def test_canonical_ring_operations_match_fraction_reference(ta, tb, k):
     _assert_canonical(a ** k, power)
 
 
+@settings(max_examples=150, deadline=None)
+@given(raw_terms(), st.one_of(raw_terms(), small_coeffs), st.booleans())
+def test_subtraction_is_adding_the_negation(ta, tb, rational_decl):
+    # a - b merges in one pass; it must equal a + (-b) in value, stored
+    # form and declaration, for Scalar, int and Fraction operands on either
+    # side, across declarations too
+    a = Scalar(DECL, ta)
+    if isinstance(tb, dict):
+        b = Scalar(RATIONALS if rational_decl and set(tb) <= {()} else DECL, tb)
+        rb = _ref(tb)
+    else:
+        b = tb
+        rb = _ref({(): tb})
+    ra = _ref(ta)
+    for diff, neg_sum, want in ((a - b, a + (-b), _ref_add(ra, {m: -c for m, c in rb.items()})),
+                                (b - a, b + (-a), _ref_add(rb, {m: -c for m, c in ra.items()}))):
+        assert type(diff) is Scalar and diff == neg_sum
+        assert diff.decl == neg_sum.decl
+        _assert_canonical(diff, want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(raw_terms(), small_coeffs)
 def test_canonical_scaling_by_plain_rationals(ta, q):

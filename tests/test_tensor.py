@@ -13,7 +13,7 @@ from weylmod.tensor import (
     act_tensor, difference_collapse, intertwiner_dim, irreducibility_probe,
     vandermonde_reduce, vanishing_bound,
 )
-from weylmod.umod import omega_d, omega_hv, omega_vir
+from weylmod.umod import act_hv, omega_d, omega_hv, omega_vir
 
 DECL = ParamDecl(invertible=("lambda",), plain=("c",))
 LAM = DECL.param("lambda")
@@ -274,24 +274,52 @@ int_matrices = st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(
                        min_size=r, max_size=r)))
 
 
-def test_primes_are_prime_and_below_2_26():
+# primes just below 2^26: _scalar_mod_p is exact for any prime, and there
+# _matmul_mod_p sums only K = 2 products per chunk, its smallest chunk
+_WIDE_PRIMES = (67108859, 67108837, 67108819)
+
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_primes_are_prime_and_below_2_20():
+    for p in T._PRIMES + _WIDE_PRIMES:
+        assert _is_prime(p)
     for p in T._PRIMES:
-        assert p < 2 ** 26
-        assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+        assert p < 2 ** 20
+        # a float64 chunk of 8192 products of residues, plus p, stays exact
+        assert 8192 * (p - 1) ** 2 + p < 2 ** 53
 
 
-@pytest.mark.parametrize("p", T._PRIMES)
+@pytest.mark.parametrize("p", T._PRIMES + _WIDE_PRIMES)
 def test_matmul_mod_p_matches_object_dtype(p):
-    # every product is (p-1)^2 and the inner dimension spans three chunks:
-    # one unreduced int64 sum would wrap
-    a = np.full((2, 4097), p - 1, dtype=np.int64)
-    b = np.full((4097, 3), p - 1, dtype=np.int64)
+    # every product is (p-1)^2 and the inner dimension passes 8192, the
+    # chunk of the primes below 2^20: one unreduced float64 sum would round
+    a = np.full((2, 8195), p - 1, dtype=np.int64)
+    b = np.full((8195, 3), p - 1, dtype=np.int64)
     exact = (a.astype(object) @ b.astype(object)) % p
     assert (T._matmul_mod_p(a, b, p) == exact).all()
+    assert (T._matmul_mod_p(a.astype(np.float64), b, p) == exact).all()
     # batched left operand, as in the intertwiner refinement
     a3 = np.arange(2 * 3 * 5, dtype=np.int64).reshape(2, 3, 5) * (p // 31)
     got = T._matmul_mod_p(a3, b[:5], p)
     assert (got == (a3.astype(object) @ b[:5].astype(object)) % p).all()
+
+
+def test_mod_p_reduces_float64_integers_exactly():
+    # next to the largest chunk sums the rounded quotient x / p is off by
+    # one in both directions (at 1048571), so both corrections must work
+    off = set()
+    for p in T._PRIMES:
+        top = 8192 * (p - 1) ** 2
+        qs = np.arange(top // p - 20000, top // p - 1, dtype=np.int64)
+        xs = np.concatenate([sign * (qs * p + r) for sign in (1, -1) for r in (-1, 0, 1)]
+                            + [np.array([top, 1 - top, 0, 1, p - 1, p, -1, -p, 2 ** 32 * p - 1])])
+        quotient = np.floor(xs.astype(np.float64) * (1.0 / p)).astype(np.int64)
+        off |= set(np.unique(quotient - xs // p).tolist())
+        assert (T._mod_p(xs.astype(np.float64), p) == xs % p).all()
+    assert off == {-1, 0, 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -327,9 +355,16 @@ def test_pinned_probe_products_match_object_dtype(monkeypatch):
     matmul = T._matmul_mod_p
     shadowed = []
 
+    def exact_ints(x, p):
+        # the operands hold integers in [0, p), cast to Python ints: object
+        # arithmetic on the float64 values would itself round
+        x = np.asarray(x)
+        assert ((x >= 0) & (x < p) & (x == np.floor(x))).all()
+        return x.astype(np.int64).astype(object)
+
     def shadow(a, b, p):
         got = matmul(a, b, p)
-        assert (got == (a.astype(object) @ b.astype(object)) % p).all()
+        assert (got == (exact_ints(a, p) @ exact_ints(b, p)) % p).all()
         shadowed.append(a.shape)
         return got
 
@@ -347,7 +382,7 @@ def test_pinned_probe_products_match_object_dtype(monkeypatch):
 # -- residues ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p", T._PRIMES)
+@pytest.mark.parametrize("p", T._PRIMES + _WIDE_PRIMES)
 def test_scalar_mod_p_specialises_laurent_scalars(p):
     c = DECL.param("c")
     s = Fraction(3, 5) * LAM ** -2 * c + 7
@@ -357,7 +392,7 @@ def test_scalar_mod_p_specialises_laurent_scalars(p):
         assert T._scalar_mod_p(s, {"lambda": lam, "c": cv}, p) == want
 
 
-@pytest.mark.parametrize("p", T._PRIMES)
+@pytest.mark.parametrize("p", T._PRIMES + _WIDE_PRIMES)
 def test_scalar_mod_p_reduces_integer_coefficients(p):
     # integer coefficients skip the Fermat inverse; negative ones and ones
     # beyond p must still reduce correctly
@@ -406,3 +441,257 @@ def test_no_usable_prime_certifies_no_seed(monkeypatch):
     assert T._modular_full_seeds(keys, moves) == set()
     rep = irreducibility_probe(spec, 1, 2, 1)
     assert rep == irreducibility_probe(spec, 1, 2, 1, exact=True)
+
+
+# -- Kronecker-sum moves and the 1 (x) 1 certificate ------------------------------
+
+
+def _moves_by_key(spec, keys, m_bound, n_bound):
+    """The compressed moves built key by key from act_tensor (d family) or
+    act_hv plus the Verma action (hv control): the construction the
+    Kronecker-sum builder replaces."""
+    host = _host(spec.hw, m_bound)
+    hspec = TensorSpec(spec.omega, host)
+    window = set(keys)
+    if spec.omega.family == "d":
+        ops = [D_HAT.basis(m, n) for m in range(-m_bound, m_bound + 1)
+               for n in range(n_bound + 1)] + [D_HAT.center()]
+        apps = [lambda key, op=op: act_tensor(op, hspec.elem({key: RATIONALS.one})).terms
+                for op in ops]
+    else:
+        def apply_hv(key, kind, m, n):
+            j, mono = key
+            out = {}
+            pf = act_hv(spec.omega, (kind, m), spec.omega.monomial((j,)))
+            for (e,), c in pf.terms.items():
+                out[(e, mono)] = out.get((e, mono), 0) + c
+            for mo, k in host._apply_basis(m, n, mono).items():
+                out[(j, mo)] = out.get((j, mo), 0) + k
+            return {k: c for k, c in out.items() if c}
+        apps = [lambda key, kind=kind, m=m, n=n: apply_hv(key, kind, m, n)
+                for m in range(-m_bound, m_bound + 1) for kind, n in (("L", 1), ("I", 0))]
+    moves = []
+    for app in apps:
+        cols = {}
+        for key in keys:
+            col = {k: c for k, c in app(key).items() if k in window}
+            if col:
+                cols[key] = col
+        moves.append(cols)
+    return moves
+
+
+@pytest.mark.parametrize("family,eps,symbolic,bounds", [
+    ("d", 1, True, (3, 2, 1, 4, 2)),
+    ("d", 0, True, (3, 2, 1, 4, 2)),
+    ("d", 0, False, (2, 2, 1, 4, 1)),
+    ("d", 1, False, (2, 1, 1, 3, 2)),
+    ("hv", None, True, (3, 2, 1, 4, 2)),
+    ("hv", None, False, (2, 1, 1, 3, 2)),
+])
+def test_kronecker_sum_moves_match_the_per_key_action(family, eps, symbolic, bounds):
+    d, L, N, mb, nb = bounds
+    c = DECL.param("c") if symbolic else RATIONALS.rational(Fraction(1, 2))
+    lam = LAM if symbolic else RATIONALS.rational(Fraction(3, 2))
+    hw = verma_basis(HWSpec(c, PHI_X), L, N)
+    omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
+    spec = TensorSpec(omega, hw)
+    keys = spec.basis_keys(d)
+    assert _moves(spec, keys, mb, nb) == _moves_by_key(spec, keys, mb, nb)
+
+
+def test_contains_unit_reads_the_reduced_row():
+    # span{e0 + e2, e1}: a pivot in column 0 alone does not put e0 in it
+    rows = np.array([[1.0, 0, 5], [0, 1, 0]])
+    assert not T._contains_unit(rows, [0, 1], 0)
+    assert T._contains_unit(rows, [0, 1], 1)
+    assert not T._contains_unit(rows, [0, 1], 2)
+    assert T._contains_unit(np.array([[1.0, 0, 0], [0, 0, 1]]), [0, 2], 0)
+
+
+def _closure_by_re_elimination(mats, seed, p):
+    """The closure of e(seed) by re-eliminating [basis, images] each step."""
+    n = mats[0].shape[0]
+    basis = np.zeros((n, 1))
+    basis[seed, 0] = 1
+    while True:
+        stacked = np.hstack([basis] + [T._matmul_mod_p(m, basis, p) for m in mats])
+        new, rank = T._colspace_mod_p(stacked, p)
+        if rank == basis.shape[1]:
+            return basis
+        basis = new
+
+
+@pytest.mark.parametrize("family", ["d", "hv"])
+def test_spin_mod_p_spans_the_closure(family):
+    # the incremental echelon against the re-elimination it replaced: same
+    # dimension and same span, and the rows stay in reduced echelon form
+    # (closures at these bounds take up to 4 steps; smaller ones close
+    # before a stale row could show)
+    hw = verma_basis(HWSpec(DECL.param("c"), PHI_X), 2, 1)
+    omega = omega_d(LAM, 0) if family == "d" else omega_hv(LAM, DECL.zero, DECL.zero)
+    spec = TensorSpec(omega, hw)
+    keys = spec.basis_keys(3)
+    moves = _moves(spec, keys, 4, 2)
+    p = T._PRIMES[0]
+    pos = {k: i for i, k in enumerate(keys)}
+    mats = [T._dense_mod_p(cols, pos, p, T._residues(moves)) for cols in moves]
+    gens = np.vstack(mats)
+    dims = []
+    for seed in range(len(keys)):
+        rows, pivots = T._spin_mod_p(gens, seed, p)
+        ref = _closure_by_re_elimination(mats, seed, p)
+        assert len(set(pivots)) == len(pivots) == ref.shape[1]
+        assert (rows[:, pivots] == np.eye(len(pivots))).all()
+        assert T._colspace_mod_p(np.hstack([ref, rows.T]), p)[1] == ref.shape[1]
+        dims.append(len(pivots))
+    assert max(dims) == len(keys)
+    if family == "hv":
+        assert min(dims) < len(keys)
+
+
+def _pinned_probe(eps):
+    spec = make_spec(eps, L=2, N=1)
+    keys = spec.basis_keys(3)
+    return spec, keys, _moves(spec, keys, 4, 2)
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_seeds_are_certified_through_one_tensor_one(eps, monkeypatch):
+    # one full spin of e(1 (x) 1); every other seed stops within 3 spin
+    # steps, as soon as its span holds e(1 (x) 1).  Per-seed full spins
+    # would break both counts.
+    spec, keys, moves = _pinned_probe(eps)
+    assert len(keys) == 32
+    spin, colspace = T._spin_mod_p, T._colspace_mod_p
+    steps, spins = [0], []
+
+    def counted_colspace(m, p):
+        steps[0] += 1
+        return colspace(m, p)
+
+    def counted_spin(gens, seed, p, target=None):
+        before = steps[0]
+        rows, pivots = spin(gens, seed, p, target)
+        spins.append((seed, target, steps[0] - before, len(pivots)))
+        return rows, pivots
+
+    monkeypatch.setattr(T, "_colspace_mod_p", counted_colspace)
+    monkeypatch.setattr(T, "_spin_mod_p", counted_spin)
+    assert T._modular_full_seeds(keys, moves) == set(keys)
+    one = keys.index((0, ()))
+    full = [s for s in spins if s[1] is None]
+    assert full == [(one, None, full[0][2], 32)]
+    rest = [s for s in spins if s[1] is not None]
+    assert sorted(s[0] for s in rest) == [i for i in range(32) if i != one]
+    assert all(target == one and n_steps <= 3 for _, target, n_steps, _ in rest)
+    assert steps[0] <= full[0][2] + 3 * 31
+
+
+def test_seed_missing_one_tensor_one_goes_to_the_exact_path(monkeypatch):
+    spec = make_spec(1, L=1, N=1)
+    keys = spec.basis_keys(2)
+    moves = _moves(spec, keys, 3, 2)
+    miss = keys[5]
+    spin = T._spin_mod_p
+
+    def short_spin(gens, seed, p, target=None):
+        # the forced seed's span stops at the seed itself
+        if keys[seed] == miss:
+            return spin(gens, seed, p, target=seed)
+        return spin(gens, seed, p, target)
+
+    monkeypatch.setattr(T, "_spin_mod_p", short_spin)
+    assert T._modular_full_seeds(keys, moves) == set(keys) - {miss}
+    first_vectors = {}
+    add = T.SpanBasis.add
+
+    def watched_add(self, vec):
+        first_vectors.setdefault(self, next(iter(vec)))
+        return add(self, vec)
+
+    monkeypatch.setattr(T.SpanBasis, "add", watched_add)
+    rep = irreducibility_probe(spec, 2, 3, 2)
+    # exactly the missed seed was closed with exact arithmetic
+    assert list(first_vectors.values()) == [miss]
+    monkeypatch.setattr(T.SpanBasis, "add", add)
+    assert rep == irreducibility_probe(spec, 2, 3, 2, exact=True)
+
+
+def test_short_closure_of_one_tensor_one_certifies_nothing(monkeypatch):
+    spec = make_spec(1, L=1, N=1)
+    keys = spec.basis_keys(2)
+    moves = _moves(spec, keys, 3, 2)
+    spin = T._spin_mod_p
+    monkeypatch.setattr(T, "_spin_mod_p",
+                        lambda gens, seed, p, target=None: spin(gens, seed, p, target=seed))
+    assert T._modular_full_seeds(keys, moves) == set()
+    rep = irreducibility_probe(spec, 2, 3, 2)
+    assert rep == irreducibility_probe(spec, 2, 3, 2, exact=True)
+    assert rep.verdict == "cyclic-within-bounds"
+
+
+@pytest.mark.parametrize("bounds", [(2, 1, 1, 3), (3, 2, 1, 4)])
+def test_control_seeds_inside_a_short_closure_are_not_spun(bounds, monkeypatch):
+    # a closure that misses e(1 (x) 1) mod p holds the closure of every
+    # seed inside it, so those seeds are skipped; the certified set is the
+    # one that spinning every seed gives
+    d, L, N, mb = bounds
+    spec = TensorSpec(omega_hv(LAM, DECL.zero, DECL.zero),
+                      verma_basis(HWSpec(DECL.param("c"), PHI_X), L, N))
+    keys = spec.basis_keys(d)
+    moves = _moves(spec, keys, mb, 2)
+    p = T._PRIMES[0]
+    pos = {k: i for i, k in enumerate(keys)}
+    gens = np.vstack([T._dense_mod_p(cols, pos, p, T._residues(moves)) for cols in moves])
+    one = pos[(0, ())]
+    each = {key for seed, key in enumerate(keys)
+            if T._contains_unit(*T._spin_mod_p(gens, seed, p, one), one)}
+    assert 0 < len(each) < len(keys)
+    spin, spun = T._spin_mod_p, []
+
+    def counted_spin(gens, seed, p, target=None):
+        spun.append(seed)
+        return spin(gens, seed, p, target)
+
+    monkeypatch.setattr(T, "_spin_mod_p", counted_spin)
+    assert T._modular_full_seeds(keys, moves) == each
+    assert len(spun) < len(keys)
+
+
+# -- differential tests against the exact paths -----------------------------------
+
+nonzero_fracs = st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
+                             max_denominator=4).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["d", "hv"]), eps=st.integers(0, 1), symbolic=st.booleans(),
+       lam=nonzero_fracs, charge=nonzero_fracs, d=st.integers(1, 2), L=st.integers(0, 1),
+       N=st.integers(0, 1), mb=st.integers(1, 3), nb=st.integers(0, 2))
+def test_probe_matches_the_exact_probe(family, eps, symbolic, lam, charge, d, L, N, mb, nb):
+    c = DECL.param("c") if symbolic else RATIONALS.rational(charge)
+    lam = LAM if symbolic else RATIONALS.rational(lam)
+    omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
+    spec = TensorSpec(omega, verma_basis(HWSpec(c, PHI_X), L, N))
+    assert irreducibility_probe(spec, d, mb, nb) == \
+        irreducibility_probe(spec, d, mb, nb, exact=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sides=st.lists(st.tuples(nonzero_fracs, st.integers(0, 1)), min_size=2, max_size=2),
+       same=st.booleans(), charge=nonzero_fracs, d=st.integers(1, 2), L=st.integers(0, 1),
+       N=st.integers(0, 1), mb=st.integers(1, 3), nb=st.integers(0, 1))
+def test_modular_kernel_dim_matches_the_exact_kernel(sides, same, charge, d, L, N, mb, nb):
+    hw = verma_basis(HWSpec(RATIONALS.rational(charge), PHI_X), L, N)
+    specs = [TensorSpec(omega_d(RATIONALS.rational(lam), eps), hw)
+             for lam, eps in (sides[:1] * 2 if same else sides)]
+    keys = [s.basis_keys(d) for s in specs]
+    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    exact = _exact_intertwiner_dim(*moves, *keys)
+    # specialisation only enlarges the kernel; an unlucky prime at all three
+    # primes at once does not happen on these systems
+    dims = [T._modular_kernel_dim(*moves, *keys, p) for p in T._PRIMES]
+    assert min(dims) == exact and all(k >= exact for k in dims)
+    if same:
+        assert exact >= 1
