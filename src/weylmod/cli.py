@@ -155,13 +155,7 @@ def cmd_act(args, decl, rank):
         op = parse_operator(args.op, spec.rank, decl, central=None)
         result = U.act(op, f)
     else:
-        kind, m = _parse_lm(args.op)
-        if spec.family == "vir":
-            if kind != "L":
-                raise UsageError("vir modules only have L_m generators")
-            result = U.act_vir(spec, m, f)
-        else:
-            result = U.act_hv(spec, (kind, m), f)
+        result = U.act_hv(spec, _parse_lm(args.op), f)
     _emit(args, {"result": result.to_json()}, str(result))
     return 0
 

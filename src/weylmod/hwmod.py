@@ -261,18 +261,15 @@ class TruncVerma:
         got = self._apply_memo.get(key)
         if got is not None:
             return got
-        if not mono:
+        if m < 0:
+            # a negative generator is a creation operator: insert it
+            out = self._left_mul_mono((-m, n), mono)
+        elif not mono:
             if m > 0:
-                out: dict = {}
-            elif m == 0:
+                out = {}
+            else:
                 h = self.spec.h(n)
                 out = {(): h} if not h.is_zero() else {}
-            else:
-                if -m > self.level_bound:
-                    raise LevelOverflow(
-                        f"level {-m} exceeds bound {self.level_bound}"
-                    )
-                out = {((-m, n),): RATIONALS.one}
         else:
             g = mono[0]
             rest = mono[1:]
@@ -512,17 +509,8 @@ def weight_space_dims(tv: TruncVerma, singulars, n_probe: int | None = None,
                     new.append((lv - m, w))
         frontier = new
 
-    dims = []
-    for lv in range(L + 1):
-        slice_basis = tv.basis_at_level(lv)
-        a_dim = len(slice_basis)
-        c_span = closures[lv]
-        c_dim = c_span.dim
-        union = SpanBasis()
-        for row in c_span.pivots.values():
-            union.add(row)
-        for mono in slice_basis:
-            union.add({mono: RATIONALS.one})
-        inter = a_dim + c_dim - union.dim
-        dims.append(a_dim - inter)
-    return dims
+    # dim(slice) - dim(slice meet closure) = dim(slice + closure) - dim(closure):
+    # count the slice monomials that enter each closure's span
+    return [sum(1 for mono in tv.basis_at_level(lv)
+                if closures[lv].add({mono: RATIONALS.one}))
+            for lv in range(L + 1)]

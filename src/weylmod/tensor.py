@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .scalars import (
     RATIONALS, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
 )
-from .liealg import D_HAT, DiffOp
-from .umod import OmegaSpec, _basis_act_ints, act_hv
+from .liealg import D_ALG, D_HAT, DiffOp
+from .umod import OmegaSpec, _basis_act_ints, act, act_hv
 from .hwmod import TruncVerma, VermaElem, _verma_label, monomial_level
 
 
@@ -260,25 +261,20 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
     share one host, and with it one straightening memo."""
     omega = spec.omega
     degrees = sorted({j for j, _ in keys})
+    def poly_side(apply):
+        return {j: {e: c for (e,), c in apply(omega.monomial((j,))).terms.items()}
+                for j in degrees}
+
     # (P, (m, n) of the Verma-side operator t^m D^n or None, central part)
     if omega.family == "d":
-        beta = omega.beta_sign
-        gens = []
-        for m in range(-m_bound, m_bound + 1):
-            for n in range(n_bound + 1):
-                pre = omega.lam_power((m,)) * beta ** ((1 - n) % 2)
-                poly = {j: {e: pre * k for (e,), k in
-                            _basis_act_ints(omega.eps, (m,), (n,), (j,)).items()}
-                        for j in degrees}
-                gens.append((poly, (m, n), None))
+        gens = [(poly_side(partial(act, D_ALG.basis((m,), (n,)))), (m, n), None)
+                for m in range(-m_bound, m_bound + 1) for n in range(n_bound + 1)]
         # the center: 0 on the polynomial side, the charge on the Verma side
         gens.append(({}, None, host.spec.c))
     else:
         # degenerate control: L_m / I_m act through the hv action on the
         # polynomial side and the embedding t^m D / t^m on the Verma side
-        gens = [({j: {e: c for (e,), c in
-                      act_hv(omega, (kind, m), omega.monomial((j,))).terms.items()}
-                  for j in degrees}, (m, n), None)
+        gens = [(poly_side(partial(act_hv, omega, (kind, m))), (m, n), None)
                 for m in range(-m_bound, m_bound + 1)
                 for kind, n in (("L", 1), ("I", 0))]
     window = set(keys)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import partial
+from itertools import compress, product as iproduct
 from math import comb
 
 from .scalars import (
@@ -304,6 +305,27 @@ def _hv_bracket_terms(g1, g2):
     return []
 
 
+def _exact_failure(flags, n_monos: int, cases):
+    """The exact comparison behind every module-axiom and split verdict.
+
+    ``flags`` holds one boolean per operator pair in loop order: the pairs a
+    table fast path could not clear, or every pair for an ``action=`` oracle
+    or a refused table.  Only flagged pairs are compared.  ``cases()`` is
+    called at the first flagged pair and returns ``sides``; ``sides(p)``
+    gives pair p's two operators and its (f, lhs, rhs) per monomial, in
+    order.  Returns (checked, counterexample): p * n_monos + k + 1 and
+    (a, b, f, lhs, rhs) at the first failure, else n_pairs * n_monos and None.
+    """
+    sides = None
+    for p in compress(range(len(flags)), flags):
+        sides = sides or cases()
+        a, b, rows = sides(p)
+        for k, (f, lhs, rhs) in enumerate(rows):
+            if lhs != rhs:
+                return p * n_monos + k + 1, (a, b, f, lhs, rhs)
+    return len(flags) * n_monos, None
+
+
 def verify_module_axiom(
     spec: OmegaSpec,
     m_bound: int,
@@ -316,63 +338,52 @@ def verify_module_axiom(
     With symbolic parameters this certifies the action for all admissible
     parameter values at once.  Unordered pairs (a <= b) are checked; the
     swapped identity is the exact negation, so coverage over ordered pairs
-    follows from bilinearity.  The d/dnu families run on exact machine
-    integers (``_verify_axiom_dnu_fast``); on vir/hv only the pairs whose
-    formal integer tables differ (``_hv_formal_mismatches``) run through the
-    exact loop.  ``action`` overrides the module action and runs the generic
-    loop instead; tests use it both for mutants and as the oracle of the
-    fast paths.
+    follows from bilinearity.  A table fast path clears the pairs whose two
+    sides agree as integer tables: ``_verify_axiom_dnu_fast`` on d/dnu and
+    ``_hv_formal_mismatches`` on vir/hv (every pair stays when the vir/hv
+    tables are refused).  The exact loop ``_exact_failure`` compares the
+    rest and decides the verdict.  ``action`` overrides the module action
+    and sends every pair through that loop; tests use it both for mutants
+    and as the oracle of the fast paths.
     """
-    rank = spec.rank
-    if spec.family in ("d", "dnu"):
+    d_family = spec.family in ("d", "dnu")
+    exps = [e for e in iproduct(*[range(deg_bound + 1)] * spec.rank)
+            if sum(e) <= deg_bound]
+    if action is None and d_family:
+        flags = _verify_axiom_dnu_fast(spec, m_bound, n_bound, deg_bound)
+    else:
+        labels = [la for la, _ in _family_generators(spec, m_bound, n_bound)]
+        flags = [True] * (len(labels) * (len(labels) + 1) // 2)
         if action is None:
-            return _verify_axiom_dnu_fast(spec, m_bound, n_bound, deg_bound)
-        gens = _family_generators(spec, m_bound, n_bound)
-        monos = [
-            spec.monomial(e)
-            for e in iproduct(*[range(deg_bound + 1)] * rank)
-            if sum(e) <= deg_bound
-        ]
-        checked = 0
-        for i, (la, a) in enumerate(gens):
-            for lb, b in gens[i:]:
-                br = bracket(a, b)
-                for f in monos:
-                    lhs = action(br, f)
-                    rhs = action(a, action(b, f)) - action(b, action(a, f))
-                    checked += 1
-                    if lhs != rhs:
-                        return AxiomReport(False, checked, (la, lb, f, lhs, rhs))
-        return AxiomReport(True, checked)
+            try:
+                flags = _hv_formal_mismatches(spec.family, labels, m_bound, deg_bound)
+            except BoundsTooLarge:
+                pass
+    if d_family:
+        action = action or act
+        bracket_side = lambda a, b: partial(action, bracket(a, b))
+    else:
+        action = action or partial(act_hv, spec)
 
-    # vir / hv families act through named generators
-    apply_fn = action
-    gens = [g for _, g in _family_generators(spec, m_bound, n_bound)]
-    differ = None
-    if apply_fn is None:
-        apply_fn = lambda g, f: act_hv(spec, g, f)
-        try:
-            differ = iter(_hv_formal_mismatches(spec.family, gens, m_bound, deg_bound))
-        except BoundsTooLarge:
-            pass
-    monos = [spec.monomial((k,)) for k in range(deg_bound + 1)]
-    checked = 0
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            if differ is not None and not next(differ):
-                # equal as polynomials in x, alpha and beta: equal as values
-                checked += len(monos)
-                continue
+        def bracket_side(a, b):
             terms = _hv_bracket_terms(a, b)
-            for f in monos:
-                lhs = spec.zero_vec()
-                for g, k in terms:
-                    lhs = lhs + apply_fn(g, f).scale(RATIONALS.rational(k))
-                rhs = apply_fn(a, apply_fn(b, f)) - apply_fn(b, apply_fn(a, f))
-                checked += 1
-                if lhs != rhs:
-                    return AxiomReport(False, checked, (a, b, f, lhs, rhs))
-    return AxiomReport(True, checked)
+            return lambda f: sum((action(g, f).scale(RATIONALS.rational(k))
+                                  for g, k in terms), spec.zero_vec())
+
+    def cases():
+        gens = _family_generators(spec, m_bound, n_bound)
+        pairs = [(a, b) for i, a in enumerate(gens) for b in gens[i:]]
+        monos = [spec.monomial(e) for e in exps]
+
+        def sides(p):
+            (la, a), (lb, b) = pairs[p]
+            lhs = bracket_side(a, b)
+            return la, lb, ((f, lhs(f), action(a, action(b, f)) - action(b, action(a, f)))
+                            for f in monos)
+        return sides
+
+    checked, counter = _exact_failure(flags, len(exps), cases)
+    return AxiomReport(counter is None, checked, counter)
 
 
 def _hv_action_table(kinds, m_max: int, j_max: int):
@@ -514,8 +525,8 @@ def _rank1_tables(eps: int, mb: int, nb: int, deg_bound: int):
 
 
 def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
-                           deg_bound: int) -> AxiomReport:
-    """The d/dnu module axiom over exact float64 matrices.
+                           deg_bound: int):
+    """Per pair in ``verify_module_axiom``'s order: do its d/dnu sides differ?
 
     Every basis action on a monomial is Lambda^m times an integer
     polynomial, so for a fixed operator pair both sides of the axiom share
@@ -526,9 +537,8 @@ def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
     Kronecker product over slots of its product-action table.  For each
     left operator a, the compositions a.(b.f) and b.(a.f) against every
     b >= a are one BLAS product each.  Absolute-value shadows bound every
-    entry and partial sum below 2^53, so float64 is exact.  Pairs, then
-    monomials, are visited in the generic loop's order, and a failure
-    reports the same pair, monomial and check count.
+    entry and partial sum below 2^53, so float64 is exact, and a pair is
+    flagged exactly when some monomial breaks the axiom on it.
     """
     import numpy as np
     from .slots import check_exact, kron_rows, kron_slots
@@ -573,7 +583,7 @@ def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
 
     nops, out_dim, mid_dim = full.shape
     full_cat = full.reshape(nops * out_dim, mid_dim)
-    checked = 0
+    flags = []
     for i in range(nops):
         nj = nops - i
         rhs = np.matmul(full[i], small[i:])
@@ -581,15 +591,8 @@ def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
         a_slots, b_slots = slot_ops[i], slot_ops[i:]
         lhs = kron_rows([prod_act[s][a_slots[s], b_slots[:, s]] for s in range(rank)])
         lhs -= kron_rows([prod_act[s][b_slots[:, s], a_slots[s]] for s in range(rank)])
-        bad = (lhs != rhs).any(axis=1)
-        if bad.any():
-            jj, ci = (int(x) for x in np.argwhere(bad)[0])
-            return AxiomReport(
-                False, checked + jj * n_in + ci + 1,
-                (ops[i], ops[i + jj], spec.monomial(in_exps[ci]), None, None),
-            )
-        checked += nj * n_in
-    return AxiomReport(True, checked)
+        flags.append((lhs != rhs).any(axis=(1, 2)))
+    return np.concatenate(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +657,8 @@ def _probe_generators(spec: OmegaSpec, m_range: int):
                     op = ctx.basis(mv, nv)
                     gens.append(lambda f, op=op: act(op, f))
         return gens
-    kinds = ("L",) if spec.family == "vir" else ("L", "I")
-    return [
-        (lambda f, g=(kind, m): act_hv(spec, g, f))
-        for m in range(-m_range, m_range + 1)
-        for kind in kinds
-    ]
+    return [(lambda f, g=g: act_hv(spec, g, f))
+            for _, g in _family_generators(spec, m_range, 0)]
 
 
 def simplicity_probe(spec: OmegaSpec, degree_bound: int) -> SimplicityReport:
@@ -732,29 +731,25 @@ def simplicity_probe(spec: OmegaSpec, degree_bound: int) -> SimplicityReport:
     )
 
 
-def _assoc_split_first_failure(eps: int, m_bound: int, n_bound: int, deg_bound: int):
-    """First (a, b, j) in the loop's order where act(a*b) x^j != a.(b.x^j).
+def _assoc_split_mismatches(eps: int, m_bound: int, n_bound: int, deg_bound: int):
+    """Per ordered pair (a, b), a-major: does act(a*b) x^j != a.(b.x^j) for some j?
 
-    a and b are (m, n) for t^m D^n.  Both sides are Lambda^(m_a + m_b)
+    a and b run over t^m D^n, m-major.  Both sides are Lambda^(m_a + m_b)
     times integer polynomials, so the comparison is between the
     product-action table and the per-slot compositions of
-    ``_rank1_tables``, signs folded in.  None when the split holds.
+    ``_rank1_tables``, signs folded in.
     """
     import numpy as np
     from .slots import check_exact
 
     beta = (-1) ** (1 - eps)
-    m1, n1, prod_act, full1, small1 = _rank1_tables(eps, m_bound, n_bound, deg_bound)
+    _, n1, prod_act, full1, small1 = _rank1_tables(eps, m_bound, n_bound, deg_bound)
     check_exact(int(np.abs(full1).max()) * int(np.abs(small1).max()) * full1.shape[2],
                 np.int64, "associative split compositions")
     signs = beta ** ((1 - n1) % 2)
     comp = np.matmul(full1[:, None], small1[None, :])
     comp *= (signs[:, None] * signs[None, :])[:, :, None, None]
-    bad = np.argwhere((beta * prod_act != comp).any(axis=2))
-    if not bad.size:
-        return None
-    x, y, j = (int(v) for v in bad[0])
-    return (int(m1[x]), int(n1[x])), (int(m1[y]), int(n1[y])), j
+    return (beta * prod_act != comp).any(axis=(2, 3)).ravel()
 
 
 def assoc_action_split(spec: OmegaSpec, m_bound: int, n_bound: int,
@@ -764,39 +759,31 @@ def assoc_action_split(spec: OmegaSpec, m_bound: int, n_bound: int,
     Returns (holds, counterexample): act(a*b, f) versus act(a, act(b, f))
     over the windowed basis pairs, with the first failing (a, b, f, lhs, rhs)
     in the order a, then b, then f.  The eps = 1 family satisfies it; the
-    eps = 0 family has explicit counterexamples.  The comparison runs on
-    exact integer tables (``_assoc_split_first_failure``); ``action``
-    overrides the module action and runs the generic loop instead, as does
-    a bound too large for those tables.
+    eps = 0 family has explicit counterexamples.  Integer tables
+    (``_assoc_split_mismatches``) flag the pairs that differ, and the exact
+    loop ``_exact_failure`` compares them; ``action`` overrides the module
+    action and flags every pair, as does a bound too large for the tables.
     """
     if spec.family != "d":
         raise FamilyMismatch("the associative split is a rank-1 d-family check")
-    ctx = AlgebraCtx(1, central=False)
+    n_ops = (2 * m_bound + 1) * (n_bound + 1)
+    flags = [True] * n_ops ** 2
     if action is None:
         action = act
         try:
-            first = _assoc_split_first_failure(spec.eps, m_bound, n_bound, deg_bound)
+            flags = _assoc_split_mismatches(spec.eps, m_bound, n_bound, deg_bound)
         except BoundsTooLarge:
             pass
-        else:
-            if first is None:
-                return True, None
-            (ma, na), (mb, nb), j = first
-            a, b = ctx.basis((ma,), (na,)), ctx.basis((mb,), (nb,))
-            f = spec.monomial((j,))
-            return False, (a, b, f, act(assoc_product(a, b), f), act(a, act(b, f)))
-    gens = [
-        ctx.basis((m,), (n,))
-        for m in range(-m_bound, m_bound + 1)
-        for n in range(n_bound + 1)
-    ]
-    monos = [spec.monomial((k,)) for k in range(deg_bound + 1)]
-    for a in gens:
-        for b in gens:
+
+    def cases():
+        gens = [op for _, op in _family_generators(spec, m_bound, n_bound)]
+        monos = [spec.monomial((k,)) for k in range(deg_bound + 1)]
+
+        def sides(p):
+            a, b = gens[p // n_ops], gens[p % n_ops]
             ab = assoc_product(a, b)
-            for f in monos:
-                lhs = action(ab, f)
-                rhs = action(a, action(b, f))
-                if lhs != rhs:
-                    return False, (a, b, f, lhs, rhs)
-    return True, None
+            return a, b, ((f, action(ab, f), action(a, action(b, f))) for f in monos)
+        return sides
+
+    counter = _exact_failure(flags, deg_bound + 1, cases)[1]
+    return counter is None, counter

@@ -76,6 +76,13 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_i_generator_on_vir_is_a_family_error():
+    # the vir family has no I_m: act_hv refuses it, in one line
+    code, out, err = run_cli(["act", "I_1", "1", "--family", "vir"])
+    assert (code, out) == (2, "")
+    assert err == "weylmod: error: I_m generators act on hv modules only\n"
+
+
 def test_hseq_rejects_negative_n():
     code, out, err = run_cli(["hseq", "--phi", "x", "--c", "0", "--n", "-1"])
     assert code == 2

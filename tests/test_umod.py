@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,11 +194,19 @@ def test_fast_path_detects_wrong_product_rule(eps, monkeypatch):
                          (omega_dnu((decl.param("l1"), decl.param("l2")), eps), (1, 2, 2))):
         fast = verify_module_axiom(spec, *bounds)
         assert not fast.ok
-        # the same first failing pair, monomial and check count as the loop
+        # the same first failing pair, monomial, values and check count as the loop
         direct = verify_module_axiom(spec, *bounds, action=act)
         assert not direct.ok
         assert fast.checked == direct.checked
-        assert fast.counterexample[:3] == direct.counterexample[:3]
+        assert fast.counterexample == direct.counterexample
+        a, b, f, lhs, rhs = fast.counterexample
+        assert lhs is not None and rhs is not None and lhs != rhs
+        # the count is pair index * monomials + monomial index + 1
+        labels = [la for la, _ in U._family_generators(spec, *bounds[:2])]
+        pairs = [(x, y) for i, x in enumerate(labels) for y in labels[i:]]
+        monos = [spec.monomial(e) for e in iproduct(*[range(bounds[2] + 1)] * spec.rank)
+                 if sum(e) <= bounds[2]]
+        assert fast.checked == pairs.index((a, b)) * len(monos) + monos.index(f) + 1
 
 
 def _hv_specs():
@@ -358,6 +367,35 @@ def test_fast_paths_match_loops_on_random_bounds(data):
     spec = omega_d(lam, draw(st.integers(0, 1)))
     assert assoc_action_split(spec, m_bound, n_bound, deg) == \
         _split_loop(spec, m_bound, n_bound, deg)
+    # the float64 d/dnu path against the action= loop, rank 1 and rank 2
+    fast = verify_module_axiom(spec, m_bound, n_bound, deg)
+    loop = verify_module_axiom(spec, m_bound, n_bound, deg, action=act)
+    assert (fast.ok, fast.checked) == (loop.ok, loop.checked)
+    spec = omega_dnu((lam, _param(draw, "lambda", invertible=True)), spec.eps)
+    small = (min(m_bound, 1), min(n_bound, 1), min(deg, 1))
+    fast = verify_module_axiom(spec, *small)
+    loop = verify_module_axiom(spec, *small, action=act)
+    assert (fast.ok, fast.checked) == (loop.ok, loop.checked)
+
+
+def _flag_every_pair(real):
+    """A fast path that clears no pair: the exact loop compares them all."""
+    return lambda *args: np.ones(len(real(*args)), dtype=bool)
+
+
+def test_fast_paths_flagging_every_pair_still_pass(monkeypatch):
+    spec2 = omega_dnu((RATIONALS.rational(Fraction(-2, 3)), LAM), 0)
+    cases = [(spec_d(0), (2, 2, 2)), (spec2, (1, 1, 1)),
+             (omega_hv(LAM, DECL.param("alpha"), DECL.param("beta")), (2, 0, 2)),
+             (omega_vir(LAM, DECL.param("alpha")), (2, 0, 3))]
+    want = [verify_module_axiom(spec, *bounds).checked for spec, bounds in cases]
+    split = [assoc_action_split(spec_d(eps), 1, 2, 2) for eps in (0, 1)]
+    for name in ("_verify_axiom_dnu_fast", "_hv_formal_mismatches", "_assoc_split_mismatches"):
+        monkeypatch.setattr(U, name, _flag_every_pair(getattr(U, name)))
+    for (spec, bounds), checked in zip(cases, want):
+        rep = verify_module_axiom(spec, *bounds)
+        assert (rep.ok, rep.checked, rep.counterexample) == (True, checked, None)
+    assert [assoc_action_split(spec_d(eps), 1, 2, 2) for eps in (0, 1)] == split
 
 
 # -- irreducibility ------------------------------------------------------------
