@@ -194,7 +194,10 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "number":
             self.advance()
-            q = Fraction(val)
+            try:
+                q = Fraction(val)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val}", pos) from None
             return _Value.scalar(self.rank, self.decl.rational(q))
         if kind == "op" and val == "(":
             self.advance()

@@ -5,7 +5,8 @@ action of t^m D^n on the polynomial modules.  Rank-nu structure constants and
 action matrices are therefore Kronecker products of small rank-1 tables,
 which are filled once from the library's own rank-1 structure constants.
 Machine arithmetic on these tables is trusted only under an absolute-value
-bound checked by ``check_exact``.  numpy is imported inside the functions so
+bound checked by ``check_exact``; the GF(p) layer of the modular certificates
+keeps to the same exact ranges.  numpy is imported inside the functions so
 that importing weylmod stays cheap.
 """
 
@@ -109,3 +110,112 @@ def kron_rows(factors):
         k = np.multiply(out[..., :, None, :], f[..., None, :, :], order="C")
         out = k.reshape(k.shape[:-3] + (k.shape[-3] * k.shape[-2], k.shape[-1]))
     return out
+
+
+# GF(p) arithmetic.  Primes below 2^20, so that a float64 sum of K = 8192
+# products of two residues is exact (see ``_matmul_mod_p``).
+_PRIMES = (1048573, 1048571, 1048559)
+
+
+def _matmul_mod_p(a, b, p):
+    """a @ b over GF(p) for arrays of integers in [0, p), as float64.
+
+    BLAS float64 products are exact while every partial sum stays below 2^B,
+    B = ``_EXACT_BITS["float64"]``.  The inner dimension is summed in chunks
+    of K = (2^B - p) // (p - 1)^2 terms (8192 for ``_PRIMES``), each chunk
+    reduced mod p before the next is added (delayed reduction, as in
+    FFLAS-FFPACK); the margin p keeps ``_mod_p`` exact on a chunk's sum.
+    ``a`` may carry leading batch dimensions.
+    """
+    import numpy as np
+
+    chunk = (2 ** _EXACT_BITS["float64"] - p) // (p - 1) ** 2
+    if not chunk:
+        raise ValueError(f"products of residues mod {p} are not exact in float64")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    inner = a.shape[-1]
+    if inner <= chunk:
+        return _mod_p(a @ b, p)
+    out = np.zeros(a.shape[:-1] + b.shape[1:])
+    for lo in range(0, inner, chunk):
+        out += _mod_p(a[..., lo:lo + chunk] @ b[lo:lo + chunk], p)
+        out = _mod_p(out, p)
+    return out
+
+
+def _mod_p(x, p):
+    """x mod p, in place, for float64 integers with |x| + p below 2^B.
+
+    x - p floor(x / p) with the quotient rounded: it is off by at most one,
+    and one correction each way fixes that.  Every intermediate is an
+    integer below 2^B (B as in ``_matmul_mod_p``), so the result is exact;
+    numpy's float ``%`` is several times slower.
+    """
+    import numpy as np
+
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    x[x < 0] += p
+    x[x >= p] -= p
+    return x
+
+
+def _echelon_mod_p(m, p):
+    """Reduced row echelon form of m over GF(p) by Gauss-Jordan elimination.
+
+    Returns (r, pivot_cols): row i of r has a 1 in column pivot_cols[i] and
+    zeros in every other pivot column; rows past the rank are zero.  The
+    elimination runs on an int64 copy of m (integer entries, in any range);
+    entries stay below p, so every intermediate product fits in int64.
+    """
+    import numpy as np
+
+    m = m.astype(np.int64)
+    m %= p
+    rows, cols = m.shape
+    pivot_cols: list = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        mask = m[:, c] != 0
+        mask[r] = False
+        if mask.any():
+            m[mask] = (m[mask] - np.outer(m[mask, c], m[r])) % p
+        pivot_cols.append(c)
+        r += 1
+    return m, pivot_cols
+
+
+def _colspace_mod_p(m, p):
+    """Reduced echelon basis of the column space of m over GF(p).
+
+    Returns (basis, rank): the int64 basis columns are the nonzero rows of
+    the reduced row echelon form of m^T, unique for the span.  Column i's
+    first nonzero entry is a 1 in its pivot row, where the others are 0.
+    """
+    r, pivot_cols = _echelon_mod_p(m.T, p)
+    return r[:len(pivot_cols)].T, len(pivot_cols)
+
+
+def _nullspace_mod_p(m, p):
+    """Column nullspace basis of m over GF(p), read off the echelon form."""
+    import numpy as np
+
+    r, pivot_cols = _echelon_mod_p(m, p)
+    pivots = set(pivot_cols)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    null = np.zeros((m.shape[1], len(free)), dtype=np.int64)
+    null[free, range(len(free))] = 1
+    null[pivot_cols] = -r[:len(pivot_cols), free] % p
+    return null

@@ -20,7 +20,8 @@ from .scalars import (
 )
 from .liealg import D_ALG, D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act, act_hv
-from .hwmod import TruncVerma, VermaElem, _verma_label, monomial_level
+from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
+from .slots import _PRIMES, _colspace_mod_p, _matmul_mod_p, _mod_p, _nullspace_mod_p
 
 
 class TensorMismatch(ValueError):
@@ -72,6 +73,13 @@ class TensorElem(SparseVec):
     _space = "spec"
     _mismatch = TensorMismatch
     _label = staticmethod(_tensor_label)
+
+    def __init__(self, spec: TensorSpec, terms):
+        if any(j < 0 for j, _ in terms):
+            raise TensorMismatch("x exponents must be non-negative")
+        if any(monomial_level(mono) > spec.hw.level_bound for _, mono in terms):
+            raise LevelOverflow("monomial beyond the level bound")
+        super().__init__(spec, terms)
 
     def x_degree(self) -> int:
         if not self.terms:
@@ -341,10 +349,7 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
                 for cols in moves:
                     out: dict = {}
                     for key, c in vec.items():
-                        col = cols.get(key)
-                        if col is None:
-                            continue
-                        for k2, c2 in col.items():
+                        for k2, c2 in cols.get(key, {}).items():
                             accumulate(out, k2, c * c2)
                     if out and span.add(out):
                         new.append(out)
@@ -411,15 +416,14 @@ def _spin_mod_p(gens, seed, p, target=None):
 
     Each spin step maps the newest vectors by every generator in one
     product, reduces the images against the span, and extends the span by
-    the independent residues.  The span is kept in reduced row echelon form
-    (rows, pivots): rows[i] has a 1 in column pivots[i] and 0 in every other
-    pivot column, so reducing is one product as well.
+    the residues' reduced echelon basis (one elimination).  The span is kept
+    in reduced row echelon form (rows, pivots): rows[i] has a 1 in column
+    pivots[i] and 0 in every other pivot column, so reducing is one product.
     """
     import numpy as np
 
     n = gens.shape[1]
-    rows = np.zeros((1, n))
-    rows[0, seed] = 1
+    rows = np.eye(1, n, seed)
     pivots = [seed]
     frontier = rows
     while len(pivots) < n and not (target is not None
@@ -431,8 +435,8 @@ def _spin_mod_p(gens, seed, p, target=None):
         new, k = _colspace_mod_p(images.T, p)
         if not k:
             break
-        new, new_pivots = _echelon_mod_p(new.T, p)
-        frontier = new[:k].astype(np.float64)
+        frontier = new.T.astype(np.float64)
+        new_pivots = (frontier != 0).argmax(axis=1).tolist()
         rows = _mod_p(rows - _matmul_mod_p(rows[:, new_pivots], frontier, p), p)
         rows = np.vstack([rows, frontier])
         pivots += new_pivots
@@ -442,9 +446,7 @@ def _spin_mod_p(gens, seed, p, target=None):
 def _contains_unit(rows, pivots, i) -> bool:
     """Whether the span (rows, pivots) of ``_spin_mod_p`` contains e(i):
     reducing e(i) leaves e(i) minus the row with pivot i, if there is one."""
-    import numpy as np
-
-    return i in pivots and np.count_nonzero(rows[pivots.index(i)]) == 1
+    return i in pivots and rows[pivots.index(i)].nonzero()[0].size == 1
 
 
 def _residues(moves) -> dict:
@@ -494,116 +496,6 @@ def _dense_mod_p(cols, pos, p, assign):
     return m
 
 
-# Primes below 2^20, so that a float64 sum of K = 8192 products of two
-# residues is exact (see ``_matmul_mod_p``).
-_PRIMES = (1048573, 1048571, 1048559)
-
-
-def _matmul_mod_p(a, b, p):
-    """a @ b over GF(p) for arrays of integers in [0, p), as float64.
-
-    BLAS float64 products are exact while every partial sum stays below
-    2^53.  The inner dimension is summed in chunks of
-    K = (2^53 - p) // (p - 1)^2 terms (8192 for the primes of ``_PRIMES``),
-    each chunk reduced mod p before the next is added (delayed reduction,
-    as in FFLAS-FFPACK); the margin p keeps ``_mod_p`` exact on a chunk's
-    sum.  ``a`` may carry leading batch dimensions.
-    """
-    import numpy as np
-
-    chunk = (2 ** 53 - p) // (p - 1) ** 2
-    if not chunk:
-        raise ValueError(f"products of residues mod {p} are not exact in float64")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    inner = a.shape[-1]
-    if inner <= chunk:
-        return _mod_p(a @ b, p)
-    out = np.zeros(a.shape[:-1] + b.shape[1:])
-    for lo in range(0, inner, chunk):
-        out += _mod_p(a[..., lo:lo + chunk] @ b[lo:lo + chunk], p)
-        out = _mod_p(out, p)
-    return out
-
-
-def _mod_p(x, p):
-    """x mod p, in place, for a float64 array of integers with |x| + p < 2^53.
-
-    x - p floor(x / p) with the quotient rounded: it is off by at most one,
-    and one correction each way fixes that.  Every intermediate is an
-    integer below 2^53, so the result is exact; numpy's float ``%`` is
-    several times slower.
-    """
-    import numpy as np
-
-    q = x * (1.0 / p)
-    np.floor(q, out=q)
-    q *= p
-    x -= q
-    x[x < 0] += p
-    x[x >= p] -= p
-    return x
-
-
-def _echelon_mod_p(m, p):
-    """Reduced row echelon form of m over GF(p) by Gauss-Jordan elimination.
-
-    Returns (r, pivot_cols): row i of r has a 1 in column pivot_cols[i] and
-    zeros in every other pivot column; rows past the rank are zero.  The
-    elimination runs on an int64 copy of m (integer entries, in any range);
-    entries stay below p, so every intermediate product fits in int64.
-    """
-    import numpy as np
-
-    m = m.astype(np.int64)
-    m %= p
-    rows, cols = m.shape
-    pivot_cols: list = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            m[mask] = (m[mask] - np.outer(col[mask], m[r])) % p
-        pivot_cols.append(c)
-        r += 1
-    return m, pivot_cols
-
-
-def _colspace_mod_p(m, p):
-    """Column-space basis of m over GF(p): its pivot columns, in input order.
-
-    Returns (basis matrix, rank).  The basis columns are input columns
-    reduced mod p, so columns that are already independent and come first
-    stay in place.
-    """
-    _, pivot_cols = _echelon_mod_p(m, p)
-    return m[:, pivot_cols] % p, len(pivot_cols)
-
-
-def _nullspace_mod_p(m, p):
-    """Column nullspace basis of m over GF(p), read off the echelon form."""
-    import numpy as np
-
-    r, pivot_cols = _echelon_mod_p(m, p)
-    pivots = set(pivot_cols)
-    free = [c for c in range(m.shape[1]) if c not in pivots]
-    null = np.zeros((m.shape[1], len(free)), dtype=np.int64)
-    null[free, range(len(free))] = 1
-    null[pivot_cols] = -r[:len(pivot_cols), free] % p
-    return null
-
-
 # ---------------------------------------------------------------------------
 # Bounded intertwiner spaces
 # ---------------------------------------------------------------------------
@@ -631,9 +523,7 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound, host_b)
 
     # explicitly verified kernel vectors: the identity for equal data
-    explicit = 0
-    if keys_a == keys_b and moves_a == moves_b:
-        explicit = 1
+    explicit = int(keys_a == keys_b and moves_a == moves_b)
 
     if not _residues(moves_a + moves_b):
         for p in _PRIMES:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,44 @@ def test_hseq_rejects_negative_n():
     assert code == 2
     assert out == ""
     assert "--n must be non-negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "1/0*t", "D"],
+    ["act", "D", "x", "--lam", "1/0", "--eps", "1"],
+    ["verma", "--c", "1/0"],
+    ["hseq", "--phi", "1/0"],
+])
+def test_zero_denominator_is_a_parse_error(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "weylmod: error: zero denominator in 1/0 (at position 0)\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tensor-act", "D", "--xexp", "-1", "--mono", "t^-1*D", "--phi", "x", "--c", "c"],
+     "x exponents must be non-negative"),
+    (["tensor-act", "C", "--mono", "t^-5", "--phi", "x", "--c", "c", "--bounds", "L=2,N=1"],
+     "monomial beyond the level bound"),
+])
+def test_tensor_elements_outside_the_window_are_refused(argv, message):
+    # as act D x^-1 and a Verma monomial past the window are refused
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"weylmod: error: {message}\n"
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # numpy is imported inside the functions that use it, so that a CLI
+    # process pays for it only when a fast path runs
+    import weylmod
+
+    src = str(Path(weylmod.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, weylmod.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_verify_failure_exit_code():

@@ -265,6 +265,7 @@ import numpy as np  # noqa: E402
 
 from weylmod import tensor as T  # noqa: E402
 from weylmod.scalars import Matrix, solve_linear  # noqa: E402
+from weylmod.slots import _echelon_mod_p  # noqa: E402
 
 # entries |x| <= 5 in at most 6 x 6 matrices keep every minor below the
 # Hadamard bound 5^6 * 6^3 < 2^22, far below the primes, so ranks and pivot
@@ -335,17 +336,32 @@ def test_nullspace_mod_p_is_a_kernel_basis(rows):
     assert T._colspace_mod_p(null, p)[1] == null.shape[1]
 
 
+def _rational(a):
+    return Matrix.from_rows([[RATIONALS.rational(int(x)) for x in row] for row in a])
+
+
 @settings(max_examples=80, deadline=None)
 @given(int_matrices)
-def test_colspace_mod_p_keeps_the_pivot_columns(rows):
+def test_colspace_mod_p_is_the_reduced_echelon_basis(rows):
+    # the basis is the rational reduced echelon basis of the column space,
+    # reduced mod p: B = P A^-1 for the pivot columns P and their square
+    # block A at the pivot rows (the pivot columns of m^T)
     p = T._PRIMES[0]
     m = np.array(rows, dtype=np.int64)
-    sol = solve_linear(Matrix.from_rows(
-        [[RATIONALS.rational(x) for x in row] for row in rows]))
+    sol = solve_linear(_rational(m))
+    pivot_rows = solve_linear(_rational(m.T)).pivot_cols
     basis, rank = T._colspace_mod_p(m, p)
-    assert rank == sol.rank
-    # the leftmost independent input columns, in input order
-    assert (basis == (m % p)[:, sol.pivot_cols]).all()
+    assert rank == sol.rank == len(pivot_rows) == basis.shape[1]
+    assert basis.shape[0] == m.shape[0]
+    # the identity at the pivot rows, each the first nonzero of its column
+    assert (basis[pivot_rows] == np.eye(rank)).all()
+    assert [int(np.flatnonzero(col)[0]) for col in basis.T] == pivot_rows
+    # row i of B solves A^T x = (row i of P) over the rationals
+    a_t = _rational(m[np.ix_(pivot_rows, sol.pivot_cols)].T)
+    for i in range(m.shape[0] if rank else 0):
+        nums, den = solve_linear(a_t, _rational(m[[i]][:, sol.pivot_cols].T)).particular
+        inv = pow(T._scalar_mod_p(den, {}, p), -1, p)
+        assert [T._scalar_mod_p(x, {}, p) * inv % p for x in nums] == basis[i].tolist()
 
 
 def test_pinned_probe_products_match_object_dtype(monkeypatch):
@@ -548,6 +564,55 @@ def test_spin_mod_p_spans_the_closure(family):
     assert max(dims) == len(keys)
     if family == "hv":
         assert min(dims) < len(keys)
+
+
+def _two_elimination_spin(gens, seed, p, target=None):
+    """The spin with two eliminations per step: the pivot columns of the
+    residual images pick independent images, and a second elimination
+    brings those to reduced echelon form."""
+    n = gens.shape[1]
+    rows = np.zeros((1, n))
+    rows[0, seed] = 1
+    pivots = [seed]
+    frontier = rows
+    while len(pivots) < n and not (target is not None
+                                   and T._contains_unit(rows, pivots, target)):
+        images = T._matmul_mod_p(gens, frontier.T, p)
+        images = images.reshape(-1, n, len(frontier)).transpose(0, 2, 1).reshape(-1, n)
+        images = T._mod_p(images - T._matmul_mod_p(images[:, pivots], rows, p), p)
+        images = images[images.any(axis=1)]
+        _, picked = _echelon_mod_p(images.T, p)
+        if not picked:
+            break
+        new, new_pivots = _echelon_mod_p(images[picked], p)
+        frontier = new[:len(picked)].astype(np.float64)
+        rows = T._mod_p(rows - T._matmul_mod_p(rows[:, new_pivots], frontier, p), p)
+        rows = np.vstack([rows, frontier])
+        pivots += new_pivots
+    return rows, pivots
+
+
+@pytest.mark.parametrize("family,eps", [("d", 0), ("d", 1), ("hv", None)])
+def test_spin_mod_p_matches_the_two_elimination_spin(family, eps):
+    # every seed of the pinned probe and of the hv control, spun fully and
+    # up to e(1 (x) 1): one elimination per step gives the same span in
+    # the same reduced echelon form, entry for entry
+    hw = verma_basis(HWSpec(DECL.param("c"), PHI_X), 2, 1)
+    omega = omega_d(LAM, eps) if family == "d" else omega_hv(LAM, DECL.zero, DECL.zero)
+    spec = TensorSpec(omega, hw)
+    keys = spec.basis_keys(3)
+    moves = _moves(spec, keys, 4, 2)
+    p = T._PRIMES[0]
+    pos = {k: i for i, k in enumerate(keys)}
+    gens = np.vstack([T._dense_mod_p(cols, pos, p, T._residues(moves)) for cols in moves])
+    one = pos[(0, ())]
+    for seed in range(len(keys)):
+        for target in (None, one):
+            rows, pivots = T._spin_mod_p(gens, seed, p, target)
+            want_rows, want_pivots = _two_elimination_spin(gens, seed, p, target)
+            assert pivots == want_pivots
+            assert rows.dtype == want_rows.dtype
+            assert (rows == want_rows).all()
 
 
 def _pinned_probe(eps):
