@@ -13,7 +13,7 @@ from .liealg import (
     cocycle_phi, generated_span_probe, grade_components,
 )
 from .umod import (
-    FamilyMismatch, OmegaSpec, PolyVec, act, act_hv, act_vir,
+    FamilyMismatch, OmegaSpec, PolyVec, act, act_hv,
     assoc_action_split, degree_reduction_witness, omega_d, omega_dnu,
     omega_hv, omega_vir, simplicity_probe, verify_module_axiom,
 )

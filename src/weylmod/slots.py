@@ -99,9 +99,7 @@ def kron_rows(factors):
     """Row-wise Kronecker product of per-slot matrices with shared columns.
 
     ``out[..., (i_0, i_1, ...), c] = prod_s factors[s][..., i_s, c]``, rows
-    ordered as in ``kron_slots``.  It is the Kronecker product restricted to
-    the columns whose slot-s index is ``cols[s][c]`` once each factor's
-    columns are taken as ``f[..., cols[s]]``.  Leading axes broadcast.
+    ordered as in ``kron_slots``.  Leading axes broadcast.
     """
     import numpy as np
 
@@ -219,3 +217,63 @@ def _nullspace_mod_p(m, p):
     null[free, range(len(free))] = 1
     null[pivot_cols] = -r[:len(pivot_cols), free] % p
     return null
+
+
+def _primes():
+    """``_PRIMES``, then the primes below them, largest first."""
+    yield from _PRIMES
+    for p in range(_PRIMES[-1] - 2, 2, -2):
+        if all(p % d for d in range(3, int(p ** 0.5) + 1, 2)):
+            yield p
+
+
+def kron_sums_vanish(terms, coeffs, cols=None):
+    """Which sums sum_k coeffs[k] (x)_s terms[s][p_s, k] are zero matrices?
+
+    ``terms[s]`` is an int64 stack [P_s, K, rows, cols] of slot-s matrices,
+    and the answer a boolean array [P_0, P_1, ...].  ``cols``, one index
+    array per slot, keeps the Kronecker columns whose slot-s index is
+    ``cols[s][c]``.  The squared Frobenius norm of the sum is
+    sum_kl c_k c_l prod_s <X_k, X_l>_s (C. F. Van Loan, "The ubiquitous
+    Kronecker product", J. Comput. Appl. Math. 123, 2000), summed over the
+    kept columns: per-slot Gram tables and one integer product give it.
+    """
+    import numpy as np
+
+    grams = []
+    for s, x in enumerate(terms):
+        # one [K, rows] matrix per p and kept column, or per p
+        u = (x[..., cols[s]].transpose(0, 3, 1, 2) if cols is not None
+             else x.reshape(len(x), 1, x.shape[1], -1))
+        check_exact(u.shape[-1] * int(np.abs(x).max()) ** 2, np.int64, "Gram tables")
+        grams.append((u @ u.swapaxes(-1, -2)).reshape(len(x), -1))
+    w = np.tile(np.outer(coeffs, coeffs).ravel(), grams[0].shape[1] // len(coeffs) ** 2)
+    return _weighted_products_vanish(grams, w).reshape([len(g) for g in grams])
+
+
+def _weighted_products_vanish(factors, w):
+    """Per tuple (p_0, p_1, ...), row-major: is sum_i w[i] prod_s factors[s][p_s, i] 0?
+
+    Exact: in int64 when an absolute-value shadow of every entry and partial
+    sum is below 2^63, else modulo primes below 2^20 until their product
+    exceeds the shadow, as a sum that is 0 modulo each of them is then 0.
+    """
+    import numpy as np
+
+    def sums(fs, w, p=None):
+        out = w[None]
+        for f in fs[:-1]:
+            out = kron_rows([out, f]) % p if p else kron_rows([out, f])
+        return (_matmul_mod_p(out, fs[-1].T, p) if p else out @ fs[-1].T).ravel()
+
+    # exact; factors taken as at least 1 bound the partial products too
+    top = np.array([np.maximum(np.abs(f).max(axis=0), 1) for f in factors], dtype=object)
+    shadow = (np.abs(w).astype(object) * top.prod(axis=0)).sum()
+    if shadow < 2 ** _EXACT_BITS["int64"]:
+        return sums(factors, w) == 0
+    nonzero, modulus, primes = False, 1, _primes()
+    while modulus <= shadow:
+        p = next(primes)
+        nonzero = nonzero | (sums([f % p for f in factors], w % p, p) != 0)
+        modulus *= p
+    return ~nonzero

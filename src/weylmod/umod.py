@@ -256,11 +256,6 @@ def act_hv(spec: OmegaSpec, gen, f: PolyVec) -> PolyVec:
     return PolyVec(spec, out)
 
 
-def act_vir(spec: OmegaSpec, m: int, f: PolyVec) -> PolyVec:
-    """L_m f on a vir or hv module; the L-branch of ``act_hv``."""
-    return act_hv(spec, ("L", m), f)
-
-
 # ---------------------------------------------------------------------------
 # Module-axiom verification
 # ---------------------------------------------------------------------------
@@ -490,17 +485,16 @@ def _action_table(eps: int, m_max: int, n_max: int, j_max: int):
 def _rank1_tables(eps: int, mb: int, nb: int, deg_bound: int):
     """Integer action tables of the rank-1 operators t^m D^n, |m| <= mb, n <= nb.
 
-    Returns (m1, n1, prod_act, full1, small1), with the operators listed
-    m-major: operator x is t^m1[x] D^n1[x].  Inputs are x^j, j <= deg_bound.
+    Returns (prod_act, comp), indexed [x, y, e, j] by operators listed
+    m-major and the inputs x^j, j <= deg_bound.
 
     * ``prod_act[x, y]`` is the action of the product op_x op_y:
       sum_r T[n_x, m_y, n_y, r] beta^r A[m_x + m_y, r], the product table
       contracted with the action table.  The true action is
       beta * Lambda^(m_x + m_y) * prod_act, since beta^(1 - r) = beta * beta^r.
-    * ``full1[x]`` and ``small1[x]`` are the action matrices of op_x on
-      inputs of degree up to deg_bound + nb and deg_bound, without the sign
-      beta^((1 - n) % 2) and Lambda^m, so that op_x.(op_y.f) is
-      full1[x] @ small1[y] up to those factors.
+    * ``comp[x, y]`` is op_x.(op_y.x^j) without Lambda^(m_x + m_y): the
+      product of the two action matrices and of their signs
+      beta^((1 - n) % 2), which is beta^(n_x + n_y).
     """
     import numpy as np
     from .slots import check_exact, product_table
@@ -519,80 +513,42 @@ def _rank1_tables(eps: int, mb: int, nb: int, deg_bound: int):
     check_exact(int(np.abs(ab_coeff).max()) * int(np.abs(ab_act).max()) * (2 * nb + 1),
                 np.int64, "product-action table")
     prod_act = np.einsum("xyr,xyrei->xyei", ab_coeff, ab_act)
-    full1 = act1[m1 + 2 * mb, n1, :out1, :mid1]
-    small1 = act1[m1 + 2 * mb, n1, :mid1, :in1]
-    return m1, n1, prod_act, full1, small1
+    own = act1[m1 + 2 * mb, n1]
+    check_exact(int(np.abs(own).max()) ** 2 * mid1, np.int64, "action compositions")
+    comp = own[:, None, :out1, :mid1] @ own[None, :, :mid1, :in1]
+    comp *= (beta ** (n1[:, None] + n1[None, :]))[:, :, None, None]
+    return prod_act, comp
 
 
 def _verify_axiom_dnu_fast(spec: OmegaSpec, m_bound: int, n_bound: int,
                            deg_bound: int):
     """Per pair in ``verify_module_axiom``'s order: do its d/dnu sides differ?
 
-    Every basis action on a monomial is Lambda^m times an integer
-    polynomial, so for a fixed operator pair both sides of the axiom share
-    the prefactor Lambda^(m_a + m_b) and the comparison reduces to integer
-    matrices.  Actions and products factor slot by slot: action matrices are
-    Kronecker products of the rank-1 action matrices of ``_rank1_tables``,
-    and the action of a*b, the bracket side's building block, is the
-    Kronecker product over slots of its product-action table.  For each
-    left operator a, the compositions a.(b.f) and b.(a.f) against every
-    b >= a are one BLAS product each.  Absolute-value shadows bound every
-    entry and partial sum below 2^53, so float64 is exact, and a pair is
-    flagged exactly when some monomial breaks the axiom on it.
+    Both sides of the axiom on a pair (a, b) are Lambda^(m_a + m_b) times an
+    integer matrix on the input monomials.  Actions and products factor slot
+    by slot, so with the tables of ``_rank1_tables`` their difference is
+    beta (x)_s comp[a_s, b_s] - beta (x)_s comp[b_s, a_s]
+    - (x)_s prod_act[a_s, b_s] + (x)_s prod_act[b_s, a_s] on the columns of
+    the input monomials, and ``kron_sums_vanish`` tells exactly whether it
+    is zero: a pair is flagged exactly when some monomial breaks the axiom.
     """
     import numpy as np
-    from .slots import check_exact, kron_rows, kron_slots
+    from .slots import kron_sums_vanish
 
-    rank = spec.rank
-    beta = spec.beta_sign
-    mb, nb = m_bound, n_bound
-    ops = [
-        (m, n)
-        for m in iproduct(*[range(-mb, mb + 1)] * rank)
-        for n in iproduct(*[range(nb + 1)] * rank)
-    ]
-    in_exps = [e for e in iproduct(*[range(deg_bound + 1)] * rank)
-               if sum(e) <= deg_bound]
-    n_in = len(in_exps)
+    rank, beta = spec.rank, spec.beta_sign
+    prod_act, comp = _rank1_tables(spec.eps, m_bound, n_bound, deg_bound)
+    n1 = len(comp)
+    terms = np.stack([comp, comp.swapaxes(0, 1), prod_act, prod_act.swapaxes(0, 1)], axis=2)
     # slot exponents of the input monomials: column c is x^in_slot[:, c]
-    in_slot = np.array(in_exps, dtype=np.intp).T
-
-    # slot s of ops[i] is the rank-1 operator slot_ops[i, s]
-    slot_ops = np.array([[(m[s] + mb) * (nb + 1) + n[s] for s in range(rank)]
-                         for m, n in ops], dtype=np.intp).reshape(len(ops), rank)
-    _, _, prod_act, full1, small1 = _rank1_tables(spec.eps, mb, nb, deg_bound)
-    check_exact(max(int(np.abs(full1).max()), int(np.abs(small1).max())) ** rank,
-                np.float64, "axiom action matrices")
-    check_exact(2 * int(np.abs(prod_act).max()) ** rank, np.float64,
-                "axiom bracket side")
-    prod_act = [prod_act[..., in_slot[s]].astype(np.float64) for s in range(rank)]
-    # the action sign beta^((1 - |n|) % 2) of each operator; ``full`` also
-    # carries beta, the overall sign of the bracket side, so that the two
-    # sides compare directly
-    signs = np.array([beta ** ((1 - sum(n)) % 2) for _, n in ops], dtype=np.float64)
-    full = (beta * signs)[:, None, None] * kron_slots(
-        [full1[slot_ops[:, s]].astype(np.float64) for s in range(rank)])
-    small = kron_rows([small1[slot_ops[:, s]][..., in_slot[s]].astype(np.float64)
-                       for s in range(rank)])
-    small *= signs[:, None, None]
-
-    # every composed entry is bounded by the abs-value product of the
-    # entrywise maxima; the two compositions are then subtracted
-    shadow = np.abs(full).max(axis=0) @ np.abs(small).max(axis=0)
-    check_exact(2 * shadow.max(), np.float64, "axiom composition side")
-
-    nops, out_dim, mid_dim = full.shape
-    full_cat = full.reshape(nops * out_dim, mid_dim)
-    flags = []
-    for i in range(nops):
-        nj = nops - i
-        rhs = np.matmul(full[i], small[i:])
-        rhs -= (full_cat[i * out_dim:] @ small[i]).reshape(nj, out_dim, n_in)
-        a_slots, b_slots = slot_ops[i], slot_ops[i:]
-        lhs = kron_rows([prod_act[s][a_slots[s], b_slots[:, s]] for s in range(rank)])
-        lhs -= kron_rows([prod_act[s][b_slots[:, s], a_slots[s]] for s in range(rank)])
-        flags.append((lhs != rhs).any(axis=(1, 2)))
-    return np.concatenate(flags)
+    in_slot = np.indices((deg_bound + 1,) * rank).reshape(rank, -1)
+    in_slot = in_slot[:, in_slot.sum(axis=0) <= deg_bound]
+    vanish = kron_sums_vanish([terms.reshape(n1 * n1, *terms.shape[2:])] * rank,
+                              (beta, -beta, -1, 1), cols=in_slot)
+    # slot_ops[s, i]: slot s of the i-th operator t^m D^n, listed m-major
+    grid = np.indices((2 * m_bound + 1,) * rank + (n_bound + 1,) * rank).reshape(2 * rank, -1)
+    slot_ops = grid[:rank] * (n_bound + 1) + grid[rank:]
+    iu, ju = np.triu_indices(slot_ops.shape[1])
+    return ~vanish[tuple(slot_ops[:, iu] * n1 + slot_ops[:, ju])]
 
 
 # ---------------------------------------------------------------------------
@@ -739,17 +695,8 @@ def _assoc_split_mismatches(eps: int, m_bound: int, n_bound: int, deg_bound: int
     product-action table and the per-slot compositions of
     ``_rank1_tables``, signs folded in.
     """
-    import numpy as np
-    from .slots import check_exact
-
-    beta = (-1) ** (1 - eps)
-    _, n1, prod_act, full1, small1 = _rank1_tables(eps, m_bound, n_bound, deg_bound)
-    check_exact(int(np.abs(full1).max()) * int(np.abs(small1).max()) * full1.shape[2],
-                np.int64, "associative split compositions")
-    signs = beta ** ((1 - n1) % 2)
-    comp = np.matmul(full1[:, None], small1[None, :])
-    comp *= (signs[:, None] * signs[None, :])[:, :, None, None]
-    return (beta * prod_act != comp).any(axis=(2, 3)).ravel()
+    prod_act, comp = _rank1_tables(eps, m_bound, n_bound, deg_bound)
+    return ((-1) ** (1 - eps) * prod_act != comp).any(axis=(2, 3)).ravel()
 
 
 def assoc_action_split(spec: OmegaSpec, m_bound: int, n_bound: int,

@@ -105,7 +105,7 @@ def _hat_bracket_table(table, keys, degs, n_bound: int):
     n <= n_bound, then the center, whose row and column are zero.  Returns
     int64 tables (br, phi): br[a, b, r] is the coefficient of
     t^(m_a + m_b) D^r in [a, b], read off the source-degree ad blocks of the
-    product ``table`` as at rank 2, and phi[a, b] is den * phi(a, b).
+    product ``table``, and phi[a, b] is den * phi(a, b).
     """
     import numpy as np
     from .slots import int_table
@@ -241,75 +241,65 @@ def _ad_blocks(table, ops, degs, nq: int, nr: int):
     return out
 
 
-def _jacobi_rank2_matrices(m_bound: int, n_bound: int, table=None):
-    """ad([b,c]) = ad(b) ad(c) - ad(c) ad(b) on the windowed rank-2 basis.
+def _jacobi_rank2_matrices(mb: int, nb: int, table=None):
+    """Antisymmetry and Jacobi of the rank-2 algebra on its windowed basis.
 
-    Everything is graded by the t-degree vector, so each ad map is one dense
-    integer block per source degree; compositions become batched small
-    matmuls over the source-degree blocks.  Checking the matrix identity
-    for a pair (b, c) checks Jacobi against every source basis element a at
-    once, and antisymmetry (verified on all ordered pairs first) transfers
-    the unordered-pair coverage to all ordered triples.  The blocks and the
-    brackets [b, c] are assembled from the rank-1 product table; for each b
-    the pairs (b, c), c >= b, are checked one degree of c at a time, in
-    float64 under an absolute-value bound below 2^53.  ``table`` is a
-    product table to slice the rank-1 structure constants from, if it holds
-    them.
+    Products factor over the slots, so [a, b] = ab - ba is a sum of two
+    Kronecker products of slot products, and J(b, c) = ad([b, c]) -
+    ad(b) ad(c) + ad(c) ad(b) on the source window a sum of 12 Kronecker
+    products of slot maps, one block per source degree, decided exactly by
+    ``kron_sums_vanish``.  J(b, c) = 0 checks Jacobi against every source
+    element at once, and antisymmetry (on all ordered pairs first) extends
+    the pairs c >= b to all ordered triples.  The slot maps are sliced from
+    the rank-1 product table, out of ``table`` if it holds them.
     """
     import numpy as np
-    from .slots import check_exact
+    from .slots import check_exact, kron_sums_vanish
 
-    src_deg = _degrees(m_bound, 2)
-    mid_deg = _degrees(2 * m_bound, 2)
-    mid_deg_pos = {d: i for i, d in enumerate(mid_deg)}
-    src_n = _ngrid(n_bound, 2)
-    ns, nm, no = len(src_n), (2 * n_bound + 1) ** 2, (3 * n_bound + 1) ** 2
-    src = [(d, n) for d in src_deg for n in src_n]
-    n_src_total = len(src)
-    mid_basis = [(d, n) for d in mid_deg for n in _ngrid(2 * n_bound, 2)]
+    nq, nk, nr = nb + 1, 2 * nb + 1, 3 * nb + 1
+    table = _product_subtable(table, 2 * nb, 2 * mb, 2 * nb)
+    check_exact(nk * int(np.abs(table).max()) ** 2, np.int64, "rank-2 Jacobi slot maps")
+    # table indices of the source degrees mu and of the slot elements t^m D^n
+    mu = np.arange(mb, 3 * mb + 1)
+    em, en = np.repeat(mu, nq), np.tile(np.arange(nq), 2 * mb + 1)
+    # [b_s, c_s, mu]: L_c and R_c on the source blocks, L_b at the degrees
+    # m_c + mu, R_b, the product u = b_s c_s, and L_u and R_u
+    l_src = table[en[:, None], mu, :nq, :nk].swapaxes(-1, -2)
+    r_src = table[:nq, em, en, :nk].transpose(1, 2, 0)
+    l_mid = table[en[:, None, None], em[:, None] + mu - 2 * mb, :nk, :nr].swapaxes(-1, -2)
+    r_mid = table[:nk, em, en, :nr].transpose(1, 2, 0)
+    u = table[en[:, None], em, en, :nk]
+    l_u = np.tensordot(u, table[:nk, mu, :nq, :nr], axes=1).swapaxes(-1, -2)
+    r_u = np.einsum("bck,qbckr->bcrq", u, table[:nq, em[:, None] + em - 2 * mb, :nk, :nr])
+    n1 = len(em)
+    maps = [np.broadcast_to(m, (n1, n1, len(mu), nr, nq)) for m in (
+        l_u, r_u[:, :, None], l_mid @ l_src, l_mid @ r_src[:, None],
+        r_mid[:, None, None] @ l_src, (r_mid[:, None] @ r_src)[:, :, None])]
+    # ad([b, c]) = L_u - R_u - L_v + R_v with v = c_s b_s, minus
+    # ad(b) ad(c) = L_b L_c - L_b R_c - R_b L_c + R_b R_c, plus its swap
+    terms = np.stack(maps + [m.swapaxes(0, 1) for m in maps], axis=2)
+    jacobi = kron_sums_vanish([terms.reshape(n1 * n1, 12, -1, nq)] * 2,
+                              (1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1))
+    # [a, b] + [b, a] = ab - ba + ba - ab
+    prods = np.stack([u, u.swapaxes(0, 1), u.swapaxes(0, 1), u], axis=2)
+    antisym = kron_sums_vanish([prods.reshape(n1 * n1, 4, nk, 1)] * 2, (1, -1, 1, -1))
 
-    table = _product_subtable(table, 2 * n_bound, 2 * m_bound, 2 * n_bound)
-    ad_bound = 2 * int(np.abs(table).max()) ** 2
-    check_exact(ad_bound, np.float64, "rank-2 ad blocks")
-    table = table.astype(np.float64)
-    # ad(c) blocks on source degrees: src n-grid -> mid n-grid
-    ad_src = _ad_blocks(table, src, src_deg, n_bound + 1, 2 * n_bound + 1)
-    # ad(b) blocks on mid degrees: mid n-grid -> out n-grid
-    ad_mid = _ad_blocks(table, src, mid_deg, 2 * n_bound + 1, 3 * n_bound + 1)
-    # ad(y) blocks on source degrees for every mid basis element y, grouped
-    # by the degree of y
-    ad_y = _ad_blocks(table, mid_basis, src_deg, n_bound + 1, 3 * n_bound + 1
-                      ).reshape(len(mid_deg), nm, len(src_deg), no, ns)
-
-    # [a, b] for every ordered pair of source elements: ad(a) at b
-    br = ad_src.transpose(0, 1, 3, 2).reshape(n_src_total, n_src_total, nm)
-    bad = (br + br.transpose(1, 0, 2)).any(axis=2).ravel()
-    if bad.any():
-        first = int(np.argmax(bad))
-        a, b = divmod(first, n_src_total)
-        return False, first + 1, f"rank-2 antisymmetry fails at {src[a]}, {src[b]}"
-    checks = n_src_total * n_src_total
-
-    # shift[theta][mu]: the mid degree theta + mu
-    shift = np.array([[mid_deg_pos[(mu[0] + th[0], mu[1] + th[1])] for mu in src_deg]
-                      for th in src_deg], dtype=np.intp)
-    check_exact(max(2 * nm * ad_bound ** 2, np.abs(br).sum(axis=2).max() * ad_bound),
-                np.float64, "rank-2 Jacobi compositions")
-
-    for bi in range(n_src_total):
-        db = bi // ns
-        for dc in range(db, len(src_deg)):
-            lo, hi = max(bi, dc * ns), (dc + 1) * ns
-            comp1 = np.matmul(ad_mid[bi][shift[dc]], ad_src[lo:hi])
-            comp2 = np.matmul(ad_mid[lo:hi][:, shift[db]], ad_src[bi])
-            lhs = np.tensordot(br[bi, lo:hi], ad_y[shift[db, dc]], axes=1)
-            bad = (lhs != comp1 - comp2).reshape(hi - lo, -1).any(axis=1)
-            if bad.any():
-                k = int(np.argmax(bad))
-                checks += (k + 1) * n_src_total
-                return False, checks, f"rank-2 Jacobi fails at {src[bi]}, {src[lo + k]}"
-            checks += (hi - lo) * n_src_total
-    return True, checks, ""
+    src = [(d, n) for d in _degrees(mb, 2) for n in _ngrid(nb, 2)]
+    # the slot tuple of each ordered pair of source elements
+    grid = np.indices((2 * mb + 1,) * 2 + (nq,) * 2).reshape(4, -1)
+    slot = grid[:2] * nq + grid[2:]
+    pair = tuple(slot[:, :, None] * n1 + slot[:, None, :])
+    # one check per ordered pair, then one per source element and pair c >= b
+    n = len(src)
+    iu, ju = np.triu_indices(n)
+    bad = np.concatenate([~antisym[pair].ravel(), ~jacobi[pair][iu, ju]])
+    k = int(np.argmax(bad))
+    if not bad[k]:
+        return True, n * n + len(iu) * n, ""
+    if k < n * n:
+        return False, k + 1, f"rank-2 antisymmetry fails at {src[k // n]}, {src[k % n]}"
+    k -= n * n
+    return False, n * n + (k + 1) * n, f"rank-2 Jacobi fails at {src[iu[k]]}, {src[ju[k]]}"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ structure constants."""
 
 import sys
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, combinations_with_replacement, product as iproduct
 
 import pytest
 
@@ -120,3 +120,40 @@ def test_sliced_tables_match_built_tables(bounds):
     for shape in ((n, m, n), (2 * n2, 2 * m2, 2 * n2)):
         assert (V._product_subtable(big, *shape) == product_table(*shape)).all()
     assert V._cocycle_tensor(m, n, big)[1].tolist() == V._cocycle_tensor(m, n)[1].tolist()
+
+
+def _rank2_oracle(mb, nb):
+    """(ok, checks, detail) of ``_jacobi_rank2_matrices``, bracket by bracket:
+    antisymmetry on ordered pairs, then [[b, c], a] = [b, [c, a]] - [c, [b, a]]
+    for every source element a, n_src checks per pair c >= b."""
+    ctx = liealg.AlgebraCtx(2)
+    src = [(m, n) for m in iproduct(range(-mb, mb + 1), repeat=2)
+           for n in iproduct(range(nb + 1), repeat=2)]
+    ops = [ctx.basis(*e) for e in src]
+    checks = 0
+    for i, j in iproduct(range(len(ops)), repeat=2):
+        checks += 1
+        if not (bracket(ops[i], ops[j]) + bracket(ops[j], ops[i])).is_zero():
+            return False, checks, f"rank-2 antisymmetry fails at {src[i]}, {src[j]}"
+    for i, j in combinations_with_replacement(range(len(ops)), 2):
+        b, c = ops[i], ops[j]
+        bc = bracket(b, c)
+        checks += len(ops)
+        if any(bracket(bc, a) != bracket(b, bracket(c, a)) - bracket(c, bracket(b, a))
+               for a in ops):
+            return False, checks, f"rank-2 Jacobi fails at {src[i]}, {src[j]}"
+    return True, checks, ""
+
+
+@pytest.mark.parametrize("bounds", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_rank2_certificate_matches_the_bracket_oracle(bounds):
+    want = _rank2_oracle(*bounds)
+    assert want[0]
+    assert V._jacobi_rank2_matrices(*bounds) == want
+
+
+def test_rank2_certificate_fails_where_the_oracle_fails(monkeypatch):
+    monkeypatch.setattr(liealg, "basis_product", _product_without_second_order_terms)
+    want = _rank2_oracle(1, 1)
+    assert want == (False, 1368, "rank-2 Jacobi fails at ((-1, -1), (0, 0)), ((-1, -1), (0, 1))")
+    assert V._jacobi_rank2_matrices(1, 1) == want

@@ -1,6 +1,8 @@
 """The per-slot tables behind the numpy fast paths, against the library's
 structure constants, and the overflow guard on every machine product."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -130,3 +132,58 @@ def test_refusals_are_typed_and_come_before_any_int64_fill():
     # cocycle values past 2^63: numpy would fail converting them
     with pytest.raises(slots.BoundsTooLarge, match="cocycle contraction"):
         V._cocycle_tensor(3, 20)
+
+
+def _exact_weighted_products(factors, w):
+    """sum_i w[i] prod_s factors[s][p_s, i] in Python ints, per tuple
+    (p_0, p_1, ...) listed row-major as ``_weighted_products_vanish`` does."""
+    out = []
+    for idx in iproduct(*[range(len(f)) for f in factors]):
+        out.append(sum(int(w[i]) * np.prod([int(f[p, i]) for f, p in zip(factors, idx)],
+                                           dtype=object) for i in range(len(w))))
+    return np.array(out, dtype=object)
+
+
+def test_weighted_products_vanish_modulo_primes_past_int64():
+    p = slots._PRIMES[0]
+    rng = np.random.default_rng(3)
+    a = rng.integers(-2 ** 40, 2 ** 40, size=(5, 6))
+    b = rng.integers(-2 ** 40, 2 ** 40, size=(4, 6))
+    w = rng.integers(-3, 4, size=6)
+    w[:2] = 1
+    x = int(a[2, 0])
+    # pair (0, 0) sums to zero; pair (1, 1) to p, which is 0 modulo the
+    # first prime only; pair (2, 3) to x * y - y * x = 0 as well
+    a[0], b[0] = 0, 0
+    a[1], b[1] = 0, 0
+    a[1, :2], b[1, :2] = (x, 1), (p, p - x * p)
+    a[2, 2:], b[3] = 0, 0
+    b[3, :2] = (int(a[2, 1]), -x)
+    exact = _exact_weighted_products([a, b], w)
+    assert abs(exact).max() > 2 ** 63
+    assert exact[1 * 4 + 1] == p and exact[2 * 4 + 3] == 0
+    for factors in ([a, b], [a, b, a[:3]], [b]):
+        got = slots._weighted_products_vanish(factors, w)
+        assert got.tolist() == (_exact_weighted_products(factors, w) == 0).tolist()
+
+
+def test_axiom_certificate_takes_primes_past_the_first_three(monkeypatch):
+    # the dnu norms at (3, 3, 4), eps = 1, have a shadow near 2^83: 5 primes
+    seen = []
+    real = slots._matmul_mod_p
+    monkeypatch.setattr(slots, "_matmul_mod_p", lambda a, b, p: seen.append(p) or real(a, b, p))
+    decl = ParamDecl(invertible=("l1", "l2"))
+    spec = U.omega_dnu((decl.param("l1"), decl.param("l2")), 1)
+    assert not U._verify_axiom_dnu_fast(spec, 3, 3, 4).any()
+    assert seen[:3] == list(slots._PRIMES) and len(set(seen)) > 3
+
+
+def test_rank2_certificates_stay_below_150_mb():
+    # both rank-2 certificates at their default bounds, in one fresh
+    # interpreter; ru_maxrss is in kilobytes on Linux
+    code = ("import resource\n"
+            "from weylmod.verify import run_suites\n"
+            "assert all(r.ok for r in run_suites(['jacobi-antisymmetry', 'module-axiom']))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 150 * 1024

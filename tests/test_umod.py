@@ -9,7 +9,7 @@ from weylmod import slots, umod as U
 from weylmod.liealg import AlgebraCtx, D_ALG, bracket
 from weylmod.scalars import ParamDecl, RATIONALS
 from weylmod.umod import (
-    FamilyMismatch, PolyVec, act, act_hv, act_vir, assoc_action_split,
+    FamilyMismatch, PolyVec, act, act_hv, assoc_action_split,
     degree_reduction_witness, omega_d, omega_dnu, omega_hv, omega_vir,
     simplicity_probe, verify_module_axiom,
 )
@@ -80,9 +80,9 @@ def test_vir_action():
     s = omega_vir(LAM, alpha)
     f = s.monomial(2) + s.monomial(0, 3)
     # L_0 f = x f for any alpha
-    assert act_vir(s, 0, f) == PolyVec(s, {(3,): RATIONALS.one, (1,): RATIONALS.rational(3)})
+    assert act_hv(s, ("L", 0), f) == PolyVec(s, {(3,): RATIONALS.one, (1,): RATIONALS.rational(3)})
     # L_m 1 = lambda^m (x - m alpha)
-    got = act_vir(s, 2, s.one_vec())
+    got = act_hv(s, ("L", 2), s.one_vec())
     assert got == s.monomial(1, LAM ** 2) + s.monomial(0, -(LAM ** 2) * alpha * 2)
 
 
@@ -207,6 +207,33 @@ def test_fast_path_detects_wrong_product_rule(eps, monkeypatch):
         monos = [spec.monomial(e) for e in iproduct(*[range(bounds[2] + 1)] * spec.rank)
                  if sum(e) <= bounds[2]]
         assert fast.checked == pairs.index((a, b)) * len(monos) + monos.index(f) + 1
+
+
+def _exact_axiom_flags(spec, m_bound, n_bound, deg):
+    """Per pair a <= b in ``verify_module_axiom``'s order: does some monomial
+    break [a, b].f = a.(b.f) - b.(a.f), compared exactly?"""
+    ctx = AlgebraCtx(spec.rank, central=False)
+    ops = [ctx.basis(m, n) for m in iproduct(range(-m_bound, m_bound + 1), repeat=spec.rank)
+           for n in iproduct(range(n_bound + 1), repeat=spec.rank)]
+    monos = [spec.monomial(e) for e in iproduct(range(deg + 1), repeat=spec.rank)
+             if sum(e) <= deg]
+    once = [[act(a, f) for f in monos] for a in ops]
+    return [any(act(bracket(a, ops[j]), f) != act(a, once[j][k]) - act(ops[j], once[i][k])
+                for k, f in enumerate(monos))
+            for i, a in enumerate(ops) for j in range(i, len(ops))]
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_axiom_certificate_flags_exactly_the_failing_pairs(eps, monkeypatch):
+    from weylmod import liealg
+    monkeypatch.setattr(liealg, "basis_product", _product_without_second_order_terms)
+    q = RATIONALS.rational
+    for spec, bounds in ((omega_d(q(Fraction(-2, 3)), eps), (2, 2, 3)),
+                         (omega_dnu((q(2), q(Fraction(1, 3))), eps), (1, 2, 2))):
+        flags = U._verify_axiom_dnu_fast(spec, *bounds)
+        want = _exact_axiom_flags(spec, *bounds)
+        assert any(want)
+        assert flags.tolist() == want
 
 
 def _hv_specs():
@@ -367,7 +394,7 @@ def test_fast_paths_match_loops_on_random_bounds(data):
     spec = omega_d(lam, draw(st.integers(0, 1)))
     assert assoc_action_split(spec, m_bound, n_bound, deg) == \
         _split_loop(spec, m_bound, n_bound, deg)
-    # the float64 d/dnu path against the action= loop, rank 1 and rank 2
+    # the d/dnu Gram-norm path against the action= loop, rank 1 and rank 2
     fast = verify_module_axiom(spec, m_bound, n_bound, deg)
     loop = verify_module_axiom(spec, m_bound, n_bound, deg, action=act)
     assert (fast.ok, fast.checked) == (loop.ok, loop.checked)
