@@ -34,7 +34,7 @@ from .grammar import (
     ParseError, parse_operator, parse_param_decl, parse_pbw_monomial,
     parse_polynomial, parse_quasipolynomial, parse_scalar,
 )
-from .verify import SUITES, run_suites
+from .verify import BOUND_KEYS, SUITES, run_suites
 
 DEFAULT_PARAMS = "lambda!,l1!,l2!,l3!,l4!,alpha,beta,a,b,c"
 
@@ -43,7 +43,9 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_bounds(text: str | None) -> dict:
+def _parse_bounds(text: str | None, keys) -> dict:
+    """The key=value list of ``--bounds``; ``keys`` are the keys the
+    command reads, and any other key is a usage error."""
     out: dict = {}
     if not text:
         return out
@@ -54,6 +56,9 @@ def _parse_bounds(text: str | None) -> dict:
         if "=" not in chunk:
             raise UsageError(f"bounds entry {chunk!r} is not key=value")
         key, val = chunk.split("=", 1)
+        if key.strip() not in keys:
+            raise UsageError(f"unknown bound {key.strip()!r}; this command reads "
+                             + (", ".join(keys) or "no bounds"))
         try:
             out[key.strip()] = int(val)
         except ValueError as exc:
@@ -92,6 +97,11 @@ def _hw_spec(args, decl: ParamDecl) -> H.HWSpec:
     phi = parse_quasipolynomial(args.phi, decl)
     c = parse_scalar(args.c, decl)
     return H.HWSpec(c, phi)
+
+
+def _verma_window(args, decl: ParamDecl) -> H.TruncVerma:
+    return H.verma_basis(_hw_spec(args, decl),
+                         args.bounds.get("L", 2), args.bounds.get("N", 1))
 
 
 def _omega_spec(args, decl: ParamDecl, rank: int) -> U.OmegaSpec:
@@ -188,10 +198,9 @@ def cmd_grade(args, decl, rank):
 
 
 def cmd_span_probe(args, decl, rank):
-    bounds = _parse_bounds(args.bounds)
-    m_bound = bounds.get("m", 2)
-    n_bound = bounds.get("n", 3)
-    depth = bounds.get("depth", 8)
+    m_bound = args.bounds.get("m", 2)
+    n_bound = args.bounds.get("n", 3)
+    depth = args.bounds.get("depth", 8)
     gens = [parse_operator(g, rank, decl, central=False) for g in args.gen]
     if not gens:
         raise UsageError("need at least one --gen")
@@ -216,8 +225,7 @@ def cmd_span_probe(args, decl, rank):
 
 
 def cmd_verma(args, decl, rank):
-    bounds = _parse_bounds(args.bounds)
-    tv = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
+    tv = _verma_window(args, decl)
     basis = tv.basis()
     lines = [f"{H._verma_label(mono)} (level {H.monomial_level(mono)})"
              for mono in basis]
@@ -232,8 +240,7 @@ def cmd_verma(args, decl, rank):
 
 
 def cmd_act_verma(args, decl, rank):
-    bounds = _parse_bounds(args.bounds)
-    tv = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
+    tv = _verma_window(args, decl)
     op = parse_operator(args.op, 1, decl, central=True)
     mono = parse_pbw_monomial(args.mono, decl)
     result = H.act_verma(op, tv.elem({mono: 1}))
@@ -242,10 +249,9 @@ def cmd_act_verma(args, decl, rank):
 
 
 def cmd_singular(args, decl, rank):
-    bounds = _parse_bounds(args.bounds)
-    tv = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
-    level = bounds.get("level", 1)
-    order = bounds.get("M", 3)
+    tv = _verma_window(args, decl)
+    level = args.bounds.get("level", 1)
+    order = args.bounds.get("M", 3)
     rep = H.singular_vectors(tv, level, order)
     lines = [
         f"{len(rep.vectors)} singular vector(s) at level {level}, "
@@ -284,9 +290,8 @@ def cmd_hseq(args, decl, rank):
 
 
 def _tensor_spec(args, decl) -> T.TensorSpec:
-    bounds = _parse_bounds(args.bounds)
-    hw = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
-    return T.TensorSpec(U.omega_d(parse_scalar(args.lam, decl), args.eps), hw)
+    return T.TensorSpec(U.omega_d(parse_scalar(args.lam, decl), args.eps),
+                        _verma_window(args, decl))
 
 
 def cmd_tensor_act(args, decl, rank):
@@ -300,12 +305,11 @@ def cmd_tensor_act(args, decl, rank):
 
 
 def cmd_tensor_probe(args, decl, rank):
-    bounds = _parse_bounds(args.bounds)
-    d = bounds.get("d", 3)
-    m_bound = bounds.get("m", 4)
-    n_bound = bounds.get("n", 2)
+    d = args.bounds.get("d", 3)
+    m_bound = args.bounds.get("m", 4)
+    n_bound = args.bounds.get("n", 2)
     if args.control_hv:
-        hw = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
+        hw = _verma_window(args, decl)
         lam = parse_scalar(args.lam, decl)
         alpha = parse_scalar(args.alpha, decl) if args.alpha else decl.zero
         beta = parse_scalar(args.beta, decl) if args.beta else decl.zero
@@ -333,11 +337,10 @@ def cmd_tensor_probe(args, decl, rank):
 
 
 def cmd_intertwiner(args, decl, rank):
-    bounds = _parse_bounds(args.bounds)
-    d = bounds.get("d", 3)
-    m_bound = bounds.get("m", 4)
-    n_bound = bounds.get("n", 1)
-    hw = H.verma_basis(_hw_spec(args, decl), bounds.get("L", 2), bounds.get("N", 1))
+    d = args.bounds.get("d", 3)
+    m_bound = args.bounds.get("m", 4)
+    n_bound = args.bounds.get("n", 1)
+    hw = _verma_window(args, decl)
     spec_a = T.TensorSpec(U.omega_d(parse_scalar(args.lam_a, decl), args.eps_a), hw)
     spec_b = T.TensorSpec(U.omega_d(parse_scalar(args.lam_b, decl), args.eps_b), hw)
     dim = T.intertwiner_dim(spec_a, spec_b, d, m_bound, n_bound)
@@ -351,14 +354,13 @@ def cmd_intertwiner(args, decl, rank):
 
 
 def cmd_verify(args, decl, rank):
-    bounds = _parse_bounds(args.bounds)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
             raise UsageError(
                 f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
             )
-    results = run_suites(names, bounds or None, seed=args.seed)
+    results = run_suites(names, args.bounds or None, seed=args.seed)
     ok = all(r.ok for r in results)
     if args.json:
         suites = []
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, hw=False, omega=False, tensor=False):
+    def common(p, hw=False, omega=False, bounds=()):
         p.add_argument("--rank", type=int, default=None,
                        help="number of t variables (default 1 or WEYLMOD_RANK)")
         p.add_argument("--params", default=DEFAULT_PARAMS,
@@ -402,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of key=value bounds")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled checks")
+        p.set_defaults(bound_keys=bounds)
         if hw:
             p.add_argument("--phi", default="x",
                            help="quasipolynomial weight data, e.g. 'x*exp(a*x) - x'")
@@ -446,21 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("span-probe", help="bracket-closure probe of generators")
     p.add_argument("--gen", action="append", default=[],
                    help="generator (repeatable)")
-    common(p)
+    common(p, bounds=("m", "n", "depth"))
     p.set_defaults(fn=cmd_span_probe)
 
     p = sub.add_parser("verma", help="enumerate a truncated Verma basis")
-    common(p, hw=True)
+    common(p, hw=True, bounds=("L", "N"))
     p.set_defaults(fn=cmd_verma)
 
     p = sub.add_parser("act-verma", help="act on a PBW basis vector")
     p.add_argument("op")
     p.add_argument("mono", help="PBW monomial like 't^-1*D;t^-2' (or '1')")
-    common(p, hw=True)
+    common(p, hw=True, bounds=("L", "N"))
     p.set_defaults(fn=cmd_act_verma)
 
     p = sub.add_parser("singular", help="bounded singular-vector search")
-    common(p, hw=True)
+    common(p, hw=True, bounds=("L", "N", "level", "M"))
     p.set_defaults(fn=cmd_singular)
 
     p = sub.add_parser("hseq", help="weight eigenvalues h_0..h_n from phi")
@@ -474,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mono", default="1")
     p.add_argument("--lam", default="lambda")
     p.add_argument("--eps", type=int, choices=(0, 1), default=1)
-    common(p, hw=True)
+    common(p, hw=True, bounds=("L", "N"))
     p.set_defaults(fn=cmd_tensor_act)
 
     p = sub.add_parser("tensor-probe", help="bounded cyclicity probe")
@@ -485,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "two-parameter module at alpha=beta=0")
     p.add_argument("--alpha", default="")
     p.add_argument("--beta", default="")
-    common(p, hw=True)
+    common(p, hw=True, bounds=("d", "m", "n", "L", "N"))
     p.set_defaults(fn=cmd_tensor_probe)
 
     p = sub.add_parser("intertwiner", help="bounded intertwiner dimension")
@@ -493,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-a", type=int, choices=(0, 1), default=1)
     p.add_argument("--lam-b", default="3")
     p.add_argument("--eps-b", type=int, choices=(0, 1), default=1)
-    common(p, hw=True)
+    common(p, hw=True, bounds=("d", "m", "n", "L", "N"))
     p.set_defaults(fn=cmd_intertwiner)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -502,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (output is then not "
                         "byte-reproducible)")
-    common(p)
+    common(p, bounds=BOUND_KEYS)
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -522,6 +525,7 @@ def main(argv=None) -> int:
         if args.json is None:
             args.json = _env_json()
         decl = parse_param_decl(args.params)
+        args.bounds = _parse_bounds(args.bounds, args.bound_keys)
         return args.fn(args, decl, rank)
     except (ParseError, UsageError, NonInvertibleParameter, CtxMismatch,
             CentralUnsupported, U.FamilyMismatch, T.TensorMismatch,

@@ -464,31 +464,24 @@ def singular_vectors(tv: TruncVerma, level: int, order_checked: int) -> Singular
     return SingularReport(level, order_checked, tv.order_bound, vectors)
 
 
-def weight_space_dims(tv: TruncVerma, singulars, n_probe: int | None = None,
-                      order_cap: int | None = None) -> list:
+def weight_space_dims(tv: TruncVerma, singulars) -> list:
     """Level-slice dimensions of the bounded quotient by the given vectors.
 
     Closes the span of ``singulars`` under basis operators t^m D^n with
-    |m| <= level bound and n <= n_probe (default: order bound + 1), skipping
-    applications that would leave the level window or produce generator
-    orders above ``order_cap`` (default: order bound + n_probe + 1; the cap
-    keeps the closure finite).  Every kept vector lies exactly in the
-    generated submodule, so the reported quotient dimensions are upper
-    bounds: the probe may under-close, never over-close.  Singular vectors
-    above the window are invisible, so the true simple quotient can only be
-    smaller still.
+    |m| <= level bound and n <= order bound + 1, skipping applications that
+    would leave the level window or produce generator orders above
+    2 * order bound + 2 (the cap keeps the closure finite).  Every kept
+    vector lies exactly in the generated submodule, so the reported quotient
+    dimensions are upper bounds: the probe may under-close, never
+    over-close.  Singular vectors above the window are invisible, so the
+    true simple quotient can only be smaller still.
     """
-    L = tv.level_bound
-    if n_probe is None:
-        n_probe = tv.order_bound + 1
-    if order_cap is None:
-        order_cap = tv.order_bound + n_probe + 1
-    ops = [(m, n) for m in range(-L, L + 1) for n in range(n_probe + 1)]
+    L, N = tv.level_bound, tv.order_bound
+    ops = [(m, n) for m in range(-L, L + 1) for n in range(N + 2)]
+    order_cap = 2 * N + 2
 
     def order_ok(elem: VermaElem) -> bool:
-        return all(
-            n <= order_cap for mono in elem.terms for _, n in mono
-        )
+        return all(n <= order_cap for mono in elem.terms for _, n in mono)
 
     closures = {lv: SpanBasis() for lv in range(L + 1)}
     frontier = []

@@ -77,29 +77,12 @@ def int_table(shape, entries: dict, what: str):
     return table
 
 
-def kron_slots(factors):
-    """Kronecker product of per-slot matrices, batched over leading axes.
-
-    ``factors[s][..., i, j]`` are the slot-s matrices; the result indexes
-    rows and columns by multi-indices with slot 0 most significant, which is
-    the order ``itertools.product`` lists them in.  Leading axes broadcast.
-    """
-    import numpy as np
-
-    out = factors[0]
-    for f in factors[1:]:
-        # C order, so that the reshape below is a view and not a copy
-        k = np.multiply(out[..., :, None, :, None], f[..., None, :, None, :], order="C")
-        out = k.reshape(k.shape[:-4] + (k.shape[-4] * k.shape[-3],
-                                        k.shape[-2] * k.shape[-1]))
-    return out
-
-
 def kron_rows(factors):
     """Row-wise Kronecker product of per-slot matrices with shared columns.
 
     ``out[..., (i_0, i_1, ...), c] = prod_s factors[s][..., i_s, c]``, rows
-    ordered as in ``kron_slots``.  Leading axes broadcast.
+    in ``itertools.product`` order (slot 0 most significant).  Leading axes
+    broadcast.
     """
     import numpy as np
 

@@ -98,26 +98,35 @@ def _ngrid(bound: int, rank: int) -> list:
     return list(iproduct(range(bound + 1), repeat=rank))
 
 
-def _hat_bracket_table(table, keys, degs, n_bound: int):
-    """[a, b] in the extended rank-1 algebra for every ordered pair.
+def _hat_bracket_table(table, mb: int, nb: int):
+    """The rank-1 bracket and cocycle tables over the keys (m, n), |m| <= mb,
+    n <= nb, which the Jacobi and cocycle suites share.
 
-    The elements are ``keys``, ((m,), (n,)) at the t-degrees ``degs`` with
-    n <= n_bound, then the center, whose row and column are zero.  Returns
-    int64 tables (br, phi): br[a, b, r] is the coefficient of
-    t^(m_a + m_b) D^r in [a, b], read off the source-degree ad blocks of the
-    product ``table``, and phi[a, b] is den * phi(a, b).
+    Returns (keys, br, phi, den) with int64 tables: br[a, b, r] is the
+    coefficient of t^(m_a + m_b) D^r in [a, b] = ab - ba, read off the
+    product table (sliced out of ``table`` when it holds it), and
+    phi[m + 2 mb, r, c] = den * phi(t^m D^r, c) for |m| <= 2 mb, r <= 2 nb,
+    scaled by the common denominator den of those values (den = 2).  Both
+    are guarded for their contraction in ``_cocycle_tensor``.
     """
     import numpy as np
-    from .slots import int_table
+    from .slots import check_exact, int_table
 
-    ad_src = _ad_blocks(table, keys, degs, n_bound + 1, 2 * n_bound + 1)
-    br = ad_src.transpose(0, 1, 3, 2).reshape(len(keys), len(keys), -1)
-    phi = {(i, j): cocycle_basis(a[0][0], a[1][0], b[0][0], b[1][0])
-           for i, a in enumerate(keys) for j, b in enumerate(keys)}
+    keys = [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+    km, kn = np.array(keys, dtype=np.intp).T
+    table = _product_subtable(table, nb, mb, nb)
+    phi = {(m + 2 * mb, r, c): cocycle_basis(m, r, *key) for m in range(-2 * mb, 2 * mb + 1)
+           for r in range(2 * nb + 1) for c, key in enumerate(keys)}
     den = lcm(*(v.denominator for v in phi.values()))
-    phi = int_table((len(keys) + 1,) * 2, {k: int(v * den) for k, v in phi.items()},
-                    "rank-1 cocycle values")
-    return np.pad(br, ((0, 1), (0, 1), (0, 0))), phi
+    phi = {k: int(v * den) for k, v in phi.items() if v}
+    # bracket entries are below 2 |table|; S sums 2 nb + 1 products, and
+    # the cocycle identity three values of S
+    check_exact(3 * (2 * nb + 1) * 2 * int(np.abs(table).max())
+                * max(map(abs, phi.values()), default=1), np.int64, "cocycle contraction")
+    phi = int_table((4 * mb + 1, 2 * nb + 1, len(keys)), phi, "cocycle values")
+    br = table[kn[:, None], km[None, :] + mb, kn[None, :], :] \
+        - table[kn[None, :], km[:, None] + mb, kn[:, None], :]
+    return keys, br, phi, den
 
 
 def _hat_apply(ad_mid, br, deg, x, y, z):
@@ -126,7 +135,7 @@ def _hat_apply(ad_mid, br, deg, x, y, z):
     maps it."""
     import numpy as np
 
-    return np.einsum("trq,tq->tr", ad_mid[x, deg[y] + deg[z]], br[y, z])
+    return np.einsum("tqr,tq->tr", ad_mid[x, deg[y] + deg[z]], br[y, z])
 
 
 def _jacobi_rank1_tables(m_bound: int, n_bound: int, table=None):
@@ -135,40 +144,45 @@ def _jacobi_rank1_tables(m_bound: int, n_bound: int, table=None):
     The elements are the keys ((m,), (n,)), |m| <= m_bound, n <= n_bound,
     and the center "C".  Antisymmetry is checked on all ordered pairs,
     row-major; the Jacobiator is then alternating, so Jacobi is checked on
-    the triples of ``itertools.combinations``.  Its vector part is an int64
-    contraction, guarded by an absolute-value shadow of the actual tables;
-    its central part is -(S[x,y,z] + S[y,z,x] + S[z,x,y]) / den, with
-    S = den * phi([a, b], c) from ``_cocycle_tensor``, since
-    phi(x, [y, z]) = -phi([y, z], x).  ``table`` is the
+    the triples of ``itertools.combinations``.  The bracket table, the
+    cocycle values phi(a, b) and S = den * phi([a, b], c) come from one
+    ``_cocycle_tensor`` call.  The Jacobiator's vector part is an int64
+    contraction with the ad blocks of the keys at the mid degrees, sliced
+    from the product table and guarded by an absolute-value shadow of the
+    actual tables; its central part is -(S[x,y,z] + S[y,z,x] + S[z,x,y]) /
+    den, since phi(x, [y, z]) = -phi([y, z], x).  ``table`` is the
     ``product_table(2 n_bound, 2 m_bound, 2 n_bound)`` when the caller has
     built it already.
     """
     import numpy as np
     from .slots import check_exact
 
-    src_deg = _degrees(m_bound, 1)
-    keys = [(d, n) for d in src_deg for n in _ngrid(n_bound, 1)]
-    elems = keys + ["C"]
-    n_el = len(elems)
-
     table = _product_subtable(table, 2 * n_bound, 2 * m_bound, 2 * n_bound)
     check_exact(2 * int(np.abs(table).max()), np.int64, "rank-1 ad blocks")
-    br, phi = _hat_bracket_table(table, keys, src_deg, n_bound)
-    bad = (br != -br.transpose(1, 0, 2)).any(axis=2) | (phi != -phi.T)
+    keys, s, br, phi, _ = _cocycle_tensor(m_bound, n_bound, table)
+    km, kn = np.array(keys, dtype=np.intp).T
+    elems = [((m,), (n,)) for m, n in keys] + ["C"]
+    n_el = len(elems)
+
+    # the center gets a zero row and column
+    br = np.pad(br, ((0, 1), (0, 1), (0, 0)))
+    pair = np.pad(phi[km + 2 * m_bound, kn], (0, 1))
+    bad = (br != -br.transpose(1, 0, 2)).any(axis=2) | (pair != -pair.T)
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), n_el)
         return False, i * n_el + j + 1, f"antisymmetry fails at {elems[i]}, {elems[j]}"
     checks = n_el * n_el
 
-    ad_mid = _ad_blocks(table, keys, _degrees(2 * m_bound, 1),
-                        2 * n_bound + 1, 3 * n_bound + 1)
-    shadow = np.abs(ad_mid).astype(np.float64) @ np.abs(br).max(axis=(0, 1)).astype(np.float64)
+    # ad_mid[o, d, q, r]: the coefficient of t^(m_o + d) D^r in
+    # [o, t^d D^q] = o t^d D^q - t^d D^q o, for |d| <= 2 m_bound, q <= 2 n_bound
+    nr = 3 * n_bound + 1
+    ad_mid = table[kn, ..., :nr] - table[:, km + 2 * m_bound, kn, :nr].swapaxes(0, 1)[:, None]
+    shadow = np.abs(br).max(axis=(0, 1)).astype(np.float64) @ np.abs(ad_mid).astype(np.float64)
     check_exact(3 * shadow.max(), np.int64, "rank-1 Jacobiator")
     # the center gets a zero ad block and cocycle slice, at degree index 0
     ad_mid = np.pad(ad_mid, ((0, 1), (0, 0), (0, 0), (0, 0)))
-    _, s, _ = _cocycle_tensor(m_bound, n_bound, table)
     central = np.pad(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1), (0, 1))
-    deg = np.append(np.arange(len(keys)) // (n_bound + 1), 0)
+    deg = np.append(km + m_bound, 0)
     # one first index i at a time, over its pairs i < j < k in row-major order
     pj, pk = np.triu_indices(n_el, 1)
     for i in range(n_el - 2):
@@ -212,33 +226,6 @@ def _product_subtable(table, p_max: int, m_max: int, q_max: int):
             return table[:p_max + 1, mid - m_max:mid + m_max + 1, :q_max + 1,
                          :p_max + q_max + 1]
     return product_table(p_max, m_max, q_max)
-
-
-def _ad_blocks(table, ops, degs, nq: int, nr: int):
-    """Dense ad blocks of rank-nu basis operators (nu read off ``ops``).
-
-    ``out[o, d]`` maps the source n-grid range(nq)^nu at t-degree ``degs[d]``
-    to the target n-grid range(nr)^nu: entry (r, q) is the coefficient of
-    t^(m_o + degs[d]) D^r in [ops[o], t^degs[d] D^q].  Both products in the
-    bracket factor over the slots, so each block is a difference of two
-    Kronecker products of entries of the rank-1 ``table``, a
-    ``product_table`` that the caller has bounded (and cast to its dtype).
-    """
-    import numpy as np
-    from .slots import kron_slots
-
-    mmax = (table.shape[1] - 1) // 2
-    om = np.array([m for m, _ in ops], dtype=np.intp)
-    on = np.array([n for _, n in ops], dtype=np.intp)
-    dm = np.array(degs, dtype=np.intp)
-    left, right = [], []
-    for s in range(len(ops[0][0])):
-        # op * source: T[n_op, m_src, q, r]; source * op: T[q, m_op, n_op, r]
-        left.append(table[on[:, s, None], dm[None, :, s] + mmax, :nq, :nr].swapaxes(-1, -2))
-        right.append(table[:nq, om[:, s] + mmax, on[:, s], :nr].transpose(1, 2, 0)[:, None])
-    out = kron_slots(left)
-    out -= kron_slots(right)
-    return out
 
 
 def _jacobi_rank2_matrices(mb: int, nb: int, table=None):
@@ -310,34 +297,19 @@ def _jacobi_rank2_matrices(mb: int, nb: int, table=None):
 def _cocycle_tensor(mb: int, nb: int, table=None):
     """den * phi([a, b], c) over the keys (m, n), |m| <= mb, n <= nb.
 
-    Returns (keys, S, den) with S[a, b, c] an int64 array: the rank-1
-    bracket table [a, b] (from the product table, sliced out of ``table``
-    when it holds it) contracted with the cocycle values phi(t^m D^r, c),
-    scaled by the common denominator den of those values (den = 2).
+    Returns (keys, S, br, phi, den): the tables of ``_hat_bracket_table``
+    (given ``table``) and S[a, b, c], the int64 contraction of the bracket
+    table br with the cocycle values phi(t^m D^r, c).
     """
     import numpy as np
-    from .slots import check_exact
 
-    keys = [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+    keys, br, phi, den = _hat_bracket_table(table, mb, nb)
     km = np.array([m for m, _ in keys], dtype=np.intp)
-    kn = np.array([n for _, n in keys], dtype=np.intp)
-    table = _product_subtable(table, nb, mb, nb)
-    # [a, b] = ab - ba, coefficient of t^(m_a + m_b) D^r
-    br = table[kn[:, None], km[None, :] + mb, kn[None, :], :] \
-        - table[kn[None, :], km[:, None] + mb, kn[:, None], :]
-    phi = [[[cocycle_basis(m, r, mc, nc) for mc, nc in keys] for r in range(2 * nb + 1)]
-           for m in range(-2 * mb, 2 * mb + 1)]
-    den = lcm(*(v.denominator for plane in phi for row in plane for v in row))
-    phi = [[[int(v * den) for v in row] for row in plane] for plane in phi]
-    phi_max = max(abs(v) for plane in phi for row in plane for v in row)
-    check_exact(3 * (2 * nb + 1) * 2 * int(np.abs(table).max()) * max(phi_max, 1),
-                np.int64, "cocycle contraction")
-    phi = np.array(phi, dtype=np.int64)
     # one key a at a time, so that the gathered cocycle values stay
     # keys^2 * (2 nb + 1) large
     s = np.stack([np.einsum("br,brc->bc", br[a], phi[km[a] + km + 2 * mb])
                   for a in range(len(keys))])
-    return keys, s, den
+    return keys, s, br, phi, den
 
 
 def suite_cocycle(bounds=None) -> SuiteResult:
@@ -351,7 +323,7 @@ def suite_cocycle(bounds=None) -> SuiteResult:
     # 2-cocycle identity phi([a,b],c) + phi([b,c],a) + phi([c,a],b) = 0 over
     # all ordered triples, reported at the first failing triple in
     # lexicographic order
-    keys, s, _ = _cocycle_tensor(mb, nb)
+    keys, s, *_ = _cocycle_tensor(mb, nb)
     bad = np.flatnonzero(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1))
     if bad.size:
         a, rest = divmod(int(bad[0]), len(keys) ** 2)
@@ -733,6 +705,9 @@ SUITES = {
     "tensor": suite_tensor,
     "span-closure": suite_span,
 }
+
+# every bounds key that some suite reads
+BOUND_KEYS = ("m", "n", "deg", "m2", "n2", "probe_deg", "L", "N", "depth")
 
 
 def run_suites(names, bounds=None, seed=0):

@@ -7,6 +7,12 @@ import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# subprocesses import weylmod from this checkout too, as pytest's
+# ``pythonpath`` setting makes the test process do
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                         os.environ.get("PYTHONPATH")]))
+
 
 def run_cli(argv, env_extra=None, hash_seed="0"):
     """Run the CLI in a subprocess; returns (exit code, stdout, stderr)."""

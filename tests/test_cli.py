@@ -149,6 +149,21 @@ def test_bounds_too_large_exit_code(n):
                    "integer range of int64 (2^63) at these bounds\n")
 
 
+@pytest.mark.parametrize("argv, reads", [
+    (["verify", "--suite", "cocycle", "--bounds", "m=1,foo=3"],
+     "m, n, deg, m2, n2, probe_deg, L, N, depth"),
+    (["verma", "--bounds", "L=1,n=2"], "L, N"),
+    (["bracket", "t", "D", "--bounds", "m=1"], "no bounds"),
+])
+def test_unknown_bounds_key_is_a_usage_error(argv, reads):
+    # a key the command never reads used to be ignored, so the command ran
+    # at its default bounds and reported success
+    key = argv[-1].split(",")[-1].split("=")[0]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"weylmod: error: unknown bound {key!r}; this command reads {reads}\n"
+
+
 def test_env_rank_and_json_precedence():
     code, out, _ = run_cli(["bracket", "D1", "t1*t2"],
                            env_extra={"WEYLMOD_RANK": "2"})

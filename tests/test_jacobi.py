@@ -112,6 +112,16 @@ def test_suite_jacobi_builds_one_product_table(monkeypatch):
     assert small.ok and len(calls) == 3 * 5 * 3 + 5 * 5 * 5
 
 
+def test_suite_jacobi_fills_the_cocycle_table_once(monkeypatch):
+    # den * phi(t^m D^r, c) for |m| <= 2m, r <= 2n and the 28 keys c: the
+    # pair values phi(a, b) are a slice of it, not a second fill
+    real = V.cocycle_basis
+    calls = []
+    monkeypatch.setattr(V, "cocycle_basis", lambda *a: calls.append(a) or real(*a))
+    assert V.suite_jacobi().ok
+    assert len(calls) == 13 * 7 * 28 == 2548
+
+
 @pytest.mark.parametrize("bounds", [(1, 1, 1, 1), (2, 2, 1, 1), (1, 0, 0, 0), (2, 1, 2, 1)])
 def test_sliced_tables_match_built_tables(bounds):
     from weylmod.slots import product_table

@@ -12,7 +12,7 @@ import pytest
 from weylmod import slots, umod as U, verify as V
 from weylmod.liealg import basis_bracket, basis_product, cocycle_basis
 from weylmod.scalars import ParamDecl
-from weylmod.slots import check_exact, kron_rows, kron_slots, product_table
+from weylmod.slots import check_exact, kron_rows, product_table
 
 
 def test_check_exact_limits():
@@ -45,38 +45,32 @@ def test_kron_helpers_match_numpy_kron():
     rng = np.random.default_rng(0)
     a = rng.integers(-5, 6, size=(3, 2, 4))
     b = rng.integers(-5, 6, size=(3, 3, 2))
-    got = kron_slots([a, b])
     cols = list(iproduct(range(4), range(2)))[::3]
     rows = kron_rows([a[..., [c[0] for c in cols]], b[..., [c[1] for c in cols]]])
     for k in range(3):
-        assert np.array_equal(got[k], np.kron(a[k], b[k]))
         assert np.array_equal(rows[k], np.kron(a[k], b[k])[:, ::3])
 
 
-def test_rank2_ad_blocks_match_basis_bracket():
-    # one builder for both ranks, on the dtype each Jacobi path uses
-    nq, nr = 2, 5
-    for rank, dtype in ((1, np.int64), (2, np.float64)):
-        table = product_table(2, 2, 2).astype(dtype)
-        ops = [(d, n) for d in iproduct((-2, 0, 1), repeat=rank)
-               for n in iproduct(range(3), repeat=rank)]
-        degs = list(iproduct(range(-1, 2), repeat=rank))
-        blocks = V._ad_blocks(table, ops, degs, nq, nr)
-        assert blocks.dtype == dtype
-        qgrid = list(iproduct(range(nq), repeat=rank))
-        rpos = {r: i for i, r in enumerate(iproduct(range(nr), repeat=rank))}
-        for o, (om, on) in enumerate(ops):
-            for d, mu in enumerate(degs):
-                want = np.zeros((nr ** rank, nq ** rank))
-                for ci, q in enumerate(qgrid):
-                    for (km, kn), v in basis_bracket(om, on, mu, q).items():
-                        assert km == tuple(a + b for a, b in zip(om, mu))
-                        want[rpos[kn], ci] += v
-                assert np.array_equal(blocks[o, d], want)
+def test_hat_bracket_table_matches_basis_bracket_and_cocycle():
+    # the rank-1 tables of the Jacobi and cocycle suites, built and sliced
+    for mb, nb in ((0, 0), (1, 2), (2, 1)):
+        for table in (None, product_table(2 * nb, 2 * mb, 2 * nb)):
+            keys, br, phi, den = V._hat_bracket_table(table, mb, nb)
+            assert keys == [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+            assert br.dtype == phi.dtype == np.int64
+            for (i, (ma, na)), (j, (mc, nc)) in iproduct(enumerate(keys), repeat=2):
+                want = [0] * (2 * nb + 1)
+                for (km, kn), v in basis_bracket((ma,), (na,), (mc,), (nc,)).items():
+                    assert km == (ma + mc,)
+                    want[kn[0]] += v
+                assert br[i, j].tolist() == want
+            for m, r, (c, key) in iproduct(range(-2 * mb, 2 * mb + 1), range(2 * nb + 1),
+                                           enumerate(keys)):
+                assert phi[m + 2 * mb, r, c] == den * cocycle_basis(m, r, *key)
 
 
 def test_cocycle_tensor_matches_phi_of_bracket():
-    keys, s, den = V._cocycle_tensor(1, 2)
+    keys, s, _, _, den = V._cocycle_tensor(1, 2)
     assert den == 2
 
     def phi_of_bracket(a, b, c):

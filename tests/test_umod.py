@@ -405,6 +405,29 @@ def test_fast_paths_match_loops_on_random_bounds(data):
     assert (fast.ok, fast.checked) == (loop.ok, loop.checked)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_axiom_certificate_matches_loop_on_random_bounds_with_a_wrong_product(data):
+    # the d/dnu Gram-norm path against the action= loop under a wrong
+    # product rule: the same verdict, check count and first counterexample.
+    # The rule breaks pairs from n = 2 on, so rank 2 (n <= 1) passes here.
+    from weylmod import liealg
+    draw = data.draw
+    eps = draw(st.integers(0, 1))
+    lam = _param(draw, "lambda", invertible=True)
+    cases = [(omega_d(lam, eps), (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                                  draw(st.integers(0, 3)))),
+             (omega_dnu((lam, _param(draw, "lambda", invertible=True)), eps),
+              tuple(draw(st.integers(0, 1)) for _ in range(3)))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liealg, "basis_product", _product_without_second_order_terms)
+        for spec, bounds in cases:
+            fast = verify_module_axiom(spec, *bounds)
+            loop = verify_module_axiom(spec, *bounds, action=act)
+            assert (fast.ok, fast.checked, fast.counterexample) == \
+                (loop.ok, loop.checked, loop.counterexample)
+
+
 def _flag_every_pair(real):
     """A fast path that clears no pair: the exact loop compares them all."""
     return lambda *args: np.ones(len(real(*args)), dtype=bool)
