@@ -402,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit JSON (or set WEYLMOD_JSON=1)")
         p.add_argument("--bounds", default="",
                        help="comma list of key=value bounds")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled checks")
         p.set_defaults(bound_keys=bounds)
         if hw:
             p.add_argument("--phi", default="x",
@@ -505,6 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (output is then not "
                         "byte-reproducible)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled checks")
     common(p, bounds=BOUND_KEYS)
     p.set_defaults(fn=cmd_verify)
 

@@ -379,6 +379,8 @@ def parse_param_decl(text: str) -> ParamDecl:
     for name in invertible + plain:
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
             raise ValueError(f"invalid parameter name {name!r}")
+        if re.fullmatch(r"[tDx][0-9]*|C|exp", name):
+            raise ValueError(f"parameter name {name!r} is reserved by the grammar")
     return ParamDecl(invertible=invertible, plain=plain)
 
 

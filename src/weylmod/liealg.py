@@ -3,9 +3,9 @@
 Basis monomials are t^m D^n with m an integer vector and n a vector of
 non-negative integers, one slot per variable, where D_i = t_i d/dt_i.  At
 rank 1 the algebra carries a universal one-dimensional central extension; the
-central generator is written C.  The convention 0^0 = 1 is used throughout
-(Python's ** already does this), which is what makes the structure-constant
-sums collapse correctly when an exponent base vanishes.
+central generator is written C.  The convention 0^0 = 1 is used throughout:
+``_shift`` expands (X - 0)^k as X^k, and Python's ** already follows it in
+the cocycle sums.
 """
 
 from __future__ import annotations
@@ -171,24 +171,32 @@ class DiffOp(SparseVec):
 # ---------------------------------------------------------------------------
 
 
+def _shift(m: int, k: int) -> dict:
+    """(X - m)^k expanded as {exponent: int}, with 0^0 = 1 and no zero stored."""
+    if m == 0:
+        return {k: 1}
+    return {e: comb(k, e) * (-m) ** (k - e) for e in range(k + 1)}
+
+
+def _slot_product(factors) -> dict:
+    """The product of one {exponent: int} polynomial per slot, keyed by the
+    tuple of slot exponents."""
+    out = {(): 1}
+    for f in factors:
+        out = {e + (a,): c * k for e, c in out.items() for a, k in f.items()}
+    return out
+
+
 def basis_product(m1, n1, m2, n2) -> dict:
     """(t^m1 D^n1)(t^m2 D^n2) as {(m, n): integer coefficient}.
 
-    The product factors across variables:
-    per slot, D^a t^b = sum_i C(a, i) b^i t^b D^(a-i).
+    The product factors across variables: per slot, D^a t^b D^q =
+    t^b (D + b)^a D^q.
     """
     m = tuple(x + y for x, y in zip(m1, m2))
-    out = {}
-    ranges = [range(a + 1) for a in n1]
-    for idx in iproduct(*ranges):
-        coeff = 1
-        for a, i, b in zip(n1, idx, m2):
-            coeff *= comb(a, i) * b ** i
-        if coeff == 0:
-            continue
-        n = tuple(a + c - i for a, c, i in zip(n1, n2, idx))
-        out[(m, n)] = out.get((m, n), 0) + coeff
-    return {k: v for k, v in out.items() if v}
+    prod = _slot_product({e + q: c for e, c in _shift(-b, a).items()}
+                         for a, b, q in zip(n1, m2, n2))
+    return {(m, n): c for n, c in prod.items()}
 
 
 def basis_bracket(m1, n1, m2, n2) -> dict:

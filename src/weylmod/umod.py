@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, product as iproduct
-from math import comb
 
 from .scalars import (
     RATIONALS, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
 )
-from .liealg import AlgebraCtx, DiffOp, bracket, assoc_product
+from .liealg import AlgebraCtx, DiffOp, _shift, _slot_product, bracket, assoc_product
 from .slots import BoundsTooLarge
 
 
@@ -161,39 +160,17 @@ class PolyVec(SparseVec):
 # ---------------------------------------------------------------------------
 
 
-def _shift_factor_1d(n_pow: int, eps_m: int, shift: int, j: int) -> dict:
-    """(x - eps_m)^n_pow * (x - shift)^j expanded: {exponent: int}."""
-    out = {}
-    for a in range(n_pow + 1):
-        ca = comb(n_pow, a) * (-eps_m) ** (n_pow - a)
-        if ca == 0 and not (eps_m == 0 and a == n_pow):
-            continue
-        for b in range(j + 1):
-            cb = comb(j, b) * (-shift) ** (j - b)
-            if cb == 0:
-                continue
-            e = a + b
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
 def _basis_act_ints(eps: int, m, n, j) -> dict:
     """Integer part of t^m D^n acting on x^j: {exponents: int coefficient}.
 
-    Covers prod_i (x_i - eps*m_i)^{n_i} (x_i - m_i)^{j_i}; the caller applies
-    the beta sign and the Lambda^m prefactor.
+    Covers prod_i (x_i - eps*m_i)^{n_i} (x_i - m_i)^{j_i}, which is
+    (x_i - m_i)^(n_i + j_i) at eps = 1 and x_i^n_i (x_i - m_i)^j_i at eps = 0;
+    the caller applies the beta sign and the Lambda^m prefactor.
     """
-    per_var = [
-        _shift_factor_1d(n[i], eps * m[i], m[i], j[i]) for i in range(len(m))
-    ]
-    out = {}
-    for combo in iproduct(*[list(d.items()) for d in per_var]):
-        exps = tuple(e for e, _ in combo)
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        out[exps] = out.get(exps, 0) + coeff
-    return out
+    if eps:
+        return _slot_product(_shift(mi, ni + ji) for mi, ni, ji in zip(m, n, j))
+    return _slot_product({e + ni: c for e, c in _shift(mi, ji).items()}
+                         for mi, ni, ji in zip(m, n, j))
 
 
 def act(op: DiffOp, v: PolyVec) -> PolyVec:
@@ -217,17 +194,6 @@ def act(op: DiffOp, v: PolyVec) -> PolyVec:
     return PolyVec(spec, out)
 
 
-def _shift_poly(f: PolyVec, m: int) -> dict:
-    """f(x - m) for a rank-1 vector, as a raw exponent map."""
-    out: dict = {}
-    for (j,), c in f.terms.items():
-        for b in range(j + 1):
-            k = comb(j, b) * (-m) ** (j - b)
-            if k:
-                accumulate(out, (b,), c * k)
-    return out
-
-
 def act_hv(spec: OmegaSpec, gen, f: PolyVec) -> PolyVec:
     """Action of L_m or I_m on the rank-1 vir and hv families.
 
@@ -242,7 +208,10 @@ def act_hv(spec: OmegaSpec, gen, f: PolyVec) -> PolyVec:
         raise ValueError(f"generator kind must be 'L' or 'I', got {kind!r}")
     if kind == "I" and spec.family != "hv":
         raise FamilyMismatch("I_m generators act on hv modules only")
-    shifted = _shift_poly(f, m)
+    shifted: dict = {}
+    for (j,), c in f.terms.items():
+        for e, k in _shift(m, j).items():
+            accumulate(shifted, (e,), c * k)
     lam_m = spec.lam[0] ** m
     if kind == "I":
         s = lam_m * spec.beta
@@ -397,7 +366,7 @@ def _hv_action_table(kinds, m_max: int, j_max: int):
         for t, kind in enumerate(kinds):
             g = (m + m_max) * len(kinds) + t
             for j in range(j_max + 1):
-                for e, c in _shift_factor_1d(0, 0, m, j).items():
+                for e, c in _shift(m, j).items():
                     if kind == "L":
                         entries[g, e + 1, j, 0, 0] = c
                         entries[g, e, j, 1, 0] = -m * c

@@ -164,6 +164,27 @@ def test_unknown_bounds_key_is_a_usage_error(argv, reads):
     assert err == f"weylmod: error: unknown bound {key!r}; this command reads {reads}\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["act", "t", "x", "--family", "d", "--eps", "1", "--lam", "x", "--params", "x!"], "x"),
+    (["bracket", "t", "D", "--params", "a,D2"], "D2"),
+    (["hseq", "--phi", "x", "--c", "0", "--params", "exp,C"], "exp"),
+])
+def test_reserved_parameter_names_are_a_usage_error(argv, name):
+    # a parameter named like a grammar atom can never be written in input,
+    # and output using it is ambiguous: `--lam x --params 'x!'` printed x*x - x
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"weylmod: error: parameter name {name!r} is reserved by the grammar\n"
+
+
+def test_seed_is_a_verify_option_only():
+    code, out, err = run_cli(["bracket", "D", "t", "--seed", "3"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed 3" in err
+    code, out, _ = run_cli(["verify", "--suite", "bracket-identities", "--seed", "3"])
+    assert code == 0 and "PASS" in out
+
+
 def test_env_rank_and_json_precedence():
     code, out, _ = run_cli(["bracket", "D1", "t1*t2"],
                            env_extra={"WEYLMOD_RANK": "2"})

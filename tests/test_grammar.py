@@ -161,3 +161,8 @@ def test_param_decl_parsing():
     assert decl.has("nu") and not decl.is_invertible("nu")
     with pytest.raises(ValueError):
         parse_param_decl("3bad")
+    # the grammar's own atoms cannot be parameters
+    for name in ("t", "t2", "D", "D10", "x", "x1!", "C", "exp"):
+        with pytest.raises(ValueError, match="reserved by the grammar"):
+            parse_param_decl(f"mu!,{name}")
+    assert parse_param_decl("tx,Dx,xt,c,expo,C1").has("C1")

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import product as iproduct
+from math import comb, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmod import slots, umod as U
-from weylmod.liealg import AlgebraCtx, D_ALG, bracket
+from weylmod.liealg import AlgebraCtx, D_ALG, basis_product, bracket
 from weylmod.scalars import ParamDecl, RATIONALS
 from weylmod.umod import (
     FamilyMismatch, PolyVec, act, act_hv, assoc_action_split,
@@ -169,20 +170,55 @@ def test_rank2_fast_path_matches_direct():
             assert fast.checked == direct.checked
 
 
-def _product_without_second_order_terms(m1, n1, m2, n2):
-    """basis_product with the i = 2 term of D^a t^b = sum_i C(a,i) b^i t^b D^(a-i)
-    dropped in every slot: a wrong per-slot product rule."""
-    from math import comb
-    m = tuple(x + y for x, y in zip(m1, m2))
+def _product_term_by_term(scale):
+    """basis_product summed term by term, with the i-th term of
+    D^a t^b = sum_i C(a,i) b^i t^b D^(a-i) multiplied by scale(i) in every slot."""
+    def product(m1, n1, m2, n2):
+        m = tuple(x + y for x, y in zip(m1, m2))
+        out = {}
+        for idx in iproduct(*[range(a + 1) for a in n1]):
+            coeff = 1
+            for a, i, b in zip(n1, idx, m2):
+                coeff *= comb(a, i) * b ** i * scale(i)
+            if coeff:
+                n = tuple(a + c - i for a, c, i in zip(n1, n2, idx))
+                out[(m, n)] = out.get((m, n), 0) + coeff
+        return {k: v for k, v in out.items() if v}
+    return product
+
+
+# wrong per-slot product rules: the i = 2 term dropped (changes no bracket
+# with n <= 1), and the i = 1 term doubled (breaks brackets from n = 1 on)
+_product_without_second_order_terms = _product_term_by_term(lambda i: i != 2)
+_product_with_doubled_first_order_terms = _product_term_by_term(lambda i: 1 + (i == 1))
+
+
+def _act_term_by_term(eps, m, n, j):
+    """prod_i (x_i - eps*m_i)^n_i (x_i - m_i)^j_i, two binomials per slot."""
+    per_slot = []
+    for mi, ni, ji in zip(m, n, j):
+        f = {}
+        for a, b in iproduct(range(ni + 1), range(ji + 1)):
+            f[a + b] = f.get(a + b, 0) + (comb(ni, a) * (-eps * mi) ** (ni - a)
+                                          * comb(ji, b) * (-mi) ** (ji - b))
+        per_slot.append(f)
     out = {}
-    for idx in iproduct(*[range(a + 1) for a in n1]):
-        coeff = 1
-        for a, i, b in zip(n1, idx, m2):
-            coeff *= comb(a, i) * b ** i * (i != 2)
-        if coeff:
-            n = tuple(a + c - i for a, c, i in zip(n1, n2, idx))
-            out[(m, n)] = out.get((m, n), 0) + coeff
-    return {k: v for k, v in out.items() if v}
+    for combo in iproduct(*[f.items() for f in per_slot]):
+        exps = tuple(e for e, _ in combo)
+        out[exps] = out.get(exps, 0) + prod(c for _, c in combo)
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    *[st.tuples(*[st.integers(lo, hi)] * r) for lo, hi in ((-6, 6), (0, 7), (-6, 6), (0, 7))])),
+    st.integers(0, 1))
+def test_structure_constants_match_term_by_term_sums(case, eps):
+    # the per-slot shift and slot product against the binomial sums; dict
+    # equality, so a stored zero coefficient fails too
+    m1, n1, m2, n2 = case
+    assert basis_product(m1, n1, m2, n2) == _product_term_by_term(lambda i: 1)(m1, n1, m2, n2)
+    assert U._basis_act_ints(eps, m1, n1, n2) == _act_term_by_term(eps, m1, n1, n2)
 
 
 @pytest.mark.parametrize("eps", [0, 1])
@@ -410,9 +446,12 @@ def test_fast_paths_match_loops_on_random_bounds(data):
 def test_axiom_certificate_matches_loop_on_random_bounds_with_a_wrong_product(data):
     # the d/dnu Gram-norm path against the action= loop under a wrong
     # product rule: the same verdict, check count and first counterexample.
-    # The rule breaks pairs from n = 2 on, so rank 2 (n <= 1) passes here.
+    # The second-order mutant breaks pairs only from n = 2 on, so rank 2
+    # (n <= 1) fails only under the first-order one.
     from weylmod import liealg
     draw = data.draw
+    mutant = draw(st.sampled_from([_product_without_second_order_terms,
+                                   _product_with_doubled_first_order_terms]))
     eps = draw(st.integers(0, 1))
     lam = _param(draw, "lambda", invertible=True)
     cases = [(omega_d(lam, eps), (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
@@ -420,12 +459,26 @@ def test_axiom_certificate_matches_loop_on_random_bounds_with_a_wrong_product(da
              (omega_dnu((lam, _param(draw, "lambda", invertible=True)), eps),
               tuple(draw(st.integers(0, 1)) for _ in range(3)))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(liealg, "basis_product", _product_without_second_order_terms)
+        mp.setattr(liealg, "basis_product", mutant)
         for spec, bounds in cases:
             fast = verify_module_axiom(spec, *bounds)
             loop = verify_module_axiom(spec, *bounds, action=act)
             assert (fast.ok, fast.checked, fast.counterexample) == \
                 (loop.ok, loop.checked, loop.counterexample)
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_first_order_mutant_fails_rank2_at_the_smallest_bounds(eps, monkeypatch):
+    from weylmod import liealg
+    spec = omega_dnu((RATIONALS.rational(2), RATIONALS.rational(Fraction(1, 3))), eps)
+    monkeypatch.setattr(liealg, "basis_product", _product_without_second_order_terms)
+    assert verify_module_axiom(spec, 1, 1, 1).ok
+    monkeypatch.setattr(liealg, "basis_product", _product_with_doubled_first_order_terms)
+    fast = verify_module_axiom(spec, 1, 1, 1)
+    loop = verify_module_axiom(spec, 1, 1, 1, action=act)
+    assert (fast.ok, fast.checked) == (False, 4)
+    assert (fast.ok, fast.checked, fast.counterexample) == \
+        (loop.ok, loop.checked, loop.counterexample)
 
 
 def _flag_every_pair(real):
