@@ -392,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, hw=False, omega=False, bounds=()):
+    def common(p, hw=False, omega=False, bounds=(), rank1=False):
         p.add_argument("--rank", type=int, default=None,
-                       help="number of t variables (default 1 or WEYLMOD_RANK)")
+                       help="number of t variables (default 1 or WEYLMOD_RANK)"
+                            + ("; this command takes rank 1 only" if rank1 else ""))
         p.add_argument("--params", default=DEFAULT_PARAMS,
                        help="parameter declaration, e.g. 'lambda!,alpha' "
                             "(! marks invertible)")
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit JSON (or set WEYLMOD_JSON=1)")
         p.add_argument("--bounds", default="",
                        help="comma list of key=value bounds")
-        p.set_defaults(bound_keys=bounds)
+        p.set_defaults(bound_keys=bounds, rank1=rank1)
         if hw:
             p.add_argument("--phi", default="x",
                            help="quasipolynomial weight data, e.g. 'x*exp(a*x) - x'")
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cocycle", help="central 2-cocycle value (rank 1)")
     p.add_argument("a"); p.add_argument("b")
-    common(p)
+    common(p, rank1=True)
     p.set_defaults(fn=cmd_cocycle)
 
     p = sub.add_parser("act", help="act on a polynomial module element")
@@ -451,22 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_span_probe)
 
     p = sub.add_parser("verma", help="enumerate a truncated Verma basis")
-    common(p, hw=True, bounds=("L", "N"))
+    common(p, hw=True, bounds=("L", "N"), rank1=True)
     p.set_defaults(fn=cmd_verma)
 
     p = sub.add_parser("act-verma", help="act on a PBW basis vector")
     p.add_argument("op")
     p.add_argument("mono", help="PBW monomial like 't^-1*D;t^-2' (or '1')")
-    common(p, hw=True, bounds=("L", "N"))
+    common(p, hw=True, bounds=("L", "N"), rank1=True)
     p.set_defaults(fn=cmd_act_verma)
 
     p = sub.add_parser("singular", help="bounded singular-vector search")
-    common(p, hw=True, bounds=("L", "N", "level", "M"))
+    common(p, hw=True, bounds=("L", "N", "level", "M"), rank1=True)
     p.set_defaults(fn=cmd_singular)
 
     p = sub.add_parser("hseq", help="weight eigenvalues h_0..h_n from phi")
     p.add_argument("--n", type=int, default=8)
-    common(p, hw=True)
+    common(p, hw=True, rank1=True)
     p.set_defaults(fn=cmd_hseq)
 
     p = sub.add_parser("tensor-act", help="act on x^j (x) (PBW monomial)")
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mono", default="1")
     p.add_argument("--lam", default="lambda")
     p.add_argument("--eps", type=int, choices=(0, 1), default=1)
-    common(p, hw=True, bounds=("L", "N"))
+    common(p, hw=True, bounds=("L", "N"), rank1=True)
     p.set_defaults(fn=cmd_tensor_act)
 
     p = sub.add_parser("tensor-probe", help="bounded cyclicity probe")
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "two-parameter module at alpha=beta=0")
     p.add_argument("--alpha", default="")
     p.add_argument("--beta", default="")
-    common(p, hw=True, bounds=("d", "m", "n", "L", "N"))
+    common(p, hw=True, bounds=("d", "m", "n", "L", "N"), rank1=True)
     p.set_defaults(fn=cmd_tensor_probe)
 
     p = sub.add_parser("intertwiner", help="bounded intertwiner dimension")
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-a", type=int, choices=(0, 1), default=1)
     p.add_argument("--lam-b", default="3")
     p.add_argument("--eps-b", type=int, choices=(0, 1), default=1)
-    common(p, hw=True, bounds=("d", "m", "n", "L", "N"))
+    common(p, hw=True, bounds=("d", "m", "n", "L", "N"), rank1=True)
     p.set_defaults(fn=cmd_intertwiner)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "byte-reproducible)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled checks")
-    common(p, bounds=BOUND_KEYS)
+    common(p, bounds=BOUND_KEYS, rank1=True)
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -522,6 +523,8 @@ def main(argv=None) -> int:
         rank = args.rank if args.rank is not None else _env_rank()
         if rank < 1:
             raise UsageError("rank must be >= 1")
+        if args.rank1 and rank != 1:
+            raise UsageError(f"{args.command} works at rank 1 only, not rank {rank}")
         if args.json is None:
             args.json = _env_json()
         decl = parse_param_decl(args.params)

@@ -3,7 +3,8 @@
 The product (t^a D^p)(t^b D^q) factors across variables, and so does the
 action of t^m D^n on the polynomial modules.  Rank-nu structure constants and
 action matrices are therefore Kronecker products of small rank-1 tables,
-which are filled once from the library's own rank-1 structure constants.
+which are filled from the library's own rank-1 structure constants once per
+process and key (``memo_table``).
 Machine arithmetic on these tables is trusted only under an absolute-value
 bound checked by ``check_exact``; the GF(p) layer of the modular certificates
 keeps to the same exact ranges.  numpy is imported inside the functions so
@@ -11,6 +12,9 @@ that importing weylmod stays cheap.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache, wraps
+from types import MappingProxyType
 
 from . import liealg
 from .scalars import InternalError
@@ -42,16 +46,55 @@ def check_exact(bound, dtype, what: str) -> None:
         )
 
 
+# Tables kept per builder by ``memo_table``, least recently used dropped first.
+_MEMO_SIZE = 64
+
+
+def memo_table(reads):
+    """Decorator: build each integer table once per process and key.
+
+    The key is the builder's arguments plus ``reads()``, the functions the
+    builder and its callees look up as module globals when they run.  A
+    replaced structure constant (a mutant, a call counter or a refusing
+    guard) therefore misses the memo and sees every call.  Stored arrays are
+    read-only and stored dicts are read-only views.  A builder that raises
+    stores nothing, so a refused bound raises again on the next call.
+    """
+    def wrap(build):
+        @lru_cache(maxsize=_MEMO_SIZE)
+        def stored(deps, *args):
+            return _read_only(build(*args))
+
+        @wraps(build)
+        def table(*args):
+            return stored(reads(), *args)
+
+        table.cache_info = stored.cache_info
+        return table
+    return wrap
+
+
+def _read_only(value):
+    """``value`` with its arrays made read-only and its dicts wrapped in views."""
+    if isinstance(value, tuple):
+        return tuple(map(_read_only, value))
+    if isinstance(value, dict):
+        return MappingProxyType(value)
+    if hasattr(value, "setflags"):
+        value.setflags(write=False)
+    return value
+
+
+@memo_table(lambda: (liealg.basis_product, liealg._shift, liealg._slot_product, check_exact))
 def product_table(p_max: int, m_max: int, q_max: int):
-    """Rank-1 structure constants as an int64 array.
+    """Rank-1 structure constants as a read-only int64 array.
 
     ``T[p, b + m_max, q, r]`` is the coefficient of t^(a+b) D^r in
     (t^a D^p)(t^b D^q) for p <= p_max, |b| <= m_max and q <= q_max; it does
     not depend on a.  A rank-nu coefficient is the product over slots of one
-    entry per slot.  Filled from rank-1 ``basis_product`` calls.
+    entry per slot.  Filled from rank-1 ``basis_product`` calls on the first
+    call per key, then read from ``memo_table``.
     """
-    import numpy as np
-
     entries = {}
     for p in range(p_max + 1):
         for b in range(-m_max, m_max + 1):

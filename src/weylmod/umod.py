@@ -26,7 +26,8 @@ from .scalars import (
     RATIONALS, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
 )
 from .liealg import AlgebraCtx, DiffOp, _shift, _slot_product, bracket, assoc_product
-from .slots import BoundsTooLarge
+from . import slots
+from .slots import BoundsTooLarge, memo_table
 
 
 class FamilyMismatch(ValueError):
@@ -350,8 +351,10 @@ def verify_module_axiom(
     return AxiomReport(counter is None, checked, counter)
 
 
+@memo_table(lambda: (_shift, slots.check_exact))
 def _hv_action_table(kinds, m_max: int, j_max: int):
-    """Integer action constants of the vir/hv generators, without lambda^m.
+    """Integer action constants of the vir/hv generators, without lambda^m,
+    as a read-only int64 array kept by ``memo_table``.
 
     ``S[g, e, j, i, k]`` is the coefficient of x^e alpha^i beta^k in
     lambda^-m g.x^j for the generator g = (kinds[t], m) at position
@@ -428,14 +431,16 @@ def _hv_formal_mismatches(family: str, gens, m_bound: int, deg_bound: int):
     return suspect | (lhs != rhs).any(axis=(1, 2, 3, 4))
 
 
+@memo_table(lambda: (_basis_act_ints, _shift, _slot_product, slots.check_exact))
 def _action_table(eps: int, m_max: int, n_max: int, j_max: int):
-    """Rank-1 action constants as an int64 array.
+    """Rank-1 action constants as a read-only int64 array.
 
     ``A[m + m_max, n, e, j]`` is the coefficient of x^e in
     (x - eps*m)^n (x - m)^j, the integer part of t^m D^n acting on x^j, for
     |m| <= m_max, n <= n_max and j <= j_max.  A rank-nu action matrix is the
     Kronecker product of one such matrix per slot, times the beta sign and
-    Lambda^m.  Filled from rank-1 ``_basis_act_ints`` calls.
+    Lambda^m.  Filled from rank-1 ``_basis_act_ints`` calls on the first call
+    per key, then read from ``memo_table``.
     """
     from .slots import int_table
 

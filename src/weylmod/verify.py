@@ -23,6 +23,7 @@ from .liealg import (
 from . import umod as U
 from . import hwmod as H
 from . import tensor as T
+from .slots import memo_table
 
 
 @dataclass
@@ -98,6 +99,25 @@ def _ngrid(bound: int, rank: int) -> list:
     return list(iproduct(range(bound + 1), repeat=rank))
 
 
+def _hat_keys(mb: int, nb: int) -> list:
+    return [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+
+
+@memo_table(lambda: (cocycle_basis,))
+def _cocycle_values(mb: int, nb: int):
+    """({(m + 2 mb, r, c): den * phi(t^m D^r, c)}, den) for the nonzero values
+    of ``_hat_bracket_table``'s cocycle table, kept by ``memo_table``.
+
+    phi(t^m D^r, t^m_c D^n_c) vanishes off the grading m + m_c = 0, m != 0,
+    so only the entries with m = -m_c and m_c != 0 are filled.
+    """
+    phi = {(2 * mb - mc, r, c): cocycle_basis(-mc, r, mc, nc)
+           for c, (mc, nc) in enumerate(_hat_keys(mb, nb)) if mc
+           for r in range(2 * nb + 1)}
+    den = lcm(*(v.denominator for v in phi.values()))
+    return {k: int(v * den) for k, v in phi.items() if v}, den
+
+
 def _hat_bracket_table(table, mb: int, nb: int):
     """The rank-1 bracket and cocycle tables over the keys (m, n), |m| <= mb,
     n <= nb, which the Jacobi and cocycle suites share.
@@ -106,19 +126,17 @@ def _hat_bracket_table(table, mb: int, nb: int):
     coefficient of t^(m_a + m_b) D^r in [a, b] = ab - ba, read off the
     product table (sliced out of ``table`` when it holds it), and
     phi[m + 2 mb, r, c] = den * phi(t^m D^r, c) for |m| <= 2 mb, r <= 2 nb,
-    scaled by the common denominator den of those values (den = 2).  Both
-    are guarded for their contraction in ``_cocycle_tensor``.
+    scaled by the common denominator den of those values (den = 2), filled
+    from ``_cocycle_values``.  Both are guarded for their contraction in
+    ``_cocycle_tensor``.
     """
     import numpy as np
     from .slots import check_exact, int_table
 
-    keys = [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+    keys = _hat_keys(mb, nb)
     km, kn = np.array(keys, dtype=np.intp).T
     table = _product_subtable(table, nb, mb, nb)
-    phi = {(m + 2 * mb, r, c): cocycle_basis(m, r, *key) for m in range(-2 * mb, 2 * mb + 1)
-           for r in range(2 * nb + 1) for c, key in enumerate(keys)}
-    den = lcm(*(v.denominator for v in phi.values()))
-    phi = {k: int(v * den) for k, v in phi.items() if v}
+    phi, den = _cocycle_values(mb, nb)
     # bracket entries are below 2 |table|; S sums 2 nb + 1 products, and
     # the cocycle identity three values of S
     check_exact(3 * (2 * nb + 1) * 2 * int(np.abs(table).max())

@@ -185,6 +185,35 @@ def test_seed_is_a_verify_option_only():
     assert code == 0 and "PASS" in out
 
 
+RANK1_ONLY = ["cocycle", "verma", "act-verma", "singular", "hseq", "tensor-act",
+              "tensor-probe", "intertwiner", "verify"]
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("command", RANK1_ONLY)
+def test_rank1_commands_refuse_other_ranks(command, via, monkeypatch, capsys):
+    from weylmod import cli
+
+    argv = next(a for _, a in GOLDEN_COMMANDS if a[0] == command)
+    if via == "flag":
+        argv = argv + ["--rank", "3"]
+    else:
+        monkeypatch.setenv("WEYLMOD_RANK", "3")
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"weylmod: error: {command} works at rank 1 only, not rank 3\n"
+
+
+def test_rank1_commands_take_rank_1(monkeypatch, capsys, golden):
+    # an explicit --rank 1 wins over the environment
+    from weylmod import cli
+
+    monkeypatch.setenv("WEYLMOD_RANK", "2")
+    assert cli.main(["cocycle", "t^2*D", "t^-2*D", "--rank", "1"]) == 0
+    golden("cocycle", capsys.readouterr().out)
+
+
 def test_env_rank_and_json_precedence():
     code, out, _ = run_cli(["bracket", "D1", "t1*t2"],
                            env_extra={"WEYLMOD_RANK": "2"})

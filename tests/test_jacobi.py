@@ -113,13 +113,15 @@ def test_suite_jacobi_builds_one_product_table(monkeypatch):
 
 
 def test_suite_jacobi_fills_the_cocycle_table_once(monkeypatch):
-    # den * phi(t^m D^r, c) for |m| <= 2m, r <= 2n and the 28 keys c: the
-    # pair values phi(a, b) are a slice of it, not a second fill
+    # den * phi(t^m D^r, c) for r <= 2n and the 24 keys c with m_c != 0, on
+    # the grading m = -m_c only: the pair values phi(a, b) are a slice of
+    # it, not a second fill
     real = V.cocycle_basis
     calls = []
     monkeypatch.setattr(V, "cocycle_basis", lambda *a: calls.append(a) or real(*a))
     assert V.suite_jacobi().ok
-    assert len(calls) == 13 * 7 * 28 == 2548
+    assert len(calls) == 7 * 24 == 168
+    assert all(m1 == -m2 != 0 for m1, _, m2, _ in calls)
 
 
 @pytest.mark.parametrize("bounds", [(1, 1, 1, 1), (2, 2, 1, 1), (1, 0, 0, 0), (2, 1, 2, 1)])

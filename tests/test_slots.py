@@ -8,6 +8,7 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylmod import slots, umod as U, verify as V
 from weylmod.liealg import basis_bracket, basis_product, cocycle_basis
@@ -126,6 +127,81 @@ def test_refusals_are_typed_and_come_before_any_int64_fill():
     # cocycle values past 2^63: numpy would fail converting them
     with pytest.raises(slots.BoundsTooLarge, match="cocycle contraction"):
         V._cocycle_tensor(3, 20)
+
+
+# the four integer tables kept by ``memo_table``, with their argument lists
+_MEMO_TABLES = [
+    (slots.product_table, lambda eps, a, b, c: (a, b, c)),
+    (U._action_table, lambda eps, a, b, c: (eps, a, b, c)),
+    (U._hv_action_table, lambda eps, a, b, c: ((("L",), ("L", "I"))[eps], a, c)),
+    (V._cocycle_values, lambda eps, a, b, c: (a, b)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_memoised_tables_equal_a_fresh_build(eps, a, b, c):
+    for table, args in _MEMO_TABLES:
+        args = args(eps, a, b, c)
+        got, fresh = table(*args), table.__wrapped__(*args)
+        if isinstance(got, tuple):
+            assert got[0] == fresh[0] and got[1] == fresh[1]
+        else:
+            assert got.dtype == fresh.dtype and np.array_equal(got, fresh)
+        # a second call is a hit on the same stored table
+        hits = table.cache_info().hits
+        assert table(*args) is got and table.cache_info().hits == hits + 1
+
+
+def test_memoised_tables_are_read_only():
+    for table, args in _MEMO_TABLES:
+        got = table(*args(1, 1, 1, 1))
+        if isinstance(got, tuple):
+            with pytest.raises(TypeError):
+                got[0][0, 0, 0] = 1
+        else:
+            with pytest.raises(ValueError):
+                got[(0,) * got.ndim] = 1
+
+
+def test_mutants_miss_a_warm_memo(monkeypatch):
+    # the tables at these bounds are stored before each mutant is patched
+    # in; the mutant is part of the key, so its tables are built afresh
+    from weylmod import liealg
+    from test_jacobi import _shifted_cocycle
+    from test_umod import (_product_with_doubled_first_order_terms,
+                           _product_without_second_order_terms, spec_d)
+
+    bounds = {"m": 2, "n": 2, "m2": 1, "n2": 1}
+
+    def verdicts():
+        return ([U.verify_module_axiom(spec_d(eps), 2, 2, 3).ok for eps in (0, 1)]
+                + [U.assoc_action_split(spec_d(1), 2, 2, 3)[0],
+                   V.suite_jacobi(bounds).ok, V.suite_cocycle(bounds).ok])
+
+    assert verdicts() == [True] * 5
+    for mutant in (_product_without_second_order_terms,
+                   _product_with_doubled_first_order_terms):
+        with monkeypatch.context() as mp:
+            mp.setattr(liealg, "basis_product", mutant)
+            assert verdicts()[:4] == [False] * 4
+    with monkeypatch.context() as mp:
+        phi = _shifted_cocycle(True)
+        mp.setattr(liealg, "cocycle_basis", phi)
+        mp.setattr(V, "cocycle_basis", phi)
+        assert verdicts()[3:] == [False, False]
+    assert verdicts() == [True] * 5
+
+
+def test_refused_bounds_are_refused_again():
+    # coefficients near 20^20 and 30^20, past 2^63: nothing is stored
+    for build, args, what in ((slots.product_table, (20, 20, 0), "product table"),
+                              (U._action_table, (1, 30, 0, 20), "action table")):
+        size = build.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(slots.BoundsTooLarge, match=what):
+                build(*args)
+        assert build.cache_info().currsize == size
 
 
 def _exact_weighted_products(factors, w):
