@@ -56,14 +56,17 @@ def _parse_bounds(text: str | None, keys) -> dict:
         if "=" not in chunk:
             raise UsageError(f"bounds entry {chunk!r} is not key=value")
         key, val = chunk.split("=", 1)
-        if key.strip() not in keys:
-            raise UsageError(f"unknown bound {key.strip()!r}; this command reads "
+        name = key.strip()
+        if name in out:
+            raise UsageError(f"bound {name!r} is given twice")
+        if name not in keys:
+            raise UsageError(f"unknown bound {name!r}; this command reads "
                              + (", ".join(keys) or "no bounds"))
         try:
-            out[key.strip()] = int(val)
+            out[name] = int(val)
         except ValueError as exc:
             raise UsageError(f"bound {key!r} needs an integer value") from exc
-        if out[key.strip()] < 0:
+        if out[name] < 0:
             raise UsageError(f"bound {key!r} must be non-negative")
     return out
 

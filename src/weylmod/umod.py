@@ -697,11 +697,16 @@ def assoc_action_split(spec: OmegaSpec, m_bound: int, n_bound: int,
             pass
 
     def cases():
-        gens = [op for _, op in _family_generators(spec, m_bound, n_bound)]
+        ctx = AlgebraCtx(1, central=False)
         monos = [spec.monomial((k,)) for k in range(deg_bound + 1)]
 
+        def gen(i):
+            # the i-th of the m-major basis t^m D^n of ``_family_generators``
+            m, n = divmod(i, n_bound + 1)
+            return ctx.basis(m - m_bound, n)
+
         def sides(p):
-            a, b = gens[p // n_ops], gens[p % n_ops]
+            a, b = map(gen, divmod(p, n_ops))
             ab = assoc_product(a, b)
             return a, b, ((f, action(ab, f), action(a, action(b, f))) for f in monos)
         return sides

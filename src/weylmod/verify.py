@@ -17,7 +17,7 @@ from math import comb, lcm
 
 from .scalars import ParamDecl, RATIONALS
 from .liealg import (
-    AlgebraCtx, D_ALG, D_HAT, DiffOp, bracket, cocycle_basis,
+    AlgebraCtx, D_ALG, D_HAT, bracket, cocycle_basis,
     generated_span_probe,
 )
 from . import umod as U
@@ -41,8 +41,40 @@ class SuiteResult:
         return f"{self.name}: {status} [{self.checks} checks{stamp}]{extra}"
 
 
-def _result(name, ok, checks, t0, detail=""):
-    return SuiteResult(name, ok, checks, time.perf_counter() - t0, detail)
+class _Failed(Exception):
+    """Leaves a ``_Suite`` block at its first failing check."""
+
+
+class _Suite:
+    """Counts a suite's checks and stops the suite at its first failing one.
+
+    ``with _Suite(name) as s:`` holds the suite's claims.  ``s.check(ok,
+    detail, *args, n=1)`` counts n checks; a failing one records
+    ``detail.format(*args)``, so a passing check formats nothing, and leaves
+    the block.  ``s.result`` is then the suite's ``SuiteResult``.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.ok = True
+        self.detail = ""
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        return self
+
+    def check(self, ok, detail: str, *args, n: int = 1):
+        self.checks += n
+        if not ok:
+            self.ok = False
+            self.detail = detail.format(*args) if args else detail
+            raise _Failed
+
+    def __exit__(self, kind, exc, tb):
+        self.result = SuiteResult(self.name, self.ok, self.checks,
+                                  time.perf_counter() - self.t0, self.detail)
+        return kind is _Failed
 
 
 # ---------------------------------------------------------------------------
@@ -51,39 +83,30 @@ def _result(name, ok, checks, t0, detail=""):
 
 
 def suite_bracket_identities(bounds=None) -> SuiteResult:
-    t0 = time.perf_counter()
     ctx = D_ALG
-    checks = 0
-    ok = True
-
-    def expect(lhs: DiffOp, rhs: DiffOp):
-        nonlocal checks, ok
-        checks += 1
-        if lhs != rhs:
-            ok = False
-
-    for m in range(-5, 6):
-        # [D^2, t^m] = 2m t^m D + m^2 t^m
-        expect(bracket(ctx.d_op(2), ctx.t(m)),
-               ctx.basis(m, 1, 2 * m) + ctx.basis(m, 0, m * m))
-        # [D^2, t^m D] = m^2 t^m D + 2m t^m D^2
-        expect(bracket(ctx.d_op(2), ctx.basis(m, 1)),
-               ctx.basis(m, 1, m * m) + ctx.basis(m, 2, 2 * m))
-    # [t^-1 D^2, t D^2] = 4 D^3
-    expect(bracket(ctx.basis(-1, 2), ctx.basis(1, 2)), ctx.d_op(3, 4))
-    # [D^3, tD] = 3tD^3 + 3tD^2 + tD
-    expect(bracket(ctx.d_op(3), ctx.basis(1, 1)),
-           ctx.basis(1, 3, 3) + ctx.basis(1, 2, 3) + ctx.basis(1, 1))
-    # [tD^2, t^-1 D] = -3D^2 + D
-    expect(bracket(ctx.basis(1, 2), ctx.basis(-1, 1)),
-           ctx.d_op(2, -3) + ctx.d_op(1))
-    # [t^-1 D^k, t D^2] = (k+2) D^(k+1) + (k+1)(k-2)/2 D^k + sum C(k,i) D^(k+2-i)
-    for k in range(7):
-        rhs = ctx.d_op(k + 1, k + 2) + ctx.d_op(k, Fraction((k + 1) * (k - 2), 2))
-        for i in range(3, k + 1):
-            rhs = rhs + ctx.d_op(k + 2 - i, comb(k, i))
-        expect(bracket(ctx.basis(-1, k), ctx.basis(1, 2)), rhs)
-    return _result("bracket-identities", ok, checks, t0)
+    with _Suite("bracket-identities") as s:
+        for m in range(-5, 6):
+            s.check(bracket(ctx.d_op(2), ctx.t(m))
+                    == ctx.basis(m, 1, 2 * m) + ctx.basis(m, 0, m * m),
+                    "[D^2, t^m] = 2m t^m D + m^2 t^m fails at m={}", m)
+            s.check(bracket(ctx.d_op(2), ctx.basis(m, 1))
+                    == ctx.basis(m, 1, m * m) + ctx.basis(m, 2, 2 * m),
+                    "[D^2, t^m D] = m^2 t^m D + 2m t^m D^2 fails at m={}", m)
+        s.check(bracket(ctx.basis(-1, 2), ctx.basis(1, 2)) == ctx.d_op(3, 4),
+                "[t^-1 D^2, t D^2] = 4 D^3 fails")
+        s.check(bracket(ctx.d_op(3), ctx.basis(1, 1))
+                == ctx.basis(1, 3, 3) + ctx.basis(1, 2, 3) + ctx.basis(1, 1),
+                "[D^3, tD] = 3tD^3 + 3tD^2 + tD fails")
+        s.check(bracket(ctx.basis(1, 2), ctx.basis(-1, 1)) == ctx.d_op(2, -3) + ctx.d_op(1),
+                "[tD^2, t^-1 D] = -3D^2 + D fails")
+        # [t^-1 D^k, t D^2] = (k+2) D^(k+1) + (k+1)(k-2)/2 D^k + sum C(k,i) D^(k+2-i)
+        for k in range(7):
+            rhs = ctx.d_op(k + 1, k + 2) + ctx.d_op(k, Fraction((k + 1) * (k - 2), 2))
+            for i in range(3, k + 1):
+                rhs = rhs + ctx.d_op(k + 2 - i, comb(k, i))
+            s.check(bracket(ctx.basis(-1, k), ctx.basis(1, 2)) == rhs,
+                    "[t^-1 D^k, t D^2] fails at k={}", k)
+    return s.result
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +141,24 @@ def _cocycle_values(mb: int, nb: int):
     return {k: int(v * den) for k, v in phi.items() if v}, den
 
 
-def _hat_bracket_table(table, mb: int, nb: int):
+def _hat_bracket_table(mb: int, nb: int):
     """The rank-1 bracket and cocycle tables over the keys (m, n), |m| <= mb,
     n <= nb, which the Jacobi and cocycle suites share.
 
     Returns (keys, br, phi, den) with int64 tables: br[a, b, r] is the
-    coefficient of t^(m_a + m_b) D^r in [a, b] = ab - ba, read off the
-    product table (sliced out of ``table`` when it holds it), and
+    coefficient of t^(m_a + m_b) D^r in [a, b] = ab - ba, read off
+    ``product_table(nb, mb, nb)``, and
     phi[m + 2 mb, r, c] = den * phi(t^m D^r, c) for |m| <= 2 mb, r <= 2 nb,
     scaled by the common denominator den of those values (den = 2), filled
     from ``_cocycle_values``.  Both are guarded for their contraction in
     ``_cocycle_tensor``.
     """
     import numpy as np
-    from .slots import check_exact, int_table
+    from .slots import check_exact, int_table, product_table
 
     keys = _hat_keys(mb, nb)
     km, kn = np.array(keys, dtype=np.intp).T
-    table = _product_subtable(table, nb, mb, nb)
+    table = product_table(nb, mb, nb)
     phi, den = _cocycle_values(mb, nb)
     # bracket entries are below 2 |table|; S sums 2 nb + 1 products, and
     # the cocycle identity three values of S
@@ -156,7 +179,7 @@ def _hat_apply(ad_mid, br, deg, x, y, z):
     return np.einsum("tqr,tq->tr", ad_mid[x, deg[y] + deg[z]], br[y, z])
 
 
-def _jacobi_rank1_tables(m_bound: int, n_bound: int, table=None):
+def _jacobi_rank1_tables(m_bound: int, n_bound: int):
     """Antisymmetry and Jacobi of the centrally extended rank-1 algebra.
 
     The elements are the keys ((m,), (n,)), |m| <= m_bound, n <= n_bound,
@@ -166,18 +189,17 @@ def _jacobi_rank1_tables(m_bound: int, n_bound: int, table=None):
     cocycle values phi(a, b) and S = den * phi([a, b], c) come from one
     ``_cocycle_tensor`` call.  The Jacobiator's vector part is an int64
     contraction with the ad blocks of the keys at the mid degrees, sliced
-    from the product table and guarded by an absolute-value shadow of the
-    actual tables; its central part is -(S[x,y,z] + S[y,z,x] + S[z,x,y]) /
-    den, since phi(x, [y, z]) = -phi([y, z], x).  ``table`` is the
-    ``product_table(2 n_bound, 2 m_bound, 2 n_bound)`` when the caller has
-    built it already.
+    from ``product_table(2 n_bound, 2 m_bound, 2 n_bound)`` and guarded by
+    an absolute-value shadow of the actual tables; its central part is
+    -(S[x,y,z] + S[y,z,x] + S[z,x,y]) / den, since phi(x, [y, z]) =
+    -phi([y, z], x).
     """
     import numpy as np
-    from .slots import check_exact
+    from .slots import check_exact, product_table
 
-    table = _product_subtable(table, 2 * n_bound, 2 * m_bound, 2 * n_bound)
+    table = product_table(2 * n_bound, 2 * m_bound, 2 * n_bound)
     check_exact(2 * int(np.abs(table).max()), np.int64, "rank-1 ad blocks")
-    keys, s, br, phi, _ = _cocycle_tensor(m_bound, n_bound, table)
+    keys, s, br, phi, _ = _cocycle_tensor(m_bound, n_bound)
     km, kn = np.array(keys, dtype=np.intp).T
     elems = [((m,), (n,)) for m, n in keys] + ["C"]
     n_el = len(elems)
@@ -216,37 +238,17 @@ def _jacobi_rank1_tables(m_bound: int, n_bound: int, table=None):
 
 
 def suite_jacobi(bounds=None) -> SuiteResult:
-    from .slots import product_table
-
     bounds = bounds or {}
-    t0 = time.perf_counter()
-    # rank 1 with the center adjoined, then rank 2; the cocycle and rank-2
-    # tables are sliced out of the rank-1 product table where they fit
-    mb, nb = bounds.get("m", 3), bounds.get("n", 3)
-    table = product_table(2 * nb, 2 * mb, 2 * nb)
-    ok, checks, detail = _jacobi_rank1_tables(mb, nb, table)
-    if ok:
-        ok, checks2, detail = _jacobi_rank2_matrices(bounds.get("m2", 2), bounds.get("n2", 2),
-                                                     table)
-        checks += checks2
-    return _result("jacobi-antisymmetry", ok, checks, t0, detail)
+    with _Suite("jacobi-antisymmetry") as s:
+        # rank 1 with the center adjoined, then rank 2
+        ok, n, detail = _jacobi_rank1_tables(bounds.get("m", 3), bounds.get("n", 3))
+        s.check(ok, detail, n=n)
+        ok, n, detail = _jacobi_rank2_matrices(bounds.get("m2", 2), bounds.get("n2", 2))
+        s.check(ok, detail, n=n)
+    return s.result
 
 
-def _product_subtable(table, p_max: int, m_max: int, q_max: int):
-    """``product_table(p_max, m_max, q_max)``, sliced out of the product
-    table ``table`` when it fits inside (entries past r = p + q are zero by
-    the grading), else built."""
-    from .slots import product_table
-
-    if table is not None:
-        mid = (table.shape[1] - 1) // 2
-        if p_max < table.shape[0] and m_max <= mid and q_max < table.shape[2]:
-            return table[:p_max + 1, mid - m_max:mid + m_max + 1, :q_max + 1,
-                         :p_max + q_max + 1]
-    return product_table(p_max, m_max, q_max)
-
-
-def _jacobi_rank2_matrices(mb: int, nb: int, table=None):
+def _jacobi_rank2_matrices(mb: int, nb: int):
     """Antisymmetry and Jacobi of the rank-2 algebra on its windowed basis.
 
     Products factor over the slots, so [a, b] = ab - ba is a sum of two
@@ -256,13 +258,13 @@ def _jacobi_rank2_matrices(mb: int, nb: int, table=None):
     ``kron_sums_vanish``.  J(b, c) = 0 checks Jacobi against every source
     element at once, and antisymmetry (on all ordered pairs first) extends
     the pairs c >= b to all ordered triples.  The slot maps are sliced from
-    the rank-1 product table, out of ``table`` if it holds them.
+    the rank-1 ``product_table(2 nb, 2 mb, 2 nb)``.
     """
     import numpy as np
-    from .slots import check_exact, kron_sums_vanish
+    from .slots import check_exact, kron_sums_vanish, product_table
 
     nq, nk, nr = nb + 1, 2 * nb + 1, 3 * nb + 1
-    table = _product_subtable(table, 2 * nb, 2 * mb, 2 * nb)
+    table = product_table(2 * nb, 2 * mb, 2 * nb)
     check_exact(nk * int(np.abs(table).max()) ** 2, np.int64, "rank-2 Jacobi slot maps")
     # table indices of the source degrees mu and of the slot elements t^m D^n
     mu = np.arange(mb, 3 * mb + 1)
@@ -312,16 +314,16 @@ def _jacobi_rank2_matrices(mb: int, nb: int, table=None):
 # ---------------------------------------------------------------------------
 
 
-def _cocycle_tensor(mb: int, nb: int, table=None):
+def _cocycle_tensor(mb: int, nb: int):
     """den * phi([a, b], c) over the keys (m, n), |m| <= mb, n <= nb.
 
     Returns (keys, S, br, phi, den): the tables of ``_hat_bracket_table``
-    (given ``table``) and S[a, b, c], the int64 contraction of the bracket
-    table br with the cocycle values phi(t^m D^r, c).
+    and S[a, b, c], the int64 contraction of the bracket table br with the
+    cocycle values phi(t^m D^r, c).
     """
     import numpy as np
 
-    keys, br, phi, den = _hat_bracket_table(table, mb, nb)
+    keys, br, phi, den = _hat_bracket_table(mb, nb)
     km = np.array([m for m, _ in keys], dtype=np.intp)
     # one key a at a time, so that the gathered cocycle values stay
     # keys^2 * (2 nb + 1) large
@@ -334,35 +336,23 @@ def suite_cocycle(bounds=None) -> SuiteResult:
     import numpy as np
 
     bounds = bounds or {}
-    mb = bounds.get("m", 3)
-    nb = bounds.get("n", 3)
-    t0 = time.perf_counter()
-
-    # 2-cocycle identity phi([a,b],c) + phi([b,c],a) + phi([c,a],b) = 0 over
-    # all ordered triples, reported at the first failing triple in
-    # lexicographic order
-    keys, s, *_ = _cocycle_tensor(mb, nb)
-    bad = np.flatnonzero(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1))
-    if bad.size:
-        a, rest = divmod(int(bad[0]), len(keys) ** 2)
-        b, c = divmod(rest, len(keys))
-        return _result("cocycle", False, int(bad[0]) + 1, t0,
-                       f"cocycle identity fails at {keys[a]}, {keys[b]}, {keys[c]}")
-    checks = len(keys) ** 3
-    # Virasoro central values
-    for m in range(-6, 7):
-        checks += 1
-        if cocycle_basis(m, 1, -m, 1) != Fraction(m ** 3 - m, 12):
-            return _result("cocycle", False, checks, t0,
-                           f"Virasoro value wrong at m={m}")
-    # vanishing for m1 = 0
-    for n1 in range(7):
-        for m2 in range(-6, 7):
-            for n2 in range(7):
-                checks += 1
-                if cocycle_basis(0, n1, m2, n2) != 0:
-                    return _result("cocycle", False, checks, t0, "m1=0 should vanish")
-    return _result("cocycle", True, checks, t0)
+    with _Suite("cocycle") as s:
+        # 2-cocycle identity phi([a,b],c) + phi([b,c],a) + phi([c,a],b) = 0
+        # over all ordered triples, reported at the first failing triple in
+        # lexicographic order
+        keys, t, *_ = _cocycle_tensor(bounds.get("m", 3), bounds.get("n", 3))
+        bad = np.flatnonzero(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1))
+        k = int(bad[0]) if bad.size else t.size - 1
+        s.check(not bad.size, "cocycle identity fails at {}, {}, {}",
+                *(keys[i] for i in np.unravel_index(k, t.shape)), n=k + 1)
+        # Virasoro central values
+        for m in range(-6, 7):
+            s.check(cocycle_basis(m, 1, -m, 1) == Fraction(m ** 3 - m, 12),
+                    "Virasoro value wrong at m={}", m)
+        # vanishing for m1 = 0
+        for n1, m2, n2 in iproduct(range(7), range(-6, 7), range(7)):
+            s.check(cocycle_basis(0, n1, m2, n2) == 0, "m1=0 should vanish")
+    return s.result
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +365,6 @@ def suite_module_axiom(bounds=None) -> SuiteResult:
     mb = bounds.get("m", 3)
     nb = bounds.get("n", 3)
     deg = bounds.get("deg", 4)
-    t0 = time.perf_counter()
-    checks = 0
-
     decl = ParamDecl(invertible=("lambda",), plain=("alpha", "beta"))
     lam = decl.param("lambda")
     decl2 = ParamDecl(invertible=("l1", "l2"))
@@ -389,13 +376,11 @@ def suite_module_axiom(bounds=None) -> SuiteResult:
         (U.omega_dnu(lams, 1), "rank-2 eps=1"),
         (U.omega_dnu(lams, 0), "rank-2 eps=0"),
     ]
-    for spec, detail in families:
-        rep = U.verify_module_axiom(spec, mb, nb, deg)
-        checks += rep.checked
-        if not rep.ok:
-            return _result("module-axiom", False, checks, t0,
-                           detail.format(rep.counterexample[:3]))
-    return _result("module-axiom", True, checks, t0)
+    with _Suite("module-axiom") as s:
+        for spec, detail in families:
+            rep = U.verify_module_axiom(spec, mb, nb, deg)
+            s.check(rep.ok, detail, (rep.counterexample or ())[:3], n=rep.checked)
+    return s.result
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +393,16 @@ def suite_assoc_split(bounds=None) -> SuiteResult:
     mb = bounds.get("m", 3)
     nb = bounds.get("n", 3)
     deg = bounds.get("deg", 3)
-    t0 = time.perf_counter()
-    decl = ParamDecl(invertible=("lambda",))
-    lam = decl.param("lambda")
-    holds1, _ = U.assoc_action_split(U.omega_d(lam, 1), mb, nb, deg)
-    holds0, counter = U.assoc_action_split(U.omega_d(lam, 0), mb, nb, deg)
-    ok = holds1 and not holds0 and counter is not None
-    pairs = (2 * mb + 1) * (nb + 1)
-    detail = "" if ok else "eps=1 must satisfy, eps=0 must break the product law"
-    return _result("assoc-split", ok, 2 * pairs * pairs * (deg + 1), t0, detail)
+    with _Suite("assoc-split") as s:
+        decl = ParamDecl(invertible=("lambda",))
+        lam = decl.param("lambda")
+        holds1, _ = U.assoc_action_split(U.omega_d(lam, 1), mb, nb, deg)
+        holds0, counter = U.assoc_action_split(U.omega_d(lam, 0), mb, nb, deg)
+        pairs = (2 * mb + 1) * (nb + 1)
+        s.check(holds1 and not holds0 and counter is not None,
+                "eps=1 must satisfy, eps=0 must break the product law",
+                n=2 * pairs * pairs * (deg + 1))
+    return s.result
 
 
 # ---------------------------------------------------------------------------
@@ -428,67 +414,53 @@ def suite_irreducibility(bounds=None, seed=0) -> SuiteResult:
     bounds = bounds or {}
     max_deg = bounds.get("deg", 8)
     probe_deg = bounds.get("probe_deg", 6)
-    t0 = time.perf_counter()
-    checks = 0
     rng = random.Random(seed)
 
     decl = ParamDecl(invertible=("lambda",))
     lam = decl.param("lambda")
-    for eps in (1, 0):
-        spec = U.omega_d(lam, eps)
-        for d in range(max_deg + 1):
-            # plain monomial, then a seeded random combination of that degree
-            vectors = [spec.monomial((d,))]
-            combo = spec.zero_vec()
-            for k in range(d + 1):
-                coeff = rng.randint(-5, 5)
-                if k == d and coeff == 0:
-                    coeff = 1
-                combo = combo + spec.monomial((k,), coeff)
-            vectors.append(combo)
-            for f in vectors:
-                if f.is_zero():
-                    continue
-                chain = U.degree_reduction_witness(spec, f)
-                checks += 1
-                if f.degree() > 0:
-                    if len(chain) != f.degree():
-                        return _result("irreducibility", False, checks, t0,
-                                       f"chain length {len(chain)} != degree {f.degree()}")
-                    last = chain[-1][1]
-                    if last.degree() != 0 or last.is_zero():
-                        return _result("irreducibility", False, checks, t0,
-                                       "chain did not end at a nonzero constant")
+    with _Suite("irreducibility") as s:
+        for eps in (1, 0):
+            spec = U.omega_d(lam, eps)
+            for d in range(max_deg + 1):
+                # plain monomial, then a seeded random combination of that degree
+                vectors = [spec.monomial((d,))]
+                combo = spec.zero_vec()
+                for k in range(d + 1):
+                    coeff = rng.randint(-5, 5)
+                    if k == d and coeff == 0:
+                        coeff = 1
+                    combo = combo + spec.monomial((k,), coeff)
+                vectors.append(combo)
+                for f in vectors:
+                    if f.is_zero():
+                        continue
+                    # one check per vector: the chain's length, then its end
+                    chain = U.degree_reduction_witness(spec, f)
+                    fd = f.degree()
+                    s.check(fd == 0 or len(chain) == fd,
+                            "chain length {} != degree {}", len(chain), fd)
+                    s.check(fd == 0 or (chain[-1][1].degree() == 0 and not chain[-1][1].is_zero()),
+                            "chain did not end at a nonzero constant", n=0)
 
-    # rank-2 spot checks of the same reduction
-    decl2 = ParamDecl(invertible=("l1", "l2"))
-    spec2 = U.omega_dnu((decl2.param("l1"), decl2.param("l2")), 0)
-    for exps in ((2, 1), (0, 3), (4, 4)):
-        chain = U.degree_reduction_witness(spec2, spec2.monomial(exps))
-        checks += 1
-        if len(chain) != sum(exps) or chain[-1][1].degree() != 0:
-            return _result("irreducibility", False, checks, t0, "rank-2 chain wrong")
+        # rank-2 spot checks of the same reduction
+        decl2 = ParamDecl(invertible=("l1", "l2"))
+        spec2 = U.omega_dnu((decl2.param("l1"), decl2.param("l2")), 0)
+        for exps in ((2, 1), (0, 3), (4, 4)):
+            chain = U.degree_reduction_witness(spec2, spec2.monomial(exps))
+            s.check(len(chain) == sum(exps) and chain[-1][1].degree() == 0,
+                    "rank-2 chain wrong")
 
-    # reducible controls and simple families
-    dl = ParamDecl(invertible=("lambda",))
-    lam2 = dl.param("lambda")
-    rep = U.simplicity_probe(U.omega_hv(lam2, dl.zero, dl.zero), probe_deg)
-    checks += 1
-    if not rep.reducible:
-        return _result("irreducibility", False, checks, t0,
-                       "missed the codimension-1 submodule of the hv family")
-    rep = U.simplicity_probe(U.omega_vir(lam2, dl.zero), probe_deg)
-    checks += 1
-    if not rep.reducible:
-        return _result("irreducibility", False, checks, t0,
-                       "missed the codimension-1 submodule of the vir family")
-    for eps in (0, 1):
-        rep = U.simplicity_probe(U.omega_d(lam2, eps), probe_deg)
-        checks += 1
-        if rep.reducible:
-            return _result("irreducibility", False, checks, t0,
-                           f"false invariant subspace for eps={eps}")
-    return _result("irreducibility", True, checks, t0)
+        # reducible controls and simple families
+        dl = ParamDecl(invertible=("lambda",))
+        lam2 = dl.param("lambda")
+        s.check(U.simplicity_probe(U.omega_hv(lam2, dl.zero, dl.zero), probe_deg).reducible,
+                "missed the codimension-1 submodule of the hv family")
+        s.check(U.simplicity_probe(U.omega_vir(lam2, dl.zero), probe_deg).reducible,
+                "missed the codimension-1 submodule of the vir family")
+        for eps in (0, 1):
+            s.check(not U.simplicity_probe(U.omega_d(lam2, eps), probe_deg).reducible,
+                    "false invariant subspace for eps={}", eps)
+    return s.result
 
 
 # ---------------------------------------------------------------------------
@@ -507,88 +479,66 @@ def _bernoulli(n: int) -> list:
 
 
 def suite_highest_weight(bounds=None) -> SuiteResult:
-    bounds = bounds or {}
-    t0 = time.perf_counter()
-    checks = 0
-
-    # h_n = -B_n for phi = x, against the independent recurrence
-    phi = H.Quasipolynomial.poly([RATIONALS.zero, RATIONALS.one])
-    spec = H.HWSpec(RATIONALS.zero, phi)
-    bern = _bernoulli(8)
-    for n in range(9):
-        checks += 1
-        if spec.h(n) != RATIONALS.rational(-bern[n]):
-            return _result("highest-weight", False, checks, t0,
-                           f"h_{n} != -B_{n}")
-
-    # bracket compatibility on the (L=2, N=2) window with symbolic weights
-    gen = H.HWSpec.generic(8)
-    window = H.verma_basis(gen, 2, 2)
-    host = H.verma_basis(gen, 6, 2)
-    ops = [D_HAT.basis(m, n) for m in range(-2, 3) for n in range(3)]
-    ops.append(D_HAT.center())
-    basis = window.basis()
-    for i, a in enumerate(ops):
-        for b in ops[i:]:
-            br = bracket(a, b)
-            for mono in basis:
-                v = host.elem({mono: 1})
-                lhs = H.act_verma(br, v)
-                rhs = H.act_verma(a, H.act_verma(b, v)) - H.act_verma(b, H.act_verma(a, v))
-                checks += 1
-                if lhs != rhs:
-                    return _result("highest-weight", False, checks, t0,
-                                   f"straightening breaks at {a}, {b}, {mono}")
-
-    # D^k 1 = h_k 1
-    tv1 = H.verma_basis(gen, 1, 0)
-    for k in range(7):
-        checks += 1
-        if H.act_verma(D_HAT.d_op(k), tv1.vacuum()) != tv1.vacuum().scale(gen.h(k)):
-            return _result("highest-weight", False, checks, t0, f"D^{k} weight wrong")
-
-    # generic level-1 nullspace is trivial at (N=0, M=2)
-    tv = H.verma_basis(gen, 1, 0)
-    rep = H.singular_vectors(tv, 1, 2)
-    checks += 1
-    if rep.vectors:
-        return _result("highest-weight", False, checks, t0,
-                       "generic weights admitted a level-1 singular vector")
-    # trivial weights: every level-1 vector is singular at (N=1, M=3)
-    triv = H.HWSpec(RATIONALS.zero, H.Quasipolynomial.zero())
-    tvt = H.verma_basis(triv, 2, 1)
-    rep = H.singular_vectors(tvt, 1, 3)
-    checks += 1
-    if len(rep.vectors) != len(tvt.basis_at_level(1)):
-        return _result("highest-weight", False, checks, t0,
-                       "trivial weights should make all of level 1 singular")
-    # singular vectors are weight vectors and the quotient kills level 1
-    for v in rep.vectors:
-        checks += 1
-        if H.weight_of(v) is None:
-            return _result("highest-weight", False, checks, t0,
-                           "singular vector is not a weight vector")
-    dims = H.weight_space_dims(tvt, rep.vectors)
-    checks += 1
-    if dims[1] != 0:
-        return _result("highest-weight", False, checks, t0,
-                       "level-1 quotient dimension should vanish")
-    # Delta round trip at order 8
     from .scalars import Series, exp_series
-    order = 8
-    fact = [1] * (order + 1)
-    for k in range(1, order + 1):
-        fact[k] = fact[k - 1] * k
-    delta = Series(order, tuple(gen.h(n) * Fraction(-1, fact[n]) for n in range(order + 1)))
-    ex = exp_series(RATIONALS.one, order)
-    one = Series(order, tuple(RATIONALS.one if k == 0 else RATIONALS.zero
-                              for k in range(order + 1)))
-    back = delta * (ex - one)
-    phis = gen.phi.series(order)
-    checks += 1
-    if any(back[k] != phis[k] for k in range(order + 1)):
-        return _result("highest-weight", False, checks, t0, "series round trip failed")
-    return _result("highest-weight", True, checks, t0)
+
+    with _Suite("highest-weight") as s:
+        # h_n = -B_n for phi = x, against the independent recurrence
+        phi = H.Quasipolynomial.poly([RATIONALS.zero, RATIONALS.one])
+        spec = H.HWSpec(RATIONALS.zero, phi)
+        bern = _bernoulli(8)
+        for n in range(9):
+            s.check(spec.h(n) == RATIONALS.rational(-bern[n]), "h_{} != -B_{}", n, n)
+
+        # bracket compatibility on the (L=2, N=2) window with symbolic weights
+        gen = H.HWSpec.generic(8)
+        window = H.verma_basis(gen, 2, 2)
+        host = H.verma_basis(gen, 6, 2)
+        ops = [D_HAT.basis(m, n) for m in range(-2, 3) for n in range(3)]
+        ops.append(D_HAT.center())
+        basis = window.basis()
+        for i, a in enumerate(ops):
+            for b in ops[i:]:
+                br = bracket(a, b)
+                for mono in basis:
+                    v = host.elem({mono: 1})
+                    lhs = H.act_verma(br, v)
+                    rhs = H.act_verma(a, H.act_verma(b, v)) - H.act_verma(b, H.act_verma(a, v))
+                    s.check(lhs == rhs, "straightening breaks at {}, {}, {}", a, b, mono)
+
+        # D^k 1 = h_k 1
+        tv1 = H.verma_basis(gen, 1, 0)
+        for k in range(7):
+            s.check(H.act_verma(D_HAT.d_op(k), tv1.vacuum()) == tv1.vacuum().scale(gen.h(k)),
+                    "D^{} weight wrong", k)
+
+        # generic level-1 nullspace is trivial at (N=0, M=2)
+        tv = H.verma_basis(gen, 1, 0)
+        s.check(not H.singular_vectors(tv, 1, 2).vectors,
+                "generic weights admitted a level-1 singular vector")
+        # trivial weights: every level-1 vector is singular at (N=1, M=3)
+        triv = H.HWSpec(RATIONALS.zero, H.Quasipolynomial.zero())
+        tvt = H.verma_basis(triv, 2, 1)
+        rep = H.singular_vectors(tvt, 1, 3)
+        s.check(len(rep.vectors) == len(tvt.basis_at_level(1)),
+                "trivial weights should make all of level 1 singular")
+        # singular vectors are weight vectors and the quotient kills level 1
+        for v in rep.vectors:
+            s.check(H.weight_of(v) is not None, "singular vector is not a weight vector")
+        s.check(H.weight_space_dims(tvt, rep.vectors)[1] == 0,
+                "level-1 quotient dimension should vanish")
+        # Delta round trip at order 8
+        order = 8
+        fact = [1] * (order + 1)
+        for k in range(1, order + 1):
+            fact[k] = fact[k - 1] * k
+        delta = Series(order, tuple(gen.h(n) * Fraction(-1, fact[n]) for n in range(order + 1)))
+        ex = exp_series(RATIONALS.one, order)
+        one = Series(order, tuple(RATIONALS.one if k == 0 else RATIONALS.zero
+                                  for k in range(order + 1)))
+        back = delta * (ex - one)
+        phis = gen.phi.series(order)
+        s.check(all(back[k] == phis[k] for k in range(order + 1)), "series round trip failed")
+    return s.result
 
 
 # ---------------------------------------------------------------------------
@@ -602,76 +552,61 @@ def suite_tensor(bounds=None) -> SuiteResult:
     L = bounds.get("L", 2)
     N = bounds.get("N", 1)
     mb = bounds.get("m", 4)
-    t0 = time.perf_counter()
-    checks = 0
 
     decl = ParamDecl(invertible=("lambda",), plain=("c",))
     lam = decl.param("lambda")
     phi = H.Quasipolynomial.poly([RATIONALS.zero, RATIONALS.one])
     hw_spec = H.HWSpec(decl.param("c"), phi)
 
-    for eps in (1, 0):
-        hw = H.verma_basis(hw_spec, L + 5, N)
-        ts = T.TensorSpec(U.omega_d(lam, eps), hw)
-        # pivotal identity on 1 (x) v for m, m' in [K, K+4]
-        for mono in [()] + hw.basis_at_level(1) + hw.basis_at_level(2):
-            v = ts.elem({(0, mono): 1})
-            K = T.vanishing_bound(H.VermaElem(hw, {mono: 1}))
-            for m in range(K, K + 5):
-                for mp in range(K, K + 5):
-                    lhs = T.act_tensor(T._scaled_weight_op(ts, m, 1), v) \
-                        - T.act_tensor(T._scaled_weight_op(ts, mp, 1), v)
-                    checks += 1
-                    if lhs != v.scale(eps * (mp - m)):
-                        return _result("tensor", False, checks, t0,
-                                       f"pivotal identity fails eps={eps} m={m} m'={mp}")
-        # strict degree reduction from every windowed seed with 1 <= s <= 3
-        for s in range(1, 4):
-            for mono in hw.basis_at_level(0) + hw.basis_at_level(1) + hw.basis_at_level(2):
-                if sum(j for j, _ in mono) > L:
-                    continue
-                w = ts.elem({(s, mono): 1, (0, ()): 1})
-                r = T.vandermonde_reduce(ts, w)
-                checks += 1
-                if r.is_zero() or r.x_degree() >= s:
-                    return _result("tensor", False, checks, t0,
-                                   f"reduction failed eps={eps} s={s} {mono}")
-    # bounded cyclicity at (d, L, N, |m|)
-    for eps in (1, 0):
-        hw = H.verma_basis(hw_spec, L, N)
-        ts = T.TensorSpec(U.omega_d(lam, eps), hw)
-        rep = T.irreducibility_probe(ts, d, mb, 2)
-        checks += rep.seeds_checked
-        if rep.verdict != "cyclic-within-bounds":
-            return _result("tensor", False, checks, t0,
-                           f"probe verdict {rep.verdict} for eps={eps}")
-    # degenerate control finds the invariant subspace
-    oh = U.omega_hv(decl.param("lambda"), decl.zero, decl.zero)
-    tsh = T.TensorSpec(oh, H.verma_basis(hw_spec, L, N))
-    rep = T.irreducibility_probe(tsh, d, mb)
-    checks += 1
-    if rep.verdict != "not-cyclic-within-bounds":
-        return _result("tensor", False, checks, t0, "control probe missed the witness")
+    with _Suite("tensor") as s:
+        for eps in (1, 0):
+            hw = H.verma_basis(hw_spec, L + 5, N)
+            ts = T.TensorSpec(U.omega_d(lam, eps), hw)
+            # pivotal identity on 1 (x) v for m, m' in [K, K+4]
+            for mono in [()] + hw.basis_at_level(1) + hw.basis_at_level(2):
+                v = ts.elem({(0, mono): 1})
+                K = T.vanishing_bound(H.VermaElem(hw, {mono: 1}))
+                for m in range(K, K + 5):
+                    for mp in range(K, K + 5):
+                        lhs = T.act_tensor(T._scaled_weight_op(ts, m, 1), v) \
+                            - T.act_tensor(T._scaled_weight_op(ts, mp, 1), v)
+                        s.check(lhs == v.scale(eps * (mp - m)),
+                                "pivotal identity fails eps={} m={} m'={}", eps, m, mp)
+            # strict degree reduction from every windowed seed with 1 <= x-degree <= 3
+            for xd in range(1, 4):
+                for mono in hw.basis_at_level(0) + hw.basis_at_level(1) + hw.basis_at_level(2):
+                    if sum(j for j, _ in mono) > L:
+                        continue
+                    r = T.vandermonde_reduce(ts, ts.elem({(xd, mono): 1, (0, ()): 1}))
+                    s.check(not r.is_zero() and r.x_degree() < xd,
+                            "reduction failed eps={} s={} {}", eps, xd, mono)
+        # bounded cyclicity at (d, L, N, |m|)
+        for eps in (1, 0):
+            hw = H.verma_basis(hw_spec, L, N)
+            ts = T.TensorSpec(U.omega_d(lam, eps), hw)
+            rep = T.irreducibility_probe(ts, d, mb, 2)
+            s.check(rep.verdict == "cyclic-within-bounds", "probe verdict {} for eps={}",
+                    rep.verdict, eps, n=rep.seeds_checked)
+        # degenerate control finds the invariant subspace
+        oh = U.omega_hv(decl.param("lambda"), decl.zero, decl.zero)
+        tsh = T.TensorSpec(oh, H.verma_basis(hw_spec, L, N))
+        s.check(T.irreducibility_probe(tsh, d, mb).verdict == "not-cyclic-within-bounds",
+                "control probe missed the witness")
 
-    # intertwiner dimensions at rational instantiations
-    phiq = H.Quasipolynomial.poly([RATIONALS.zero, RATIONALS.one])
-    hws = H.HWSpec(RATIONALS.rational(Fraction(1, 2)), phiq)
+        # intertwiner dimensions at rational instantiations
+        hws = H.HWSpec(RATIONALS.rational(Fraction(1, 2)), phi)
 
-    def mk(lamq, eps):
-        return T.TensorSpec(U.omega_d(RATIONALS.rational(lamq), eps),
-                            H.verma_basis(hws, L, N))
+        def mk(lamq, eps):
+            return T.TensorSpec(U.omega_d(RATIONALS.rational(lamq), eps),
+                                H.verma_basis(hws, L, N))
 
-    same = T.intertwiner_dim(mk(2, 1), mk(2, 1), d, mb, 1)
-    checks += 1
-    if same < 1:
-        return _result("tensor", False, checks, t0, "identity intertwiner missing")
-    checks += 1
-    if T.intertwiner_dim(mk(2, 1), mk(3, 1), d, mb, 1) != 0:
-        return _result("tensor", False, checks, t0, "lambda 2 vs 3 should give 0")
-    checks += 1
-    if T.intertwiner_dim(mk(2, 0), mk(2, 1), d, mb, 1) != 0:
-        return _result("tensor", False, checks, t0, "eps mismatch should give 0")
-    return _result("tensor", True, checks, t0)
+        s.check(T.intertwiner_dim(mk(2, 1), mk(2, 1), d, mb, 1) >= 1,
+                "identity intertwiner missing")
+        s.check(T.intertwiner_dim(mk(2, 1), mk(3, 1), d, mb, 1) == 0,
+                "lambda 2 vs 3 should give 0")
+        s.check(T.intertwiner_dim(mk(2, 0), mk(2, 1), d, mb, 1) == 0,
+                "eps mismatch should give 0")
+    return s.result
 
 
 # ---------------------------------------------------------------------------
@@ -680,31 +615,22 @@ def suite_tensor(bounds=None) -> SuiteResult:
 
 
 def suite_span(bounds=None) -> SuiteResult:
-    bounds = bounds or {}
-    depth = bounds.get("depth", 8)
-    t0 = time.perf_counter()
-    checks = 0
-
-    ctx = D_ALG
-    rep = generated_span_probe([ctx.t(1), ctx.t(-1), ctx.d_op(2)], 2, 3, depth)
-    checks += len(rep.reached) + len(rep.missing)
-    if rep.missing:
-        return _result("span-closure", False, checks, t0,
-                       f"rank-1 window missing {rep.missing[:4]}")
-
+    depth = (bounds or {}).get("depth", 8)
     ctx2 = AlgebraCtx(2)
-    gens = [
-        ctx2.basis((1, 0), (0, 0)), ctx2.basis((-1, 0), (0, 0)),
-        ctx2.basis((0, 1), (0, 0)), ctx2.basis((0, -1), (0, 0)),
-        ctx2.basis((0, 0), (1, 1)),
-        ctx2.basis((0, 0), (2, 0)), ctx2.basis((0, 0), (0, 2)),
+    # (window, generators, m bound, n bound)
+    windows = [
+        ("rank-1", [D_ALG.t(1), D_ALG.t(-1), D_ALG.d_op(2)], 2, 3),
+        ("rank-2", [ctx2.basis((1, 0), (0, 0)), ctx2.basis((-1, 0), (0, 0)),
+                    ctx2.basis((0, 1), (0, 0)), ctx2.basis((0, -1), (0, 0)),
+                    ctx2.basis((0, 0), (1, 1)),
+                    ctx2.basis((0, 0), (2, 0)), ctx2.basis((0, 0), (0, 2))], 1, 1),
     ]
-    rep2 = generated_span_probe(gens, 1, 1, depth)
-    checks += len(rep2.reached) + len(rep2.missing)
-    if rep2.missing:
-        return _result("span-closure", False, checks, t0,
-                       f"rank-2 window missing {rep2.missing[:4]}")
-    return _result("span-closure", True, checks, t0)
+    with _Suite("span-closure") as s:
+        for what, gens, mb, nb in windows:
+            rep = generated_span_probe(gens, mb, nb, depth)
+            s.check(not rep.missing, "{} window missing {}", what, rep.missing[:4],
+                    n=len(rep.reached) + len(rep.missing))
+    return s.result
 
 
 # ---------------------------------------------------------------------------

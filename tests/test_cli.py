@@ -164,6 +164,15 @@ def test_unknown_bounds_key_is_a_usage_error(argv, reads):
     assert err == f"weylmod: error: unknown bound {key!r}; this command reads {reads}\n"
 
 
+def test_repeated_bounds_key_is_a_usage_error():
+    # the later value used to override the earlier one silently: this ran
+    # at depth 0 and reported a verification failure
+    code, out, err = run_cli(["verify", "--suite", "span-closure",
+                              "--bounds", "depth=8,depth=0"])
+    assert (code, out) == (2, "")
+    assert err == "weylmod: error: bound 'depth' is given twice\n"
+
+
 @pytest.mark.parametrize("argv, name", [
     (["act", "t", "x", "--family", "d", "--eps", "1", "--lam", "x", "--params", "x!"], "x"),
     (["bracket", "t", "D", "--params", "a,D2"], "D2"),

@@ -53,21 +53,20 @@ def test_kron_helpers_match_numpy_kron():
 
 
 def test_hat_bracket_table_matches_basis_bracket_and_cocycle():
-    # the rank-1 tables of the Jacobi and cocycle suites, built and sliced
+    # the rank-1 tables of the Jacobi and cocycle suites
     for mb, nb in ((0, 0), (1, 2), (2, 1)):
-        for table in (None, product_table(2 * nb, 2 * mb, 2 * nb)):
-            keys, br, phi, den = V._hat_bracket_table(table, mb, nb)
-            assert keys == [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
-            assert br.dtype == phi.dtype == np.int64
-            for (i, (ma, na)), (j, (mc, nc)) in iproduct(enumerate(keys), repeat=2):
-                want = [0] * (2 * nb + 1)
-                for (km, kn), v in basis_bracket((ma,), (na,), (mc,), (nc,)).items():
-                    assert km == (ma + mc,)
-                    want[kn[0]] += v
-                assert br[i, j].tolist() == want
-            for m, r, (c, key) in iproduct(range(-2 * mb, 2 * mb + 1), range(2 * nb + 1),
-                                           enumerate(keys)):
-                assert phi[m + 2 * mb, r, c] == den * cocycle_basis(m, r, *key)
+        keys, br, phi, den = V._hat_bracket_table(mb, nb)
+        assert keys == [(m, n) for m in range(-mb, mb + 1) for n in range(nb + 1)]
+        assert br.dtype == phi.dtype == np.int64
+        for (i, (ma, na)), (j, (mc, nc)) in iproduct(enumerate(keys), repeat=2):
+            want = [0] * (2 * nb + 1)
+            for (km, kn), v in basis_bracket((ma,), (na,), (mc,), (nc,)).items():
+                assert km == (ma + mc,)
+                want[kn[0]] += v
+            assert br[i, j].tolist() == want
+        for m, r, (c, key) in iproduct(range(-2 * mb, 2 * mb + 1), range(2 * nb + 1),
+                                       enumerate(keys)):
+            assert phi[m + 2 * mb, r, c] == den * cocycle_basis(m, r, *key)
 
 
 def test_cocycle_tensor_matches_phi_of_bracket():
