@@ -34,7 +34,7 @@ from .grammar import (
     ParseError, parse_operator, parse_param_decl, parse_pbw_monomial,
     parse_polynomial, parse_quasipolynomial, parse_scalar,
 )
-from .verify import BOUND_KEYS, SUITES, run_suites
+from .verify import BOUND_KEYS, SUITE_BOUNDS, SUITES, run_suites
 
 DEFAULT_PARAMS = "lambda!,l1!,l2!,l3!,l4!,alpha,beta,a,b,c"
 
@@ -363,6 +363,11 @@ def cmd_verify(args, decl, rank):
             raise UsageError(
                 f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
             )
+    reads = tuple(dict.fromkeys(k for name in names for k in SUITE_BOUNDS[name]))
+    for key in args.bounds:
+        if key not in reads:
+            raise UsageError(f"unknown bound {key!r} for suite {args.suite!r}; it reads "
+                             + (", ".join(reads) or "no bounds"))
     results = run_suites(names, args.bounds or None, seed=args.seed)
     ok = all(r.ok for r in results)
     if args.json:

@@ -17,7 +17,7 @@ raises, because the hosting truncation can no longer represent the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import (
     Matrix, ParamDecl, RATIONALS, Scalar, Series, SpanBasis, SparseVec,
@@ -414,8 +414,7 @@ def weight_of(v: VermaElem):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SingularReport:
+class SingularReport(NamedTuple):
     """Nullspace of the bounded annihilation system.
 
     The vectors are singular *up to order M within order bound N*: positive

@@ -10,13 +10,13 @@ the cocycle sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
+from typing import NamedTuple
 
 from .scalars import (
-    ParamDecl, RATIONALS, Scalar, SpanBasis, SparseVec, _term_str, accumulate,
+    Frozen, ParamDecl, RATIONALS, Scalar, SpanBasis, SparseVec, _term_str, accumulate,
 )
 
 
@@ -28,20 +28,19 @@ class CentralUnsupported(ValueError):
     """Operation undefined in the presence of the central element."""
 
 
-@dataclass(frozen=True)
-class AlgebraCtx:
+class AlgebraCtx(Frozen):
     """Which algebra we are in: rank nu, optionally centrally extended."""
 
-    rank: int = 1
-    central: bool = False
+    __slots__ = ("rank", "central")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int = 1, central: bool = False):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.central and self.rank != 1:
+        if central and rank != 1:
             raise CentralUnsupported(
                 "the central extension exists only at rank 1"
             )
+        self._set(rank=rank, central=central)
 
     # -- element constructors ----------------------------------------------
 
@@ -301,8 +300,7 @@ def grade_components(a: DiffOp) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpanProbeReport:
+class SpanProbeReport(NamedTuple):
     reached: list
     missing: list
     dimension: int

@@ -18,10 +18,9 @@ are pure, so values can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class NonInvertibleParameter(ValueError):
@@ -35,6 +34,46 @@ class ScalarDivisionError(ArithmeticError):
 class InternalError(Exception):
     """An invariant the computation relies on failed: a defect in weylmod,
     not in its input."""
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` validates them and stores them with ``_set``.
+    Instances of one class compare and hash by their field values, print as
+    ``Name(field=value, ...)``, and raise ``AttributeError`` on assignment.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # A monomial key is a tuple of (name, exponent) pairs, sorted by name, with
@@ -620,16 +659,15 @@ class SeriesError(ValueError):
     """Invalid truncated-series operation (zero denominator, bad valuation)."""
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Frozen):
     """Truncated power series: coefficients of x^0 .. x^order (not / k!)."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple):
+        if len(coeffs) != order + 1:
             raise ValueError("series length must be order + 1")
+        self._set(order=order, coeffs=coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Scalar]) -> "Series":
@@ -684,6 +722,8 @@ class Series:
         return self.order == other.order and all(
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )
+
+    __hash__ = Frozen.__hash__
 
 
 def series_quotient(num: Series, den: Series) -> Series:
@@ -757,8 +797,7 @@ class Matrix:
         return self.entries[i][j]
 
 
-@dataclass
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """Result of exact elimination.
 
     nullspace vectors have polynomial (Scalar) entries.  The particular

@@ -11,12 +11,12 @@ intertwiner spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .scalars import (
-    RATIONALS, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
+    RATIONALS, Frozen, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
 )
 from .liealg import D_ALG, D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act, act_hv
@@ -28,8 +28,7 @@ class TensorMismatch(ValueError):
     """Tensor operand does not fit the declared spaces."""
 
 
-@dataclass(frozen=True)
-class TensorSpec:
+class TensorSpec(Frozen):
     """A rank-1 polynomial module tensored with a Verma truncation.
 
     ``omega.family`` is ``d`` for the differential-operator action; the
@@ -37,14 +36,14 @@ class TensorSpec:
     control probes driven by its L/I generators.
     """
 
-    omega: OmegaSpec
-    hw: TruncVerma
+    __slots__ = ("omega", "hw")
 
-    def __post_init__(self):
-        if self.omega.rank != 1:
+    def __init__(self, omega: OmegaSpec, hw: TruncVerma):
+        if omega.rank != 1:
             raise TensorMismatch("tensor factors are rank-1 modules")
-        if self.omega.family not in ("d", "hv"):
+        if omega.family not in ("d", "hv"):
             raise TensorMismatch("omega side must be a d- or hv-family module")
+        self._set(omega=omega, hw=hw)
 
     def zero(self) -> "TensorElem":
         return TensorElem(self, {})
@@ -239,8 +238,7 @@ def vandermonde_reduce(spec: TensorSpec, w: TensorElem) -> TensorElem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TensorProbeReport:
+class TensorProbeReport(NamedTuple):
     verdict: str
     seeds_checked: int
     space_dim: int

@@ -17,16 +17,16 @@ parameters hold for every nonzero complex instantiation at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, product as iproduct
+from typing import NamedTuple
 
 from .scalars import (
-    RATIONALS, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
+    RATIONALS, Frozen, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
 )
 from .liealg import AlgebraCtx, DiffOp, _shift, _slot_product, bracket, assoc_product
-from . import slots
+from . import liealg, slots
 from .slots import BoundsTooLarge, memo_table
 
 
@@ -37,8 +37,7 @@ class FamilyMismatch(ValueError):
 _FAMILIES = ("d", "vir", "hv", "dnu")
 
 
-@dataclass(frozen=True)
-class OmegaSpec:
+class OmegaSpec(Frozen):
     """Parameters of one polynomial module.
 
     ``lam`` holds one invertible scalar per variable.  ``eps`` selects the
@@ -46,32 +45,30 @@ class OmegaSpec:
     ``alpha``/``beta`` are the vir/hv parameters.
     """
 
-    family: str
-    lam: tuple
-    eps: int | None = None
-    alpha: Scalar | None = None
-    beta: Scalar | None = None
+    __slots__ = ("family", "lam", "eps", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise FamilyMismatch(f"unknown family {self.family!r}")
-        if not self.lam:
+    def __init__(self, family: str, lam: tuple, eps: int | None = None,
+                 alpha: Scalar | None = None, beta: Scalar | None = None):
+        if family not in _FAMILIES:
+            raise FamilyMismatch(f"unknown family {family!r}")
+        if not lam:
             raise ValueError("need at least one lambda parameter")
-        for s in self.lam:
+        for s in lam:
             if not (s.is_unit() or (s.is_rational() and not s.is_zero())):
                 raise ValueError(f"lambda component {s} is not invertible")
-        if self.family in ("d", "dnu"):
-            if self.eps not in (0, 1):
+        if family in ("d", "dnu"):
+            if eps not in (0, 1):
                 raise ValueError("eps must be 0 or 1")
         else:
-            if len(self.lam) != 1:
+            if len(lam) != 1:
                 raise ValueError("vir/hv modules are rank 1")
-            if self.alpha is None:
+            if alpha is None:
                 raise ValueError("alpha required for vir/hv modules")
-            if self.family == "hv" and self.beta is None:
+            if family == "hv" and beta is None:
                 raise ValueError("beta required for hv modules")
-        if self.family == "d" and len(self.lam) != 1:
+        if family == "d" and len(lam) != 1:
             raise ValueError("family 'd' is rank 1; use 'dnu' for higher rank")
+        self._set(family=family, lam=lam, eps=eps, alpha=alpha, beta=beta)
 
     @property
     def rank(self) -> int:
@@ -231,8 +228,7 @@ def act_hv(spec: OmegaSpec, gen, f: PolyVec) -> PolyVec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     checked: int
     counterexample: tuple | None = None
@@ -456,11 +452,16 @@ def _action_table(eps: int, m_max: int, n_max: int, j_max: int):
                      entries, "action table")
 
 
+@memo_table(lambda: (_action_table, _basis_act_ints, _shift, _slot_product,
+                     slots.product_table, liealg.basis_product, liealg._shift,
+                     liealg._slot_product, slots.check_exact))
 def _rank1_tables(eps: int, mb: int, nb: int, deg_bound: int):
     """Integer action tables of the rank-1 operators t^m D^n, |m| <= mb, n <= nb.
 
-    Returns (prod_act, comp), indexed [x, y, e, j] by operators listed
-    m-major and the inputs x^j, j <= deg_bound.
+    Returns (prod_act, comp), read-only and kept by ``memo_table``, indexed
+    [x, y, e, j] by operators listed m-major and the inputs x^j,
+    j <= deg_bound.  The key holds the two tables it contracts and what
+    their builders read.
 
     * ``prod_act[x, y]`` is the action of the product op_x op_y:
       sum_r T[n_x, m_y, n_y, r] beta^r A[m_x + m_y, r], the product table
@@ -566,8 +567,7 @@ def degree_reduction_witness(spec: OmegaSpec, f: PolyVec):
     return chain
 
 
-@dataclass
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     reducible: bool
     verdict: str
     witness: list | None = None

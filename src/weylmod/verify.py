@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, lcm
+from typing import NamedTuple
 
 from .scalars import ParamDecl, RATIONALS
 from .liealg import (
@@ -26,8 +26,7 @@ from . import tensor as T
 from .slots import memo_table
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     checks: int
@@ -650,7 +649,20 @@ SUITES = {
     "span-closure": suite_span,
 }
 
-# every bounds key that some suite reads
+# the bounds keys each suite reads; any other key would be ignored
+SUITE_BOUNDS = {
+    "bracket-identities": (),
+    "jacobi-antisymmetry": ("m", "n", "m2", "n2"),
+    "cocycle": ("m", "n"),
+    "module-axiom": ("m", "n", "deg"),
+    "assoc-split": ("m", "n", "deg"),
+    "irreducibility": ("deg", "probe_deg"),
+    "highest-weight": (),
+    "tensor": ("deg", "L", "N", "m"),
+    "span-closure": ("depth",),
+}
+
+# every key of SUITE_BOUNDS, in the order usage errors list them
 BOUND_KEYS = ("m", "n", "deg", "m2", "n2", "probe_deg", "L", "N", "depth")
 
 

@@ -132,6 +132,21 @@ def test_importing_the_cli_loads_no_numpy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples and Frozen classes; the dataclasses module
+    # and the inspect, ast, dis and tokenize modules it pulls in took about a
+    # fifth of a light command's start-up.  Only modules the import adds
+    # count, so a site that loads them itself passes.
+    import weylmod
+
+    src = str(Path(weylmod.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import weylmod, weylmod.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_verify_failure_exit_code():
     # an unknown suite is a usage error
     code, _, err = run_cli(["verify", "--suite", "nope"])
@@ -162,6 +177,25 @@ def test_unknown_bounds_key_is_a_usage_error(argv, reads):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert err == f"weylmod: error: unknown bound {key!r}; this command reads {reads}\n"
+
+
+@pytest.mark.parametrize("suite, bounds, key, reads", [
+    ("bracket-identities", "m=1,depth=0", "m", "no bounds"),
+    ("highest-weight", "L=0,N=0", "L", "no bounds"),
+    ("cocycle", "m=1,deg=2", "deg", "m, n"),
+    ("jacobi-antisymmetry", "probe_deg=1", "probe_deg", "m, n, m2, n2"),
+    ("module-axiom", "m=1,L=1", "L", "m, n, deg"),
+    ("irreducibility", "m=1", "m", "deg, probe_deg"),
+    ("tensor", "deg=1,depth=1", "depth", "deg, L, N, m"),
+    ("span-closure", "n=1", "n", "depth"),
+])
+def test_bounds_key_the_suite_does_not_read_is_a_usage_error(suite, bounds, key, reads):
+    # a key the selected suite never reads used to be ignored, so the suite
+    # ran at its default bounds: bracket-identities printed PASS [32 checks]
+    code, out, err = run_cli(["verify", "--suite", suite, "--bounds", bounds])
+    assert (code, out) == (2, "")
+    assert err == (f"weylmod: error: unknown bound {key!r} for suite {suite!r}; "
+                   f"it reads {reads}\n")
 
 
 def test_repeated_bounds_key_is_a_usage_error():

@@ -568,3 +568,43 @@ def test_sparse_vector_laws(kind):
     assert u != v and not (u + v).is_zero()
     assert str(u.scale(0)) == "0"
     assert all(u.terms.values()) and all((u + v).terms.values())
+
+
+def test_value_types_are_immutable_values():
+    import copy
+
+    from weylmod.hwmod import HWSpec, Quasipolynomial, verma_basis
+    from weylmod.liealg import AlgebraCtx, CentralUnsupported
+    from weylmod.tensor import TensorSpec
+    from weylmod.umod import AxiomReport, OmegaSpec
+
+    hw = verma_basis(HWSpec(A, Quasipolynomial.poly([RATIONALS.zero, RATIONALS.one])), 1, 1)
+    # two equal values built apart, an unequal one, and a field to assign
+    cases = [
+        (AlgebraCtx(2), AlgebraCtx(rank=2, central=False), AlgebraCtx(1), "rank"),
+        (OmegaSpec("d", (LAM,), 1), OmegaSpec("d", (LAM,), eps=1),
+         OmegaSpec("d", (LAM,), 0), "eps"),
+        (TensorSpec(OmegaSpec("d", (LAM,), 0), hw), TensorSpec(OmegaSpec("d", (LAM,), 0), hw),
+         TensorSpec(OmegaSpec("d", (LAM,), 1), hw), "omega"),
+        (Series(1, (A, LAM)), Series.from_coeffs([A, LAM]), Series(1, (LAM, A)), "coeffs"),
+    ]
+    for u, v, w, field in cases:
+        assert u is not v and u == v and hash(u) == hash(v) and not u != v
+        assert u != w and len({u, v, w}) == 2
+        with pytest.raises(AttributeError):
+            setattr(u, field, getattr(w, field))
+        with pytest.raises(AttributeError):
+            delattr(u, field)
+        assert getattr(u, field) == getattr(v, field)
+        assert copy.copy(u) == u and copy.copy(u) is not u
+    assert AlgebraCtx() == AlgebraCtx(1, False) != AlgebraCtx(1, central=True)
+    assert repr(AlgebraCtx(1, central=True)) == "AlgebraCtx(rank=1, central=True)"
+    assert repr(OmegaSpec("d", (LAM,), 1)) == (
+        f"OmegaSpec(family='d', lam=({LAM!r},), eps=1, alpha=None, beta=None)")
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        AlgebraCtx(0)
+    with pytest.raises(CentralUnsupported, match="the central extension exists only at rank 1"):
+        AlgebraCtx(2, central=True)
+    with pytest.raises(ValueError, match=r"series length must be order \+ 1"):
+        Series(1, (A,))
+    assert repr(AxiomReport(True, 3)) == "AxiomReport(ok=True, checked=3, counterexample=None)"

@@ -183,13 +183,30 @@ def test_mutants_miss_a_warm_memo(monkeypatch):
                    _product_with_doubled_first_order_terms):
         with monkeypatch.context() as mp:
             mp.setattr(liealg, "basis_product", mutant)
+            misses = U._rank1_tables.cache_info().misses
             assert verdicts()[:4] == [False] * 4
+            assert U._rank1_tables.cache_info().misses > misses
+            # warm on the mutant's own key, the split still fails
+            hits = U._rank1_tables.cache_info().hits
+            assert not U.assoc_action_split(spec_d(1), 2, 2, 3)[0]
+            assert U._rank1_tables.cache_info().hits == hits + 1
     with monkeypatch.context() as mp:
         phi = _shifted_cocycle(True)
         mp.setattr(liealg, "cocycle_basis", phi)
         mp.setattr(V, "cocycle_basis", phi)
         assert verdicts()[3:] == [False, False]
     assert verdicts() == [True] * 5
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_rank1_tables_are_kept_read_only_and_equal_a_fresh_build(eps):
+    got = U._rank1_tables(eps, 2, 2, 3)
+    fresh = U._rank1_tables.__wrapped__(eps, 2, 2, 3)
+    for table, built in zip(got, fresh):
+        assert table.dtype == built.dtype and np.array_equal(table, built)
+        with pytest.raises(ValueError):
+            table[0, 0, 0, 0] = 1
+    assert U._rank1_tables(eps, 2, 2, 3) is got
 
 
 def test_refused_bounds_are_refused_again():

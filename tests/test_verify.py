@@ -92,6 +92,34 @@ def test_suite_stops_at_its_first_failure(case, monkeypatch):
     assert (res.ok, res.checks, res.detail) == want
 
 
+class _ReadKeys(dict):
+    """Bounds that record every key a suite reads."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("suite", sorted(V.SUITES))
+def test_suite_bounds_name_the_keys_each_suite_reads(suite):
+    # ``weylmod verify`` refuses a key outside SUITE_BOUNDS[suite], so the
+    # table must hold every key the suite reads and nothing else
+    assert set(V.SUITE_BOUNDS) == set(V.SUITES)
+    assert {k for keys in V.SUITE_BOUNDS.values() for k in keys} == set(V.BOUND_KEYS)
+    bounds = _ReadKeys({"m": 1, "n": 1, "deg": 2, "m2": 0, "n2": 0, "probe_deg": 2,
+                        "L": 1, "N": 0, "depth": 1})
+    V.SUITES[suite](bounds)
+    assert bounds.read == set(V.SUITE_BOUNDS[suite])
+
+
 def test_passing_checks_format_no_detail(monkeypatch):
     # the 1790 straightening checks of highest-weight name DiffOps in their
     # detail; printing one per passing check would dominate the suite
