@@ -121,6 +121,11 @@ class DiffOp(SparseVec):
         out.central = self.central + other.central
         return out
 
+    def __sub__(self, other: "DiffOp") -> "DiffOp":
+        out = super().__sub__(other)
+        out.central = self.central - other.central
+        return out
+
     def __neg__(self) -> "DiffOp":
         out = super().__neg__()
         out.central = -self.central

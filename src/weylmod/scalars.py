@@ -617,7 +617,20 @@ class SparseVec:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        # one merge, like __add__, without the negated temporary
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            old = terms.get(k)
+            if old is None:
+                terms[k] = -c
+            else:
+                c = old - c
+                if c:
+                    terms[k] = c
+                else:
+                    del terms[k]
+        return self._like(terms)
 
     def scale(self, s):
         if not isinstance(s, (Scalar, int, Fraction)):

@@ -149,7 +149,7 @@ def _matmul_mod_p(a, b, p):
     of K = (2^B - p) // (p - 1)^2 terms (8192 for ``_PRIMES``), each chunk
     reduced mod p before the next is added (delayed reduction, as in
     FFLAS-FFPACK); the margin p keeps ``_mod_p`` exact on a chunk's sum.
-    ``a`` may carry leading batch dimensions.
+    Either operand may carry leading batch dimensions, which broadcast.
     """
     import numpy as np
 
@@ -161,9 +161,9 @@ def _matmul_mod_p(a, b, p):
     inner = a.shape[-1]
     if inner <= chunk:
         return _mod_p(a @ b, p)
-    out = np.zeros(a.shape[:-1] + b.shape[1:])
-    for lo in range(0, inner, chunk):
-        out += _mod_p(a[..., lo:lo + chunk] @ b[lo:lo + chunk], p)
+    out = _mod_p(a[..., :chunk] @ b[..., :chunk, :], p)
+    for lo in range(chunk, inner, chunk):
+        out += _mod_p(a[..., lo:lo + chunk] @ b[..., lo:lo + chunk, :], p)
         out = _mod_p(out, p)
     return out
 
@@ -242,6 +242,69 @@ def _nullspace_mod_p(m, p):
     null = np.zeros((m.shape[1], len(free)), dtype=np.int64)
     null[free, range(len(free))] = 1
     null[pivot_cols] = -r[:len(pivot_cols), free] % p
+    return null
+
+
+def _sparse_echelon_mod_p(rows, p) -> dict:
+    """Row echelon form over GF(p) of sparse rows, in pure Python.
+
+    ``rows`` is an iterable of {column: integer} dicts, integers in any
+    range.  Returns {pivot column: row}: each stored row is 1 at its pivot
+    column, the least column it holds.  An incoming row is reduced against
+    the stored rows from its least column upwards until its least column is
+    new, and stored rows are never revisited, so the work follows the
+    fill-in of the incoming rows alone.  The pivot columns are those of the
+    reduced row echelon form, the least column set of any echelon basis of
+    the row space, and so the ones ``_echelon_mod_p`` picks on the dense
+    matrix.
+    """
+    pivots: dict = {}
+    for row in rows:
+        v = {c: x % p for c, x in row.items() if x % p}
+        while v:
+            lead = min(v)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(v[lead], p - 2, p)
+                pivots[lead] = {c: x * inv % p for c, x in v.items()}
+                break
+            f = v[lead]
+            for c, x in prow.items():
+                nx = (v.get(c, 0) - f * x) % p
+                if nx:
+                    v[c] = nx
+                else:
+                    del v[c]
+    return pivots
+
+
+def _sparse_nullspace_mod_p(pivots, n, p):
+    """Column nullspace basis over GF(p), n x k int64 with k = n - rank, of
+    the rows behind ``pivots`` (``_sparse_echelon_mod_p``) on n columns.
+
+    Kernel vector j is 1 at the j-th free column and 0 at the others; its
+    pivot entries follow by back substitution, last pivot first, with each
+    entry kept sparse over the kernel vectors.  The basis equals what
+    ``_nullspace_mod_p`` returns for the dense matrix of the same rows.
+    """
+    import numpy as np
+
+    free = [c for c in range(n) if c not in pivots]
+    entries = {c: {j: 1} for j, c in enumerate(free)}
+    for lead in sorted(pivots, reverse=True):
+        acc: dict = {}
+        for c, x in pivots[lead].items():
+            if c != lead:
+                for j, y in entries[c].items():
+                    acc[j] = acc.get(j, 0) - x * y
+        entries[lead] = {j: y % p for j, y in acc.items() if y % p}
+    rows, cols, vals = [], [], []
+    for c, vec in entries.items():
+        rows += [c] * len(vec)
+        cols += vec
+        vals += vec.values()
+    null = np.zeros((n, len(free)), dtype=np.int64)
+    null[rows, cols] = vals
     return null
 
 

@@ -21,7 +21,10 @@ from .scalars import (
 from .liealg import D_ALG, D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act, act_hv
 from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
-from .slots import _PRIMES, _colspace_mod_p, _matmul_mod_p, _mod_p, _nullspace_mod_p
+from .slots import (
+    _PRIMES, _colspace_mod_p, _matmul_mod_p, _mod_p, _nullspace_mod_p,
+    _sparse_echelon_mod_p, _sparse_nullspace_mod_p,
+)
 
 
 class TensorMismatch(ValueError):
@@ -481,6 +484,13 @@ def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
     return total
 
 
+def _residue_cols(cols, p):
+    """The rational {col key: {row key: Scalar}} matrix cols mod p, as
+    {col key: {row key: residue}}."""
+    return {ck: {rk: _scalar_mod_p(c, {}, p) for rk, c in col.items()}
+            for ck, col in cols.items()}
+
+
 def _dense_mod_p(cols, pos, p, assign):
     """The {col key: {row key: Scalar}} matrix cols on the keys indexed by
     pos, as a dense float64 array over GF(p)."""
@@ -511,12 +521,12 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     vectors give the lower bound, and further primes plus a dense exact
     elimination stand behind the rare gap.  A prime dividing a denominator
     is skipped; symbolic systems go straight to the exact elimination.
-    Two sides on one window share one host.
+    Two sides on equal windows share one host.
     """
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
     host_a = _host(spec_a.hw, m_bound)
-    host_b = host_a if spec_b.hw is spec_a.hw else _host(spec_b.hw, m_bound)
+    host_b = host_a if _same_window(spec_a.hw, spec_b.hw) else _host(spec_b.hw, m_bound)
     moves_a = _compressed_moves(spec_a, keys_a, m_bound, n_bound, host_a)
     moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound, host_b)
 
@@ -536,48 +546,90 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     return _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b)
 
 
+def _same_window(a: TruncVerma, b: TruncVerma) -> bool:
+    """Whether two windows are equal by value: the same bounds, central
+    charge and weight function, over the same declarations.  Equal windows
+    straighten alike, so they can share one host.  (``TruncVerma`` keeps
+    identity equality, so elements of two windows never mix.)"""
+    if a is b:
+        return True
+    sa, sb = a.spec, b.spec
+
+    def decls(spec):
+        return [spec.c.decl] + [s.decl for poly, e in spec.phi.terms for s in (*poly, e)]
+
+    return ((a.level_bound, a.order_bound) == (b.level_bound, b.order_bound)
+            and sa.c == sb.c and sa.phi == sb.phi and decls(sa) == decls(sb))
+
+
+def _constraint_rows(cols_a, cols_b, pos_a, pos_b):
+    """The constraint rows of T A = B T for one generator, A and B given as
+    {col key: {row key: coefficient}} on the keys indexed by pos_a, pos_b.
+
+    T is the dim_b x dim_a matrix of unknowns, flattened row-major: T[i, k]
+    is unknown pos_b[i] * dim_a + pos_a[k].  Entry (i, u) of T A - B T is
+    one {unknown: coefficient} row; zero rows are skipped.
+    """
+    dim_a = len(pos_a)
+    b_rows: dict = {}
+    for ck, col in cols_b.items():
+        for rk, c in col.items():
+            b_rows.setdefault(rk, {})[ck] = c
+    for u, ui in pos_a.items():
+        col_u = cols_a.get(u, {})
+        for i, ii in pos_b.items():
+            row: dict = {}
+            for k, c in col_u.items():
+                accumulate(row, ii * dim_a + pos_a[k], c)
+            for k, c in b_rows.get(i, {}).items():
+                accumulate(row, pos_b[k] * dim_a + ui, -c)
+            if row:
+                yield row
+
+
 def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p) -> int:
     """Kernel dimension of {T A_g = B_g T} over GF(p) by refinement, for
     rational systems; raises ZeroDivisionError when p divides a denominator.
 
-    T is the dim_b x dim_a matrix of unknowns, flattened row-major.  The
-    first generator's constraints form the Kronecker system
-    I (x) A^T - B (x) I, whose nullspace is the first kernel basis; each
-    later generator cuts the basis down by the nullspace of its constraints
-    on it.
+    The first generator's constraint rows (``_constraint_rows``) are
+    eliminated sparsely; when they have full rank the kernel is 0 and
+    numpy is never loaded.  Otherwise their kernel basis is the first
+    dense basis, and each later generator cuts it down by the nullspace of
+    its constraints on it.
     """
-    import numpy as np
-
     pos_a = {k: i for i, k in enumerate(keys_a)}
     pos_b = {k: i for i, k in enumerate(keys_b)}
     dim_a, dim_b = len(keys_a), len(keys_b)
-    basis = None
-    for cols_a, cols_b in zip(moves_a, moves_b):
+    if not moves_a:
+        return dim_a * dim_b
+    first = _sparse_echelon_mod_p(_constraint_rows(
+        _residue_cols(moves_a[0], p), _residue_cols(moves_b[0], p), pos_a, pos_b), p)
+    if len(first) == dim_a * dim_b:
+        return 0
+    import numpy as np
+
+    basis = _sparse_nullspace_mod_p(first, dim_a * dim_b, p).astype(np.float64)
+    for cols_a, cols_b in zip(moves_a[1:], moves_b[1:]):
         Ag = _dense_mod_p(cols_a, pos_a, p, {})
         Bg = _dense_mod_p(cols_b, pos_b, p, {})
-        if basis is None:
-            basis = _nullspace_mod_p(np.kron(np.eye(dim_b), Ag.T)
-                                     - np.kron(Bg, np.eye(dim_a)), p)
-        else:
-            T3 = basis.reshape(dim_b, dim_a, basis.shape[1])
-            # (T A)[i, b, k] = sum_a T[i, a, k] A[a, b]; (B T) = B @ T
-            TA = _matmul_mod_p(T3.transpose(0, 2, 1), Ag, p).transpose(0, 2, 1)
-            BT = _matmul_mod_p(Bg, T3.reshape(dim_b, -1), p).reshape(T3.shape)
-            M = (TA - BT).reshape(dim_b * dim_a, basis.shape[1])
-            basis = _matmul_mod_p(basis, _nullspace_mod_p(M, p), p)
+        T3 = basis.reshape(dim_b, dim_a, -1)
+        # (T A)[i, b, k] = sum_a A[a, b] T[i, a, k]; (B T) = B @ T
+        M = _matmul_mod_p(Ag.T, T3, p)
+        M -= _matmul_mod_p(Bg, basis.reshape(dim_b, -1), p).reshape(T3.shape)
+        basis = _matmul_mod_p(basis, _nullspace_mod_p(M.reshape(len(basis), -1), p), p)
         if basis.shape[1] == 0:
             return 0
-    return dim_a * dim_b if basis is None else basis.shape[1]
+    return basis.shape[1]
 
 
 def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
-    """Exact kernel dimension of {T A_g = B_g T}: every constraint row,
-    one per generator and entry of T, goes into one sparse ``SpanBasis``
-    (cross-multiplying elimination over the parameter fraction field)."""
+    """Exact kernel dimension of {T A_g = B_g T}: every constraint row
+    (``_constraint_rows``) of every generator goes into one sparse
+    ``SpanBasis`` (cross-multiplying elimination over the parameter
+    fraction field)."""
     pos_a = {k: i for i, k in enumerate(keys_a)}
     pos_b = {k: i for i, k in enumerate(keys_b)}
-    dim_a = len(keys_a)
-    n_unknown = dim_a * len(keys_b)
+    n_unknown = len(keys_a) * len(keys_b)
     if n_unknown > 700:
         raise RuntimeError(
             "bounded intertwiner system too large for the exact fallback; "
@@ -585,17 +637,6 @@ def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
         )
     span = SpanBasis()
     for cols_a, cols_b in zip(moves_a, moves_b):
-        b_rows: dict = {}
-        for ck, col in cols_b.items():
-            for rk, c in col.items():
-                b_rows.setdefault(rk, {})[ck] = c
-        for u in keys_a:
-            for i in keys_b:
-                row: dict = {}
-                for k, c in cols_a.get(u, {}).items():
-                    accumulate(row, pos_b[i] * dim_a + pos_a[k], c)
-                for k, c in b_rows.get(i, {}).items():
-                    accumulate(row, pos_b[k] * dim_a + pos_a[u], -c)
-                if row:
-                    span.add(row)
+        for row in _constraint_rows(cols_a, cols_b, pos_a, pos_b):
+            span.add(row)
     return n_unknown - span.dim

@@ -132,6 +132,21 @@ def test_importing_the_cli_loads_no_numpy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_full_rank_intertwiner_loads_no_numpy():
+    # the golden intertwiner's first constraint block has full rank mod p,
+    # so the sparse elimination answers 0 before any numpy code runs
+    import weylmod
+
+    argv = dict(GOLDEN_COMMANDS)["intertwiner"]
+    src = str(Path(weylmod.__file__).resolve().parents[1])
+    code = ("import sys; from weylmod import cli; code = cli.main(sys.argv[1:]); "
+            "print('numpy' in sys.modules, code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    golden = (Path(__file__).parent / "golden" / "intertwiner.txt").read_text()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden + "False 0\n", "")
+
+
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     # the records are NamedTuples and Frozen classes; the dataclasses module
     # and the inspect, ast, dis and tokenize modules it pulls in took about a

@@ -193,6 +193,63 @@ def test_subtraction_is_adding_the_negation(ta, tb, rational_decl):
         _assert_canonical(diff, want)
 
 
+def _element_builders():
+    """(name, build(terms, central), label pool) for the four SparseVec
+    element types; ``central`` only reaches the DiffOp."""
+    from weylmod.hwmod import HWSpec, Quasipolynomial, VermaElem, verma_basis
+    from weylmod.liealg import D_HAT, DiffOp
+    from weylmod.tensor import TensorElem, TensorSpec
+    from weylmod.umod import PolyVec, omega_d
+
+    omega = omega_d(LAM, 1)
+    hw = verma_basis(HWSpec(A, Quasipolynomial.poly([DECL.zero, DECL.one])), 2, 1)
+    tensor = TensorSpec(omega, hw)
+    return [
+        ("poly", lambda t, c: PolyVec(omega, t), [(e,) for e in range(4)]),
+        ("diffop", lambda t, c: DiffOp(D_HAT, t, c),
+         [((m,), (n,)) for m in (-1, 0, 2) for n in (0, 1)]),
+        ("verma", lambda t, c: VermaElem(hw, t), hw.basis()[:5]),
+        ("tensor", lambda t, c: TensorElem(tensor, t), tensor.basis_keys(1)[:6]),
+    ]
+
+
+@pytest.mark.parametrize("name,build,labels", _element_builders())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_element_subtraction_is_adding_the_negation(name, build, labels, data):
+    # u - v merges in one pass; it equals u + (-v) in terms, space and
+    # type, the DiffOp's central part included, with every cancelled
+    # label dropped
+    def terms():
+        picked = data.draw(st.lists(st.sampled_from(labels), unique=True, max_size=4))
+        return {k: data.draw(scalars(max_terms=2)) for k in picked}
+
+    ta, ca = terms(), data.draw(scalars(max_terms=2))
+    # v shares some of u's terms exactly, so that they cancel
+    shared = data.draw(st.lists(st.sampled_from(sorted(ta, key=repr) or labels),
+                                unique=True, max_size=2))
+    tb = {**terms(), **{k: ta[k] for k in shared if k in ta}}
+    u, v = build(ta, ca), build(tb, data.draw(st.sampled_from([ca, DECL.zero, A])))
+    for diff, want in ((u - v, u + (-v)), (v - u, v + (-u)), (u - u, u.scale(0))):
+        assert type(diff) is type(u) and diff == want
+        assert all(c for c in diff.terms.values())
+        if name == "diffop":
+            assert diff.central == want.central
+    assert (u - u).is_zero()
+
+
+def test_element_subtraction_refuses_another_window():
+    # two windows built apart are different spaces even when equal by
+    # value, so their vectors never mix
+    (_, build_a, labels), = [b for b in _element_builders() if b[0] == "verma"]
+    (_, build_b, _), = [b for b in _element_builders() if b[0] == "verma"]
+    u, v = build_a({labels[0]: 1}, None), build_b({labels[0]: 1}, None)
+    with pytest.raises(ValueError):
+        u - v
+    with pytest.raises(ValueError):
+        u + v
+
+
 @settings(max_examples=100, deadline=None)
 @given(raw_terms(), small_coeffs)
 def test_canonical_scaling_by_plain_rationals(ta, q):

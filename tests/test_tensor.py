@@ -253,9 +253,47 @@ def test_intertwiner_builds_one_host_per_window(monkeypatch):
     dim = intertwiner_dim(sa, sb, 1, 2, 1)
     assert len(built) == 1
     built.clear()
-    sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), verma_basis(hw, 1, 1))
+    other = HWSpec(RATIONALS.rational(Fraction(1, 3)), PHI_X)
+    sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), verma_basis(other, 1, 1))
     assert intertwiner_dim(sa, sb, 1, 2, 1) == dim
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_equal_windows_built_apart_share_one_host(same, monkeypatch):
+    built = []
+
+    class CountingVerma(TruncVerma):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def window():
+        return verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X), 1, 1)
+
+    lam_b = 2 if same else 3
+    want = intertwiner_dim(_rational_spec(2, 1), _rational_spec(lam_b, 1), 1, 2, 1)
+    monkeypatch.setattr(T, "TruncVerma", CountingVerma)
+    sa = TensorSpec(omega_d(RATIONALS.rational(2), 1), window())
+    sb = TensorSpec(omega_d(RATIONALS.rational(lam_b), 1), window())
+    assert sa.hw is not sb.hw
+    assert intertwiner_dim(sa, sb, 1, 2, 1) == want == int(same)
+    assert len(built) == 1
+
+
+def test_windows_differing_in_bounds_or_declarations_are_not_shared():
+    hw = verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X), 1, 1)
+    assert T._same_window(hw, verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X), 1, 1))
+    assert not T._same_window(hw, verma_basis(hw.spec, 2, 1))
+    assert not T._same_window(hw, verma_basis(hw.spec, 1, 0))
+    assert not T._same_window(hw, verma_basis(HWSpec(RATIONALS.rational(1), PHI_X), 1, 1))
+    # equal values over another declaration
+    assert not T._same_window(hw, verma_basis(HWSpec(DECL.rational(Fraction(1, 2)), PHI_X), 1, 1))
+    phi = Quasipolynomial.poly([DECL.zero, DECL.one])
+    assert phi == PHI_X
+    assert not T._same_window(hw, verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), phi), 1, 1))
+    phi2 = Quasipolynomial.poly([RATIONALS.zero, RATIONALS.one, RATIONALS.one])
+    assert not T._same_window(hw, verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), phi2), 1, 1))
 
 
 # -- mod-p kernels --------------------------------------------------------------
@@ -302,10 +340,14 @@ def test_matmul_mod_p_matches_object_dtype(p):
     exact = (a.astype(object) @ b.astype(object)) % p
     assert (T._matmul_mod_p(a, b, p) == exact).all()
     assert (T._matmul_mod_p(a.astype(np.float64), b, p) == exact).all()
-    # batched left operand, as in the intertwiner refinement
+    # batched left operand
     a3 = np.arange(2 * 3 * 5, dtype=np.int64).reshape(2, 3, 5) * (p // 31)
     got = T._matmul_mod_p(a3, b[:5], p)
     assert (got == (a3.astype(object) @ b[:5].astype(object)) % p).all()
+    # batched right operand, as in the intertwiner refinement, past one chunk
+    b3 = np.stack([b, b[::-1] - 1])
+    want = np.stack([(a.astype(object) @ x.astype(object)) % p for x in b3])
+    assert (T._matmul_mod_p(a, b3, p) == want).all()
 
 
 def test_mod_p_reduces_float64_integers_exactly():
@@ -760,3 +802,147 @@ def test_modular_kernel_dim_matches_the_exact_kernel(sides, same, charge, d, L, 
     assert min(dims) == exact and all(k >= exact for k in dims)
     if same:
         assert exact >= 1
+
+
+# -- the sparse first constraint block --------------------------------------------
+
+import tracemalloc  # noqa: E402
+
+from weylmod import slots as S  # noqa: E402
+
+
+def _kronecker_block(cols_a, cols_b, keys_a, keys_b, p):
+    """One generator's constraints T A = B T as the dense Kronecker system
+    I (x) A^T - B (x) I, the first block the sparse elimination replaced."""
+    A = T._dense_mod_p(cols_a, {k: i for i, k in enumerate(keys_a)}, p, {})
+    B = T._dense_mod_p(cols_b, {k: i for i, k in enumerate(keys_b)}, p, {})
+    return np.kron(np.eye(len(keys_b)), A.T) - np.kron(B, np.eye(len(keys_a)))
+
+
+def _rational_sides(family, sides, charges, Ls, N):
+    """Two rational tensor specs, each on its own window."""
+    specs = []
+    for (lam, eps), charge, L in zip(sides, charges, Ls):
+        hw = verma_basis(HWSpec(RATIONALS.rational(charge), PHI_X), L, N)
+        lam = RATIONALS.rational(lam)
+        omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, RATIONALS.zero,
+                                                                  RATIONALS.zero)
+        specs.append(TensorSpec(omega, hw))
+    return specs
+
+
+side_draws = dict(
+    family=st.sampled_from(["d", "hv"]),
+    sides=st.lists(st.tuples(nonzero_fracs, st.integers(0, 1)), min_size=2, max_size=2),
+    charges=st.lists(nonzero_fracs, min_size=2, max_size=2),
+    Ls=st.lists(st.integers(0, 1), min_size=2, max_size=2), N=st.integers(0, 1),
+    d=st.integers(1, 2), mb=st.integers(1, 3), nb=st.integers(0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(gen=st.integers(0, 50), **side_draws)
+def test_sparse_constraint_block_matches_the_kronecker_system(family, sides, charges, Ls, N,
+                                                               d, mb, nb, gen):
+    # any one generator's constraint rows, eliminated sparsely, give the
+    # kernel basis the dense echelon gives for the Kronecker system, entry
+    # for entry; the two sides may have different windows and dimensions
+    specs = _rational_sides(family, sides, charges, Ls, N)
+    keys = [s.basis_keys(d) for s in specs]
+    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    g = gen % len(moves[0])
+    p = T._PRIMES[0]
+    pos = [{k: i for i, k in enumerate(ks)} for ks in keys]
+    rows = T._constraint_rows(T._residue_cols(moves[0][g], p),
+                              T._residue_cols(moves[1][g], p), *pos)
+    n = len(keys[0]) * len(keys[1])
+    pivots = S._sparse_echelon_mod_p(rows, p)
+    null = S._sparse_nullspace_mod_p(pivots, n, p)
+    want = T._nullspace_mod_p(_kronecker_block(moves[0][g], moves[1][g], *keys, p), p)
+    assert len(pivots) == n - want.shape[1]
+    assert null.dtype == want.dtype and null.shape == want.shape
+    assert (null == want).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**side_draws)
+def test_modular_kernel_dim_matches_the_exact_kernel_across_windows(family, sides, charges,
+                                                                     Ls, N, d, mb, nb):
+    # the sparse first block and the dense refinement against the exact
+    # elimination of every constraint row, for sides on unequal windows and
+    # for the hv control too; intertwiner_dim returns the exact dimension
+    sa, sb = _rational_sides(family, sides, charges, Ls, N)
+    keys = [s.basis_keys(d) for s in (sa, sb)]
+    moves = [_moves(s, k, mb, nb) for s, k in zip((sa, sb), keys)]
+    exact = _exact_intertwiner_dim(*moves, *keys)
+    dims = [T._modular_kernel_dim(*moves, *keys, p) for p in T._PRIMES]
+    assert min(dims) == exact and all(k >= exact for k in dims)
+    assert intertwiner_dim(sa, sb, d, mb, nb) == exact
+
+
+@pytest.mark.parametrize("bad", [1, 2, 3])
+@pytest.mark.parametrize("where", ["lambda", "charge"])
+def test_a_prime_dividing_a_denominator_is_skipped(where, bad, monkeypatch):
+    # the first `bad` primes divide a denominator: of lambda^-k in the
+    # first block, or of the central charge in the dense refinement.  Each
+    # raises ZeroDivisionError and is skipped; with no usable prime left
+    # the exact elimination answers.
+    q = 1
+    for p in T._PRIMES[:bad]:
+        q *= p
+    charge = Fraction(1, q) if where == "charge" else Fraction(1, 2)
+    hw = verma_basis(HWSpec(RATIONALS.rational(charge), PHI_X), 1, 1)
+    spec = TensorSpec(omega_d(RATIONALS.rational(q if where == "lambda" else 2), 1), hw)
+    keys = spec.basis_keys(1)
+    moves = _moves(spec, keys, 2, 1)
+    for p in T._PRIMES[:bad]:
+        with pytest.raises(ZeroDivisionError):
+            T._modular_kernel_dim(moves, moves, keys, keys, p)
+    kernel, exact = T._modular_kernel_dim, T._exact_intertwiner_dim
+    tried, fell_back = [], []
+
+    def counted_kernel(*args):
+        tried.append(args[-1])
+        return kernel(*args)
+
+    def counted_exact(*args):
+        fell_back.append(True)
+        return exact(*args)
+
+    monkeypatch.setattr(T, "_modular_kernel_dim", counted_kernel)
+    monkeypatch.setattr(T, "_exact_intertwiner_dim", counted_exact)
+    assert intertwiner_dim(spec, spec, 1, 2, 1) == 1 == exact(moves, moves, keys, keys)
+    assert tried == list(T._PRIMES[:bad + 1])
+    assert fell_back == [True] * (bad == len(T._PRIMES))
+
+
+def test_the_first_block_builds_no_kronecker_array():
+    # the benchmark's windows, 576 unknowns: one N^2 x N^2 float64 array is
+    # 2.65 MB.  A full-rank first block is answered from sparse rows alone;
+    # equal data leaves a 576 x 192 kernel basis, and the refinement holds
+    # a few arrays of that size at once, never a Kronecker system.
+    hw = verma_basis(HWSpec(RATIONALS.rational(Fraction(3, 7)), PHI_X), 2, 1)
+    specs = [TensorSpec(omega_d(RATIONALS.rational(lam), 1), hw) for lam in (2, 3)]
+    keys = specs[0].basis_keys(2)
+    n = len(keys) ** 2
+    assert n == 576
+    moves_a, moves_b = (_moves(s, keys, 4, 1) for s in specs)
+    p = T._PRIMES[0]
+
+    def peak(ma, mb):
+        T._modular_kernel_dim(ma, mb, keys, keys, p)
+        tracemalloc.start()
+        try:
+            return T._modular_kernel_dim(ma, mb, keys, keys, p), \
+                tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kron_bytes = n * n * 8
+    k, full_rank = peak(moves_a, moves_b)
+    assert k == 0 and full_rank < kron_bytes / 8
+    pos = {key: i for i, key in enumerate(keys)}
+    first = S._sparse_echelon_mod_p(T._constraint_rows(
+        T._residue_cols(moves_a[0], p), T._residue_cols(moves_a[0], p), pos, pos), p)
+    assert n - len(first) == 192
+    k, same = peak(moves_a, moves_a)
+    assert k == 1 and same < 5 * n * 192 * 8 < 2 * kron_bytes
