@@ -24,7 +24,9 @@ _EXACT_BITS = {"float64": 53, "int64": 63}
 
 
 class BoundsTooLarge(OverflowError):
-    """The requested bounds need integers beyond a machine dtype's exact range."""
+    """The requested bounds are refused as too large: they need integers
+    beyond a machine dtype's exact range, or a system beyond the size an
+    exact path accepts."""
 
 
 def check_exact(bound, dtype, what: str) -> None:
@@ -245,7 +247,7 @@ def _nullspace_mod_p(m, p):
     return null
 
 
-def _sparse_echelon_mod_p(rows, p) -> dict:
+def _sparse_echelon_mod_p(rows, p, rank_bound=None) -> dict:
     """Row echelon form over GF(p) of sparse rows, in pure Python.
 
     ``rows`` is an iterable of {column: integer} dicts, integers in any
@@ -256,7 +258,8 @@ def _sparse_echelon_mod_p(rows, p) -> dict:
     fill-in of the incoming rows alone.  The pivot columns are those of the
     reduced row echelon form, the least column set of any echelon basis of
     the row space, and so the ones ``_echelon_mod_p`` picks on the dense
-    matrix.
+    matrix.  With ``rank_bound``, a known upper bound on the rank, no row is
+    read past the one that reaches it: the rows read so far span them all.
     """
     pivots: dict = {}
     for row in rows:
@@ -275,37 +278,9 @@ def _sparse_echelon_mod_p(rows, p) -> dict:
                     v[c] = nx
                 else:
                     del v[c]
+        if len(pivots) == rank_bound:
+            break
     return pivots
-
-
-def _sparse_nullspace_mod_p(pivots, n, p):
-    """Column nullspace basis over GF(p), n x k int64 with k = n - rank, of
-    the rows behind ``pivots`` (``_sparse_echelon_mod_p``) on n columns.
-
-    Kernel vector j is 1 at the j-th free column and 0 at the others; its
-    pivot entries follow by back substitution, last pivot first, with each
-    entry kept sparse over the kernel vectors.  The basis equals what
-    ``_nullspace_mod_p`` returns for the dense matrix of the same rows.
-    """
-    import numpy as np
-
-    free = [c for c in range(n) if c not in pivots]
-    entries = {c: {j: 1} for j, c in enumerate(free)}
-    for lead in sorted(pivots, reverse=True):
-        acc: dict = {}
-        for c, x in pivots[lead].items():
-            if c != lead:
-                for j, y in entries[c].items():
-                    acc[j] = acc.get(j, 0) - x * y
-        entries[lead] = {j: y % p for j, y in acc.items() if y % p}
-    rows, cols, vals = [], [], []
-    for c, vec in entries.items():
-        rows += [c] * len(vec)
-        cols += vec
-        vals += vec.values()
-    null = np.zeros((n, len(free)), dtype=np.int64)
-    null[rows, cols] = vals
-    return null
 
 
 def _primes():

@@ -22,9 +22,11 @@ from .liealg import D_ALG, D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act, act_hv
 from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
 from .slots import (
-    _PRIMES, _colspace_mod_p, _matmul_mod_p, _mod_p, _nullspace_mod_p,
-    _sparse_echelon_mod_p, _sparse_nullspace_mod_p,
+    _PRIMES, BoundsTooLarge, _colspace_mod_p, _matmul_mod_p, _mod_p,
+    _sparse_echelon_mod_p,
 )
+# imported for perfbench/tracer.py, which times it as tensor.nullspace_mod_p
+from .slots import _nullspace_mod_p  # noqa: F401
 
 
 class TensorMismatch(ValueError):
@@ -484,10 +486,12 @@ def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
     return total
 
 
-def _residue_cols(cols, p):
-    """The rational {col key: {row key: Scalar}} matrix cols mod p, as
+def _residue_cols(cols, p, assign=None):
+    """The {col key: {row key: Scalar}} matrix cols mod p, each parameter
+    sent to its residue in assign (none for a rational matrix), as
     {col key: {row key: residue}}."""
-    return {ck: {rk: _scalar_mod_p(c, {}, p) for rk, c in col.items()}
+    assign = assign or {}
+    return {ck: {rk: _scalar_mod_p(c, assign, p) for rk, c in col.items()}
             for ck, col in cols.items()}
 
 
@@ -516,12 +520,14 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     The compressed generator actions A_g, B_g on the two bounded spaces give
     the constraint T A_g = B_g T; the compression is applied identically on
     both sides, so the identity map always survives for equal data.  The
-    dimension is certified exactly: a modular kernel refinement gives an
-    upper bound (rank can only drop modulo p), explicitly verified kernel
-    vectors give the lower bound, and further primes plus a dense exact
-    elimination stand behind the rare gap.  A prime dividing a denominator
-    is skipped; symbolic systems go straight to the exact elimination.
-    Two sides on equal windows share one host.
+    dimension is certified exactly: explicitly verified kernel vectors give
+    the lower bound, and the constraints modulo a prime, with symbolic
+    parameters sent to fixed residues, give the upper bound (rank can only
+    drop under specialisation).  One sparse elimination meets the two
+    (``_modular_kernel_dim``); further primes plus an exact elimination
+    stand behind the rare gap.  A prime dividing a denominator the
+    elimination reads is skipped.  Two sides on equal windows share one
+    host.
     """
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
@@ -532,17 +538,16 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
 
     # explicitly verified kernel vectors: the identity for equal data
     explicit = int(keys_a == keys_b and moves_a == moves_b)
-
-    if not _residues(moves_a + moves_b):
-        for p in _PRIMES:
-            try:
-                k = _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p)
-            except ZeroDivisionError:
-                continue
-            if k == explicit:
-                return k
-        # fall through to the exact elimination below on a persistent gap
-
+    assign = _residues(moves_a + moves_b)
+    for p in _PRIMES:
+        try:
+            k = _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p,
+                                    explicit=explicit, assign=assign)
+        except ZeroDivisionError:
+            continue
+        if k == explicit:
+            return k
+    # fall through to the exact elimination on a persistent gap
     return _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b)
 
 
@@ -587,39 +592,28 @@ def _constraint_rows(cols_a, cols_b, pos_a, pos_b):
                 yield row
 
 
-def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p) -> int:
-    """Kernel dimension of {T A_g = B_g T} over GF(p) by refinement, for
-    rational systems; raises ZeroDivisionError when p divides a denominator.
+def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p, explicit=0,
+                        assign=None) -> int:
+    """An upper bound on the kernel dimension of {T A_g = B_g T} over the
+    parameter field, which is exact when it equals ``explicit``, the number
+    of kernel vectors known to be independent.  Raises ZeroDivisionError
+    when p divides a denominator of a generator that it reads.
 
-    The first generator's constraint rows (``_constraint_rows``) are
-    eliminated sparsely; when they have full rank the kernel is 0 and
-    numpy is never loaded.  Otherwise their kernel basis is the first
-    dense basis, and each later generator cuts it down by the nullspace of
-    its constraints on it.
+    Every generator's constraint rows (``_constraint_rows``), in generator
+    order and reduced mod p with each parameter sent to its residue in
+    ``assign``, go into one ``slots._sparse_echelon_mod_p``.  The kernel of
+    a subset of the constraints mod p bounds the full kernel from above and
+    ``explicit`` bounds it from below, so the elimination stops once
+    n - rank equals ``explicit``; the generators past that point are never
+    reduced.  numpy is never loaded.
     """
     pos_a = {k: i for i, k in enumerate(keys_a)}
     pos_b = {k: i for i, k in enumerate(keys_b)}
-    dim_a, dim_b = len(keys_a), len(keys_b)
-    if not moves_a:
-        return dim_a * dim_b
-    first = _sparse_echelon_mod_p(_constraint_rows(
-        _residue_cols(moves_a[0], p), _residue_cols(moves_b[0], p), pos_a, pos_b), p)
-    if len(first) == dim_a * dim_b:
-        return 0
-    import numpy as np
-
-    basis = _sparse_nullspace_mod_p(first, dim_a * dim_b, p).astype(np.float64)
-    for cols_a, cols_b in zip(moves_a[1:], moves_b[1:]):
-        Ag = _dense_mod_p(cols_a, pos_a, p, {})
-        Bg = _dense_mod_p(cols_b, pos_b, p, {})
-        T3 = basis.reshape(dim_b, dim_a, -1)
-        # (T A)[i, b, k] = sum_a A[a, b] T[i, a, k]; (B T) = B @ T
-        M = _matmul_mod_p(Ag.T, T3, p)
-        M -= _matmul_mod_p(Bg, basis.reshape(dim_b, -1), p).reshape(T3.shape)
-        basis = _matmul_mod_p(basis, _nullspace_mod_p(M.reshape(len(basis), -1), p), p)
-        if basis.shape[1] == 0:
-            return 0
-    return basis.shape[1]
+    n = len(keys_a) * len(keys_b)
+    rows = (row for cols_a, cols_b in zip(moves_a, moves_b)
+            for row in _constraint_rows(_residue_cols(cols_a, p, assign),
+                                        _residue_cols(cols_b, p, assign), pos_a, pos_b))
+    return n - len(_sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
 
 
 def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
@@ -631,9 +625,9 @@ def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
     pos_b = {k: i for i, k in enumerate(keys_b)}
     n_unknown = len(keys_a) * len(keys_b)
     if n_unknown > 700:
-        raise RuntimeError(
-            "bounded intertwiner system too large for the exact fallback; "
-            "modular certification failed to close"
+        raise BoundsTooLarge(
+            f"bounded intertwiner system of {n_unknown} unknowns is too large for "
+            "the exact fallback (at most 700), and modular certification did not close"
         )
     span = SpanBasis()
     for cols_a, cols_b in zip(moves_a, moves_b):

@@ -45,6 +45,9 @@ GOLDEN_COMMANDS = [
     ("intertwiner", ["intertwiner", "--lam-a", "2", "--lam-b", "3",
                      "--phi", "x", "--c", "1/2",
                      "--bounds", "d=2,L=1,N=1,m=3,n=1"]),
+    ("intertwiner_symbolic", ["intertwiner", "--lam-a", "lambda", "--lam-b", "lambda",
+                              "--phi", "x", "--c", "1/2",
+                              "--bounds", "d=3,L=2,N=1,m=4,n=1"]),
     ("verify_single", ["verify", "--suite", "bracket-identities"]),
     ("verify_json", ["verify", "--suite", "span-closure", "--json"]),
 ]
@@ -132,19 +135,45 @@ def test_importing_the_cli_loads_no_numpy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
-def test_full_rank_intertwiner_loads_no_numpy():
-    # the golden intertwiner's first constraint block has full rank mod p,
-    # so the sparse elimination answers 0 before any numpy code runs
+def _loads_numpy(name):
+    """(exit code, stdout, stderr) of the golden command ``name`` run by
+    cli.main in a fresh interpreter that then prints whether numpy was
+    loaded and the exit code."""
     import weylmod
 
-    argv = dict(GOLDEN_COMMANDS)["intertwiner"]
+    argv = dict(GOLDEN_COMMANDS)[name]
     src = str(Path(weylmod.__file__).resolve().parents[1])
     code = ("import sys; from weylmod import cli; code = cli.main(sys.argv[1:]); "
             "print('numpy' in sys.modules, code)")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
-    golden = (Path(__file__).parent / "golden" / "intertwiner.txt").read_text()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden + "False 0\n", "")
+    golden = (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
+    return proc.returncode, proc.stdout.removeprefix(golden), proc.stderr
+
+
+def test_full_rank_intertwiner_loads_no_numpy():
+    # the golden intertwiner's first constraint block has full rank mod p,
+    # so the sparse elimination answers 0 before any numpy code runs
+    assert _loads_numpy("intertwiner") == (0, "False 0\n", "")
+
+
+def test_symbolic_intertwiner_loads_no_numpy():
+    # 1024 unknowns over Q(lambda): the sparse elimination mod p, lambda
+    # sent to a residue, meets the identity's kernel without numpy
+    assert _loads_numpy("intertwiner_symbolic") == (0, "False 0\n", "")
+
+
+def test_intertwiner_beyond_the_exact_fallback_exits_3(monkeypatch, capsys):
+    # with the modular route forced to leave a gap, the 1024-unknown system
+    # reaches the exact fallback, which refuses it with one typed line
+    from weylmod import cli, tensor as T
+
+    monkeypatch.setattr(T, "_modular_kernel_dim", lambda *args, explicit=0, **kw: explicit + 1)
+    assert cli.main(dict(GOLDEN_COMMANDS)["intertwiner_symbolic"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("weylmod: error: ")
+    assert "1024 unknowns" in err and "Traceback" not in err
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():

@@ -408,8 +408,8 @@ def test_colspace_mod_p_is_the_reduced_echelon_basis(rows):
 
 def test_pinned_probe_products_match_object_dtype(monkeypatch):
     # every mod-p product of the tensor suite's probe, at the suite's
-    # bounds, and of a small intertwiner system agrees with unbounded
-    # object-dtype arithmetic
+    # bounds, agrees with unbounded object-dtype arithmetic; the
+    # intertwiner's sparse elimination runs no float64 product at all
     matmul = T._matmul_mod_p
     shadowed = []
 
@@ -434,7 +434,7 @@ def test_pinned_probe_products_match_object_dtype(monkeypatch):
     hw = HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X)
     spec = TensorSpec(omega_d(RATIONALS.rational(2), 1), verma_basis(hw, 1, 1))
     assert intertwiner_dim(spec, spec, 2, 3, 1) == 1
-    assert len(shadowed) > probe_products
+    assert len(shadowed) == probe_products
 
 
 # -- residues ------------------------------------------------------------------
@@ -843,9 +843,9 @@ side_draws = dict(
 @given(gen=st.integers(0, 50), **side_draws)
 def test_sparse_constraint_block_matches_the_kronecker_system(family, sides, charges, Ls, N,
                                                                d, mb, nb, gen):
-    # any one generator's constraint rows, eliminated sparsely, give the
-    # kernel basis the dense echelon gives for the Kronecker system, entry
-    # for entry; the two sides may have different windows and dimensions
+    # any one generator's constraint rows, eliminated sparsely, have the
+    # rank and the pivot columns the dense echelon finds in the Kronecker
+    # system; the two sides may have different windows and dimensions
     specs = _rational_sides(family, sides, charges, Ls, N)
     keys = [s.basis_keys(d) for s in specs]
     moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
@@ -854,13 +854,11 @@ def test_sparse_constraint_block_matches_the_kronecker_system(family, sides, cha
     pos = [{k: i for i, k in enumerate(ks)} for ks in keys]
     rows = T._constraint_rows(T._residue_cols(moves[0][g], p),
                               T._residue_cols(moves[1][g], p), *pos)
-    n = len(keys[0]) * len(keys[1])
     pivots = S._sparse_echelon_mod_p(rows, p)
-    null = S._sparse_nullspace_mod_p(pivots, n, p)
-    want = T._nullspace_mod_p(_kronecker_block(moves[0][g], moves[1][g], *keys, p), p)
-    assert len(pivots) == n - want.shape[1]
-    assert null.dtype == want.dtype and null.shape == want.shape
-    assert (null == want).all()
+    _, want = _echelon_mod_p(_kronecker_block(moves[0][g], moves[1][g], *keys, p), p)
+    assert sorted(pivots) == want
+    # every stored row is monic at its pivot, its least column
+    assert all(min(row) == lead and row[lead] == 1 for lead, row in pivots.items())
 
 
 @settings(max_examples=25, deadline=None)
@@ -879,13 +877,51 @@ def test_modular_kernel_dim_matches_the_exact_kernel_across_windows(family, side
     assert intertwiner_dim(sa, sb, d, mb, nb) == exact
 
 
+# None draws the symbol: lambda (invertible) or c
+symbolic_or_fracs = st.one_of(st.none(), nonzero_fracs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sides=st.lists(st.tuples(symbolic_or_fracs, st.integers(0, 1), symbolic_or_fracs),
+                      min_size=2, max_size=2),
+       same=st.booleans(), L=st.integers(0, 1), N=st.integers(0, 1),
+       mb=st.integers(1, 2), nb=st.integers(0, 1))
+def test_specialised_modular_route_matches_the_exact_kernel(sides, same, L, N, mb, nb):
+    # symbolic lambda and/or c, sent to their fixed residues: every prime
+    # bounds the exact kernel over Q(lambda, c) from above, stopped at the
+    # explicit identity or not, one of them meets it, and intertwiner_dim
+    # answers it.  x-degree 1 (at most 36 unknowns) keeps the exact
+    # elimination below half a second; at degree 2 a rational side against
+    # a symbolic one takes seconds.
+    d = 1
+    specs = []
+    for lam, eps, charge in (sides[:1] * 2 if same else sides):
+        c = DECL.param("c") if charge is None else DECL.rational(charge)
+        lam = LAM if lam is None else DECL.rational(lam)
+        specs.append(TensorSpec(omega_d(lam, eps), verma_basis(HWSpec(c, PHI_X), L, N)))
+    keys = [s.basis_keys(d) for s in specs]
+    assert len(keys[0]) * len(keys[1]) <= 700
+    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    exact = _exact_intertwiner_dim(*moves, *keys)
+    explicit = int(keys[0] == keys[1] and moves[0] == moves[1])
+    assert explicit <= exact and explicit >= same
+    assign = T._residues(moves[0] + moves[1])
+    dims = [T._modular_kernel_dim(*moves, *keys, p, explicit=e, assign=assign)
+            for p in T._PRIMES for e in {0, explicit}]
+    assert min(dims) == exact and all(k >= exact for k in dims)
+    assert intertwiner_dim(*specs, d, mb, nb) == exact
+
+
 @pytest.mark.parametrize("bad", [1, 2, 3])
 @pytest.mark.parametrize("where", ["lambda", "charge"])
 def test_a_prime_dividing_a_denominator_is_skipped(where, bad, monkeypatch):
-    # the first `bad` primes divide a denominator: of lambda^-k in the
-    # first block, or of the central charge in the dense refinement.  Each
-    # raises ZeroDivisionError and is skipped; with no usable prime left
-    # the exact elimination answers.
+    # the first `bad` primes divide a denominator: of lambda^-k, in the
+    # first generator the elimination reads, or of the central charge, in
+    # the 7th (t, through the cocycle) and 11th (the center) of the 11
+    # generators.  Equal data meet the identity's kernel after the first
+    # 6, so a charge prime is never reduced there and answers; read to the
+    # end (explicit=0) it raises too.  A prime that raises is skipped; with
+    # no usable prime left the exact elimination answers.
     q = 1
     for p in T._PRIMES[:bad]:
         q *= p
@@ -894,15 +930,21 @@ def test_a_prime_dividing_a_denominator_is_skipped(where, bad, monkeypatch):
     spec = TensorSpec(omega_d(RATIONALS.rational(q if where == "lambda" else 2), 1), hw)
     keys = spec.basis_keys(1)
     moves = _moves(spec, keys, 2, 1)
+    assert len(moves) == 11
     for p in T._PRIMES[:bad]:
         with pytest.raises(ZeroDivisionError):
             T._modular_kernel_dim(moves, moves, keys, keys, p)
+        if where == "lambda":
+            with pytest.raises(ZeroDivisionError):
+                T._modular_kernel_dim(moves, moves, keys, keys, p, explicit=1)
+        else:
+            assert T._modular_kernel_dim(moves, moves, keys, keys, p, explicit=1) == 1
     kernel, exact = T._modular_kernel_dim, T._exact_intertwiner_dim
     tried, fell_back = [], []
 
-    def counted_kernel(*args):
-        tried.append(args[-1])
-        return kernel(*args)
+    def counted_kernel(*args, **kwargs):
+        tried.append(args[4])
+        return kernel(*args, **kwargs)
 
     def counted_exact(*args):
         fell_back.append(True)
@@ -911,15 +953,45 @@ def test_a_prime_dividing_a_denominator_is_skipped(where, bad, monkeypatch):
     monkeypatch.setattr(T, "_modular_kernel_dim", counted_kernel)
     monkeypatch.setattr(T, "_exact_intertwiner_dim", counted_exact)
     assert intertwiner_dim(spec, spec, 1, 2, 1) == 1 == exact(moves, moves, keys, keys)
-    assert tried == list(T._PRIMES[:bad + 1])
-    assert fell_back == [True] * (bad == len(T._PRIMES))
+    if where == "lambda":
+        assert tried == list(T._PRIMES[:bad + 1])
+        assert fell_back == [True] * (bad == len(T._PRIMES))
+    else:
+        assert tried == list(T._PRIMES[:1]) and fell_back == []
+
+
+def test_a_bad_prime_past_the_stop_point_is_never_reduced(monkeypatch):
+    # every prime divides side b's central charge, which enters the 7th
+    # and the 11th of the 11 generators.  Unequal lambda reach full rank
+    # on the first, so each prime answers without raising, and
+    # intertwiner_dim never runs the exact elimination
+    q = 1
+    for p in T._PRIMES:
+        q *= p
+    sa = _rational_spec(2, 1)
+    hw_b = verma_basis(HWSpec(RATIONALS.rational(Fraction(1, q)), PHI_X), 1, 1)
+    sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), hw_b)
+    keys = sa.basis_keys(1)
+    ma, mb = _moves(sa, keys, 2, 1), _moves(sb, keys, 2, 1)
+    with pytest.raises(ZeroDivisionError):
+        T._residue_cols(mb[-1], T._PRIMES[0])
+    want = _exact_intertwiner_dim(ma, mb, keys, keys)
+    assert want == 0
+    assert [T._modular_kernel_dim(ma, mb, keys, keys, p) for p in T._PRIMES] == [want] * 3
+
+    def no_exact(*args):
+        raise AssertionError("the exact elimination ran")
+
+    monkeypatch.setattr(T, "_exact_intertwiner_dim", no_exact)
+    assert intertwiner_dim(sa, sb, 1, 2, 1) == want
 
 
 def test_the_first_block_builds_no_kronecker_array():
     # the benchmark's windows, 576 unknowns: one N^2 x N^2 float64 array is
     # 2.65 MB.  A full-rank first block is answered from sparse rows alone;
-    # equal data leaves a 576 x 192 kernel basis, and the refinement holds
-    # a few arrays of that size at once, never a Kronecker system.
+    # equal data leave a kernel of 192 after the first block, and the one
+    # elimination then holds at most 575 sparse rows, below five 576 x 192
+    # float64 arrays, never a Kronecker system.
     hw = verma_basis(HWSpec(RATIONALS.rational(Fraction(3, 7)), PHI_X), 2, 1)
     specs = [TensorSpec(omega_d(RATIONALS.rational(lam), 1), hw) for lam in (2, 3)]
     keys = specs[0].basis_keys(2)
@@ -929,10 +1001,11 @@ def test_the_first_block_builds_no_kronecker_array():
     p = T._PRIMES[0]
 
     def peak(ma, mb):
-        T._modular_kernel_dim(ma, mb, keys, keys, p)
+        explicit = int(ma == mb)
+        T._modular_kernel_dim(ma, mb, keys, keys, p, explicit=explicit)
         tracemalloc.start()
         try:
-            return T._modular_kernel_dim(ma, mb, keys, keys, p), \
+            return T._modular_kernel_dim(ma, mb, keys, keys, p, explicit=explicit), \
                 tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
