@@ -251,8 +251,9 @@ def _sparse_echelon_mod_p(rows, p, rank_bound=None) -> dict:
     """Row echelon form over GF(p) of sparse rows, in pure Python.
 
     ``rows`` is an iterable of {column: integer} dicts, integers in any
-    range.  Returns {pivot column: row}: each stored row is 1 at its pivot
-    column, the least column it holds.  An incoming row is reduced against
+    range.  Returns {pivot column: [(column, residue), ...]}: each stored
+    row is 1 at its pivot column, the least column it holds, and the list
+    holds its other nonzero entries.  An incoming row is reduced against
     the stored rows from its least column upwards until its least column is
     new, and stored rows are never revisited, so the work follows the
     fill-in of the incoming rows alone.  The pivot columns are those of the
@@ -268,11 +269,11 @@ def _sparse_echelon_mod_p(rows, p, rank_bound=None) -> dict:
             lead = min(v)
             prow = pivots.get(lead)
             if prow is None:
-                inv = pow(v[lead], p - 2, p)
-                pivots[lead] = {c: x * inv % p for c, x in v.items()}
+                inv = pow(v.pop(lead), p - 2, p)
+                pivots[lead] = [(c, x * inv % p) for c, x in v.items()]
                 break
-            f = v[lead]
-            for c, x in prow.items():
+            f = v.pop(lead)
+            for c, x in prow:
                 nx = (v.get(c, 0) - f * x) % p
                 if nx:
                     v[c] = nx

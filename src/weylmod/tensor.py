@@ -576,18 +576,19 @@ def _constraint_rows(cols_a, cols_b, pos_a, pos_b):
     one {unknown: coefficient} row; zero rows are skipped.
     """
     dim_a = len(pos_a)
+    # row i of B as (pos_b[k] * dim_a, -B[i, k]) pairs
     b_rows: dict = {}
     for ck, col in cols_b.items():
         for rk, c in col.items():
-            b_rows.setdefault(rk, {})[ck] = c
+            if c:
+                b_rows.setdefault(rk, []).append((pos_b[ck] * dim_a, -c))
     for u, ui in pos_a.items():
-        col_u = cols_a.get(u, {})
+        col_u = [(pos_a[k], c) for k, c in cols_a.get(u, {}).items() if c]
         for i, ii in pos_b.items():
-            row: dict = {}
-            for k, c in col_u.items():
-                accumulate(row, ii * dim_a + pos_a[k], c)
-            for k, c in b_rows.get(i, {}).items():
-                accumulate(row, pos_b[k] * dim_a + ui, -c)
+            # the entries of T A are distinct unknowns; B T may meet one
+            row = {ii * dim_a + k: c for k, c in col_u}
+            for offset, c in b_rows.get(i, ()):
+                accumulate(row, offset + ui, c)
             if row:
                 yield row
 
