@@ -8,7 +8,9 @@ process and key (``memo_table``).
 Machine arithmetic on these tables is trusted only under an absolute-value
 bound checked by ``check_exact``; the GF(p) layer of the modular certificates
 keeps to the same exact ranges.  numpy is imported inside the functions so
-that importing weylmod stays cheap.
+that importing weylmod stays cheap; the sparse GF(p) kernels
+(``_sparse_echelon_mod_p``, ``_colspace_mod_p``, ``_spin_sparse_mod_p``) are
+pure Python and never import it.
 """
 
 from __future__ import annotations
@@ -223,17 +225,6 @@ def _echelon_mod_p(m, p):
     return m, pivot_cols
 
 
-def _colspace_mod_p(m, p):
-    """Reduced echelon basis of the column space of m over GF(p).
-
-    Returns (basis, rank): the int64 basis columns are the nonzero rows of
-    the reduced row echelon form of m^T, unique for the span.  Column i's
-    first nonzero entry is a 1 in its pivot row, where the others are 0.
-    """
-    r, pivot_cols = _echelon_mod_p(m.T, p)
-    return r[:len(pivot_cols)].T, len(pivot_cols)
-
-
 def _nullspace_mod_p(m, p):
     """Column nullspace basis of m over GF(p), read off the echelon form."""
     import numpy as np
@@ -282,6 +273,76 @@ def _sparse_echelon_mod_p(rows, p, rank_bound=None) -> dict:
         if len(pivots) == rank_bound:
             break
     return pivots
+
+
+def _colspace_mod_p(span: dict, vecs, p) -> dict:
+    """Extend ``span`` by the sparse vectors ``vecs`` over GF(p), in place,
+    and return the rows added.
+
+    ``span`` holds ``_sparse_echelon_mod_p``'s pivot rows,
+    {lead: [(column, residue), ...]}, in reduced echelon form: each row is 1
+    at its lead, its least column, and 0 at every other lead, so the row
+    space holds e(i) exactly when the row with lead i is bare
+    (``span.get(i) == []``).  ``vecs`` are {column: integer} dicts.  Each
+    vector is reduced against the span in one pass, the residues go into
+    one ``_sparse_echelon_mod_p``, and the rows it finds are reduced
+    against each other and the old rows against them.
+    """
+    residues = [v for v in (_reduce_mod_p({c: x % p for c, x in vec.items() if x % p},
+                                          span, p) for vec in vecs) if v]
+    new: dict = {}
+    # highest lead first: a row holds no lead below its own
+    for lead, rest in sorted(_sparse_echelon_mod_p(residues, p).items(), reverse=True):
+        new[lead] = list(_reduce_mod_p(dict(rest), new, p).items())
+    for lead, rest in span.items():
+        if any(c in new for c, _ in rest):
+            span[lead] = list(_reduce_mod_p(dict(rest), new, p).items())
+    span.update(new)
+    return new
+
+
+def _reduce_mod_p(v: dict, rows, p) -> dict:
+    """v minus its multiples of the rows of a reduced echelon basis
+    (pivot-row format, as in ``_colspace_mod_p``) at their leads, in place.
+    The rows hold no other lead, so one pass leaves v with no lead at all."""
+    for lead in [c for c in v if c in rows]:
+        f = v.pop(lead)
+        for c, x in rows[lead]:
+            nx = (v.get(c, 0) - f * x) % p
+            if nx:
+                v[c] = nx
+            else:
+                del v[c]
+    return v
+
+
+def _spin_sparse_mod_p(gens, n: int, seed: int, p, stop=()) -> dict:
+    """The reduced echelon basis (``_colspace_mod_p``'s pivot rows) of the
+    closure of e(seed) under the generators ``gens`` over GF(p), or of a part
+    of it that holds e(t) for some t in ``stop``.
+
+    Each generator is a sparse residue matrix on columns 0..n-1,
+    {column: [(row, residue), ...]}.  The spin is Parker's (R. A. Parker,
+    "The computer calculation of modular characters", 1984): each level maps
+    the rows the last level added by every generator and extends the span by
+    the images in one ``_colspace_mod_p`` step, until a level adds nothing,
+    the span has rank n or it holds e(t) for some t in ``stop``.
+    """
+    span = {seed: []}
+    frontier = [{seed: 1}]
+    while frontier and len(span) < n and not any(span.get(t) == [] for t in stop):
+        images = []
+        for vec in frontier:
+            for gen in gens:
+                out: dict = {}
+                for c, x in vec.items():
+                    for r, y in gen.get(c, ()):
+                        out[r] = out.get(r, 0) + x * y
+                if out:
+                    images.append(out)
+        frontier = [{lead: 1, **dict(rest)}
+                    for lead, rest in _colspace_mod_p(span, images, p).items()]
+    return span
 
 
 def _primes():

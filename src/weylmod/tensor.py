@@ -21,12 +21,10 @@ from .scalars import (
 from .liealg import D_ALG, D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act, act_hv
 from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
-from .slots import (
-    _PRIMES, BoundsTooLarge, _colspace_mod_p, _matmul_mod_p, _mod_p,
-    _sparse_echelon_mod_p,
-)
-# imported for perfbench/tracer.py, which times it as tensor.nullspace_mod_p
-from .slots import _nullspace_mod_p  # noqa: F401
+from .slots import _PRIMES, BoundsTooLarge, _sparse_echelon_mod_p, _spin_sparse_mod_p
+# imported for perfbench/tracer.py, which times them as tensor.colspace_mod_p
+# (the spin's step) and tensor.nullspace_mod_p
+from .slots import _colspace_mod_p, _nullspace_mod_p  # noqa: F401
 
 
 class TensorMismatch(ValueError):
@@ -326,8 +324,9 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
     parameters specialized to fixed residues) is certified: specialization
     and reduction can only shrink the span, so fullness lifts to the
     symbolic closure, which then also contains 1 (x) 1.  Mod p, a seed whose
-    closure contains 1 (x) 1 spans the full space once the closure of
-    1 (x) 1 does (``_modular_full_seeds``).  Seeds that fall short are
+    closure holds e(t) for a seed t already certified spans the full space,
+    since the closure of t does; 1 (x) 1 is certified first, by a full spin
+    (``_modular_full_seeds``, in pure Python).  Seeds that fall short are
     re-examined with exact symbolic arithmetic (always, so a negative
     verdict never rests on the specialization).
     """
@@ -373,83 +372,48 @@ def _modular_full_seeds(keys, moves) -> set:
     residue.  Evaluation and reduction are ring homomorphisms on the Laurent
     coefficients, so the specialized closure is a quotient-image of the
     symbolic one and its rank is a lower bound; reaching full rank certifies
-    a seed.  A seed's closure is invariant under the generators, so once it
-    contains e(1 (x) 1) it contains the closure of 1 (x) 1.  That closure is
-    spun to full rank once, and every other seed only until its span
-    contains e(1 (x) 1); when the closure of 1 (x) 1 falls short mod p,
-    nothing is certified.  A prime dividing a denominator is skipped; with
-    no usable prime nothing is certified.  Misses are handed back for exact
-    treatment.
+    a seed.  Each generator is reduced once to sparse residue columns, and
+    each seed is spun by ``slots._spin_sparse_mod_p`` in pure Python.  A
+    closure is invariant under the generators, so once a seed's span holds
+    e(t) for a certified seed t, its closure holds the closure of t, which
+    is full.  The closure of 1 (x) 1 is spun to full rank first, and every
+    other seed only until its span holds e(t) for some seed certified
+    before it; when the closure of 1 (x) 1 falls short mod p, nothing is
+    certified, and a seed inside a closure that fell short is not spun.  A
+    prime dividing a denominator is skipped; with no usable prime nothing is
+    certified.  Misses are handed back for exact treatment.  numpy is never
+    loaded.
     """
-    import numpy as np
-
     assign = _residues(moves)
-    key_pos = {k: i for i, k in enumerate(keys)}
+    pos = {k: i for i, k in enumerate(keys)}
     for p in _PRIMES:
         try:
-            # one (G n) x n matrix, so that a spin step is one product
-            gens = np.vstack([_dense_mod_p(cols, key_pos, p, assign) for cols in moves])
+            gens = [{pos[ck]: [(pos[rk], x) for rk, x in col.items() if x]
+                     for ck, col in _residue_cols(cols, p, assign).items()}
+                    for cols in moves]
             break
         except ZeroDivisionError:
             continue
     else:
         return set()
 
-    one = key_pos[(0, ())]
-    if len(_spin_mod_p(gens, one, p)[1]) < len(keys):
+    n = len(keys)
+    one = pos[(0, ())]
+    if len(_spin_sparse_mod_p(gens, n, one, p)) < n:
         return set()
-    certified = {keys[one]}
-    # closures that miss e(1 (x) 1); a seed inside one has a closure inside it
+    certified = {one}
+    # closures that fell short; a seed inside one has a closure inside it
     short = []
-    for seed, key in enumerate(keys):
-        if seed == one or any(_contains_unit(*span, seed) for span in short):
+    for seed in range(n):
+        if seed in certified or any(span.get(seed) == [] for span in short):
             continue
-        span = _spin_mod_p(gens, seed, p, one)
-        if _contains_unit(*span, one):
-            certified.add(key)
+        span = _spin_sparse_mod_p(gens, n, seed, p, certified)
+        # a full span is bare at every lead; a short one holds no certified e(t)
+        if any(span.get(t) == [] for t in certified):
+            certified.add(seed)
         else:
             short.append(span)
-    return certified
-
-
-def _spin_mod_p(gens, seed, p, target=None):
-    """The span of the closure of e(seed) under the stacked generators
-    ``gens`` over GF(p), or of a part of it that already contains
-    e(target).
-
-    Each spin step maps the newest vectors by every generator in one
-    product, reduces the images against the span, and extends the span by
-    the residues' reduced echelon basis (one elimination).  The span is kept
-    in reduced row echelon form (rows, pivots): rows[i] has a 1 in column
-    pivots[i] and 0 in every other pivot column, so reducing is one product.
-    """
-    import numpy as np
-
-    n = gens.shape[1]
-    rows = np.eye(1, n, seed)
-    pivots = [seed]
-    frontier = rows
-    while len(pivots) < n and not (target is not None
-                                   and _contains_unit(rows, pivots, target)):
-        images = _matmul_mod_p(gens, frontier.T, p)
-        images = images.reshape(-1, n, len(frontier)).transpose(0, 2, 1).reshape(-1, n)
-        images = _mod_p(images - _matmul_mod_p(images[:, pivots], rows, p), p)
-        images = images[images.any(axis=1)]
-        new, k = _colspace_mod_p(images.T, p)
-        if not k:
-            break
-        frontier = new.T.astype(np.float64)
-        new_pivots = (frontier != 0).argmax(axis=1).tolist()
-        rows = _mod_p(rows - _matmul_mod_p(rows[:, new_pivots], frontier, p), p)
-        rows = np.vstack([rows, frontier])
-        pivots += new_pivots
-    return rows, pivots
-
-
-def _contains_unit(rows, pivots, i) -> bool:
-    """Whether the span (rows, pivots) of ``_spin_mod_p`` contains e(i):
-    reducing e(i) leaves e(i) minus the row with pivot i, if there is one."""
-    return i in pivots and rows[pivots.index(i)].nonzero()[0].size == 1
+    return {keys[i] for i in certified}
 
 
 def _residues(moves) -> dict:
@@ -493,19 +457,6 @@ def _residue_cols(cols, p, assign=None):
     assign = assign or {}
     return {ck: {rk: _scalar_mod_p(c, assign, p) for rk, c in col.items()}
             for ck, col in cols.items()}
-
-
-def _dense_mod_p(cols, pos, p, assign):
-    """The {col key: {row key: Scalar}} matrix cols on the keys indexed by
-    pos, as a dense float64 array over GF(p)."""
-    import numpy as np
-
-    m = np.zeros((len(pos), len(pos)))
-    for key, col in cols.items():
-        ci = pos[key]
-        for k2, c in col.items():
-            m[pos[k2], ci] = _scalar_mod_p(c, assign, p)
-    return m
 
 
 # ---------------------------------------------------------------------------

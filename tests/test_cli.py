@@ -163,6 +163,13 @@ def test_symbolic_intertwiner_loads_no_numpy():
     assert _loads_numpy("intertwiner_symbolic") == (0, "False 0\n", "")
 
 
+@pytest.mark.parametrize("name", ["tensor_probe", "tensor_probe_control"])
+def test_tensor_probe_loads_no_numpy(name):
+    # the probe's modular certificate spins sparse residue columns in pure
+    # Python, so neither golden probe, cyclic or control, loads numpy
+    assert _loads_numpy(name) == (0, "False 0\n", "")
+
+
 def test_intertwiner_beyond_the_exact_fallback_exits_3(monkeypatch, capsys):
     # with the modular route forced to leave a gap, the 1024-unknown system
     # reaches the exact fallback, which refuses it with one typed line
@@ -209,18 +216,24 @@ def test_bounds_too_large_exit_code(n):
 
 
 @pytest.mark.parametrize("argv, reads", [
-    (["verify", "--suite", "cocycle", "--bounds", "m=1,foo=3"],
-     "m, n, deg, m2, n2, probe_deg, L, N, depth"),
+    (["verify", "--suite", "cocycle", "--bounds", "m=1,foo=3"], "m, n"),
     (["verma", "--bounds", "L=1,n=2"], "L, N"),
     (["bracket", "t", "D", "--bounds", "m=1"], "no bounds"),
+    (["verify", "--bounds", "m=1,foo=3"], "m, n, deg, m2, n2, probe_deg, L, N, depth"),
 ])
 def test_unknown_bounds_key_is_a_usage_error(argv, reads):
     # a key the command never reads used to be ignored, so the command ran
-    # at its default bounds and reported success
+    # at its default bounds and reported success.  verify names the keys of
+    # the selected suite (under cocycle it used to name every suite's keys).
     key = argv[-1].split(",")[-1].split("=")[0]
+    if argv[0] == "verify":
+        suite = argv[argv.index("--suite") + 1] if "--suite" in argv else "all"
+        scope = f" for suite {suite!r}; it reads"
+    else:
+        scope = "; this command reads"
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
-    assert err == f"weylmod: error: unknown bound {key!r}; this command reads {reads}\n"
+    assert err == f"weylmod: error: unknown bound {key!r}{scope} {reads}\n"
 
 
 @pytest.mark.parametrize("suite, bounds, key, reads", [

@@ -298,10 +298,10 @@ def test_windows_differing_in_bounds_or_declarations_are_not_shared():
 
 # -- mod-p kernels --------------------------------------------------------------
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
-from weylmod import tensor as T  # noqa: E402
+from weylmod import slots as S, tensor as T  # noqa: E402
 from weylmod.scalars import Matrix, solve_linear  # noqa: E402
 from weylmod.slots import _echelon_mod_p  # noqa: E402
 
@@ -338,16 +338,16 @@ def test_matmul_mod_p_matches_object_dtype(p):
     a = np.full((2, 8195), p - 1, dtype=np.int64)
     b = np.full((8195, 3), p - 1, dtype=np.int64)
     exact = (a.astype(object) @ b.astype(object)) % p
-    assert (T._matmul_mod_p(a, b, p) == exact).all()
-    assert (T._matmul_mod_p(a.astype(np.float64), b, p) == exact).all()
+    assert (S._matmul_mod_p(a, b, p) == exact).all()
+    assert (S._matmul_mod_p(a.astype(np.float64), b, p) == exact).all()
     # batched left operand
     a3 = np.arange(2 * 3 * 5, dtype=np.int64).reshape(2, 3, 5) * (p // 31)
-    got = T._matmul_mod_p(a3, b[:5], p)
+    got = S._matmul_mod_p(a3, b[:5], p)
     assert (got == (a3.astype(object) @ b[:5].astype(object)) % p).all()
     # batched right operand, as in the intertwiner refinement, past one chunk
     b3 = np.stack([b, b[::-1] - 1])
     want = np.stack([(a.astype(object) @ x.astype(object)) % p for x in b3])
-    assert (T._matmul_mod_p(a, b3, p) == want).all()
+    assert (S._matmul_mod_p(a, b3, p) == want).all()
 
 
 def test_mod_p_reduces_float64_integers_exactly():
@@ -361,7 +361,7 @@ def test_mod_p_reduces_float64_integers_exactly():
                             + [np.array([top, 1 - top, 0, 1, p - 1, p, -1, -p, 2 ** 32 * p - 1])])
         quotient = np.floor(xs.astype(np.float64) * (1.0 / p)).astype(np.int64)
         off |= set(np.unique(quotient - xs // p).tolist())
-        assert (T._mod_p(xs.astype(np.float64), p) == xs % p).all()
+        assert (S._mod_p(xs.astype(np.float64), p) == xs % p).all()
     assert off == {-1, 0, 1}
 
 
@@ -370,21 +370,38 @@ def test_mod_p_reduces_float64_integers_exactly():
 def test_nullspace_mod_p_is_a_kernel_basis(rows):
     p = T._PRIMES[0]
     m = np.array(rows, dtype=np.int64)
-    null = T._nullspace_mod_p(m, p)
-    assert not T._matmul_mod_p(m % p, null, p).any()
+    null = S._nullspace_mod_p(m, p)
+    assert not S._matmul_mod_p(m % p, null, p).any()
     rank = solve_linear(Matrix.from_rows(
         [[RATIONALS.rational(x) for x in row] for row in rows])).rank
     assert rank + null.shape[1] == m.shape[1]
-    assert T._colspace_mod_p(null, p)[1] == null.shape[1]
+    assert len(S._colspace_mod_p({}, _columns(null), p)) == null.shape[1]
 
 
 def _rational(a):
     return Matrix.from_rows([[RATIONALS.rational(int(x)) for x in row] for row in a])
 
 
+def _columns(m):
+    """The columns of an integer array as sparse {row: entry} vectors."""
+    return [{i: int(x) for i, x in enumerate(col) if x} for col in np.asarray(m).T]
+
+
+def _dense_span(span, n):
+    """A pivot-row span as (rows, pivots): one dense row per lead, leads
+    ascending."""
+    pivots = sorted(span)
+    rows = np.zeros((len(pivots), n), dtype=np.int64)
+    for i, lead in enumerate(pivots):
+        rows[i, lead] = 1
+        for c, x in span[lead]:
+            rows[i, c] = x
+    return rows, pivots
+
+
 @settings(max_examples=80, deadline=None)
-@given(int_matrices)
-def test_colspace_mod_p_is_the_reduced_echelon_basis(rows):
+@given(int_matrices, st.integers(0, 6))
+def test_colspace_mod_p_is_the_reduced_echelon_basis(rows, split):
     # the basis is the rational reduced echelon basis of the column space,
     # reduced mod p: B = P A^-1 for the pivot columns P and their square
     # block A at the pivot rows (the pivot columns of m^T)
@@ -392,49 +409,46 @@ def test_colspace_mod_p_is_the_reduced_echelon_basis(rows):
     m = np.array(rows, dtype=np.int64)
     sol = solve_linear(_rational(m))
     pivot_rows = solve_linear(_rational(m.T)).pivot_cols
-    basis, rank = T._colspace_mod_p(m, p)
-    assert rank == sol.rank == len(pivot_rows) == basis.shape[1]
-    assert basis.shape[0] == m.shape[0]
+    span = {}
+    assert S._colspace_mod_p(span, _columns(m), p) == span
+    rows_t, leads = _dense_span(span, m.shape[0])
+    basis, rank = rows_t.T, len(leads)
+    assert rank == sol.rank == len(pivot_rows)
+    assert leads == pivot_rows
+    # every stored row lies past its lead, its least column, in nonzero residues
+    assert all(lead < c and 0 < x < p for lead, rest in span.items() for c, x in rest)
     # the identity at the pivot rows, each the first nonzero of its column
     assert (basis[pivot_rows] == np.eye(rank)).all()
-    assert [int(np.flatnonzero(col)[0]) for col in basis.T] == pivot_rows
     # row i of B solves A^T x = (row i of P) over the rationals
     a_t = _rational(m[np.ix_(pivot_rows, sol.pivot_cols)].T)
     for i in range(m.shape[0] if rank else 0):
         nums, den = solve_linear(a_t, _rational(m[[i]][:, sol.pivot_cols].T)).particular
         inv = pow(T._scalar_mod_p(den, {}, p), -1, p)
         assert [T._scalar_mod_p(x, {}, p) * inv % p for x in nums] == basis[i].tolist()
+    # extending a span by the rest of the columns, one step later, gives the
+    # same reduced rows; the step returns the rows it added
+    part = {}
+    first = S._colspace_mod_p(part, _columns(m[:, :split]), p)
+    added = S._colspace_mod_p(part, _columns(m[:, split:]), p)
+    assert set(first) | set(added) == set(part) and not set(first) & set(added)
+    assert {lead: dict(rest) for lead, rest in part.items()} == \
+        {lead: dict(rest) for lead, rest in span.items()}
 
 
-def test_pinned_probe_products_match_object_dtype(monkeypatch):
-    # every mod-p product of the tensor suite's probe, at the suite's
-    # bounds, agrees with unbounded object-dtype arithmetic; the
-    # intertwiner's sparse elimination runs no float64 product at all
-    matmul = T._matmul_mod_p
-    shadowed = []
+def test_pinned_probe_and_intertwiner_run_no_float64_product(monkeypatch):
+    # the probe at the tensor suite's bounds spins its seeds in pure Python
+    # and the intertwiner eliminates sparsely: neither reaches a float64
+    # product, a float64 reduction or the dense echelon
+    def refuse(*args):
+        raise AssertionError("a dense mod-p kernel ran")
 
-    def exact_ints(x, p):
-        # the operands hold integers in [0, p), cast to Python ints: object
-        # arithmetic on the float64 values would itself round
-        x = np.asarray(x)
-        assert ((x >= 0) & (x < p) & (x == np.floor(x))).all()
-        return x.astype(np.int64).astype(object)
-
-    def shadow(a, b, p):
-        got = matmul(a, b, p)
-        assert (got == (exact_ints(a, p) @ exact_ints(b, p)) % p).all()
-        shadowed.append(a.shape)
-        return got
-
-    monkeypatch.setattr(T, "_matmul_mod_p", shadow)
+    for name in ("_matmul_mod_p", "_mod_p", "_echelon_mod_p"):
+        monkeypatch.setattr(S, name, refuse)
     rep = irreducibility_probe(make_spec(1, L=2, N=1), 3, 4, 2)
     assert rep.verdict == "cyclic-within-bounds"
-    probe_products = len(shadowed)
-    assert probe_products > 0
     hw = HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X)
     spec = TensorSpec(omega_d(RATIONALS.rational(2), 1), verma_basis(hw, 1, 1))
     assert intertwiner_dim(spec, spec, 2, 3, 1) == 1
-    assert len(shadowed) == probe_products
 
 
 # -- residues ------------------------------------------------------------------
@@ -559,49 +573,76 @@ def test_kronecker_sum_moves_match_the_per_key_action(family, eps, symbolic, bou
 
 
 def test_contains_unit_reads_the_reduced_row():
-    # span{e0 + e2, e1}: a pivot in column 0 alone does not put e0 in it
-    rows = np.array([[1.0, 0, 5], [0, 1, 0]])
-    assert not T._contains_unit(rows, [0, 1], 0)
-    assert T._contains_unit(rows, [0, 1], 1)
-    assert not T._contains_unit(rows, [0, 1], 2)
-    assert T._contains_unit(np.array([[1.0, 0, 0], [0, 0, 1]]), [0, 2], 0)
+    # span{e0 + e2, e1}: a lead in column 0 alone does not put e0 in it
+    p = T._PRIMES[0]
+    span = {}
+    S._colspace_mod_p(span, [{0: 1, 2: 5}, {1: 1}], p)
+    assert span == {0: [(2, 5)], 1: []}
+    assert span.get(0) != [] and span.get(1) == [] and span.get(2) is None
+    assert S._colspace_mod_p({}, [{0: 1}, {2: 1}], p) == {0: [], 2: []}
+    # a later row with lead 2 clears the older row's entry there
+    assert S._colspace_mod_p(span, [{0: 3, 2: 7}], p) == {2: []}
+    assert span == {0: [], 1: [], 2: []}
+
+
+def _dense_mod_p(cols, pos, p, assign):
+    """The {col key: {row key: Scalar}} matrix cols on the keys indexed by
+    pos, as a dense int64 array over GF(p)."""
+    m = np.zeros((len(pos), len(pos)), dtype=np.int64)
+    for key, col in cols.items():
+        for k2, c in col.items():
+            m[pos[k2], pos[key]] = T._scalar_mod_p(c, assign, p)
+    return m
+
+
+def _sparse_gens(mats):
+    """Dense residue matrices as the sparse residue columns the spin reads."""
+    return [{c: [(r, int(m[r, c])) for r in np.flatnonzero(m[:, c])]
+             for c in range(m.shape[1]) if m[:, c].any()} for m in mats]
+
+
+def _spin_case(family, eps, L=2, N=1, d=3, mb=4):
+    """keys, moves and the dense residue matrices of a symbolic probe."""
+    hw = verma_basis(HWSpec(DECL.param("c"), PHI_X), L, N)
+    omega = omega_d(LAM, eps) if family == "d" else omega_hv(LAM, DECL.zero, DECL.zero)
+    spec = TensorSpec(omega, hw)
+    keys = spec.basis_keys(d)
+    moves = _moves(spec, keys, mb, 2)
+    pos = {k: i for i, k in enumerate(keys)}
+    mats = [_dense_mod_p(cols, pos, T._PRIMES[0], T._residues(moves)) for cols in moves]
+    return keys, moves, mats
 
 
 def _closure_by_re_elimination(mats, seed, p):
-    """The closure of e(seed) by re-eliminating [basis, images] each step."""
+    """The closure of e(seed) by re-eliminating [basis, images] each step,
+    as dense columns."""
     n = mats[0].shape[0]
-    basis = np.zeros((n, 1))
+    basis = np.zeros((n, 1), dtype=np.int64)
     basis[seed, 0] = 1
     while True:
-        stacked = np.hstack([basis] + [T._matmul_mod_p(m, basis, p) for m in mats])
-        new, rank = T._colspace_mod_p(stacked, p)
-        if rank == basis.shape[1]:
+        stacked = np.hstack([basis] + [S._matmul_mod_p(m, basis, p) for m in mats])
+        r, pivot_cols = _echelon_mod_p(stacked.T, p)
+        if len(pivot_cols) == basis.shape[1]:
             return basis
-        basis = new
+        basis = r[:len(pivot_cols)].T
 
 
 @pytest.mark.parametrize("family", ["d", "hv"])
 def test_spin_mod_p_spans_the_closure(family):
-    # the incremental echelon against the re-elimination it replaced: same
-    # dimension and same span, and the rows stay in reduced echelon form
-    # (closures at these bounds take up to 4 steps; smaller ones close
-    # before a stale row could show)
-    hw = verma_basis(HWSpec(DECL.param("c"), PHI_X), 2, 1)
-    omega = omega_d(LAM, 0) if family == "d" else omega_hv(LAM, DECL.zero, DECL.zero)
-    spec = TensorSpec(omega, hw)
-    keys = spec.basis_keys(3)
-    moves = _moves(spec, keys, 4, 2)
+    # the sparse spin against dense re-elimination: same dimension and same
+    # span, and the rows stay in reduced echelon form (closures at these
+    # bounds take up to 4 steps; smaller ones close before a stale row could
+    # show)
+    keys, _, mats = _spin_case(family, 0)
     p = T._PRIMES[0]
-    pos = {k: i for i, k in enumerate(keys)}
-    mats = [T._dense_mod_p(cols, pos, p, T._residues(moves)) for cols in moves]
-    gens = np.vstack(mats)
+    gens = _sparse_gens(mats)
     dims = []
     for seed in range(len(keys)):
-        rows, pivots = T._spin_mod_p(gens, seed, p)
+        rows, pivots = _dense_span(S._spin_sparse_mod_p(gens, len(keys), seed, p), len(keys))
         ref = _closure_by_re_elimination(mats, seed, p)
-        assert len(set(pivots)) == len(pivots) == ref.shape[1]
+        assert len(pivots) == ref.shape[1]
         assert (rows[:, pivots] == np.eye(len(pivots))).all()
-        assert T._colspace_mod_p(np.hstack([ref, rows.T]), p)[1] == ref.shape[1]
+        assert len(_echelon_mod_p(np.hstack([ref, rows.T]).T, p)[1]) == ref.shape[1]
         dims.append(len(pivots))
     assert max(dims) == len(keys)
     if family == "hv":
@@ -609,26 +650,27 @@ def test_spin_mod_p_spans_the_closure(family):
 
 
 def _two_elimination_spin(gens, seed, p, target=None):
-    """The spin with two eliminations per step: the pivot columns of the
-    residual images pick independent images, and a second elimination
-    brings those to reduced echelon form."""
+    """The dense float64 spin with two eliminations per step: the pivot
+    columns of the residual images pick independent images, and a second
+    elimination brings those to reduced echelon form.  ``gens`` are the
+    generators stacked into one (G n) x n array."""
     n = gens.shape[1]
     rows = np.zeros((1, n))
     rows[0, seed] = 1
     pivots = [seed]
     frontier = rows
-    while len(pivots) < n and not (target is not None
-                                   and T._contains_unit(rows, pivots, target)):
-        images = T._matmul_mod_p(gens, frontier.T, p)
+    while len(pivots) < n and not (target is not None and target in pivots
+                                   and np.count_nonzero(rows[pivots.index(target)]) == 1):
+        images = S._matmul_mod_p(gens, frontier.T, p)
         images = images.reshape(-1, n, len(frontier)).transpose(0, 2, 1).reshape(-1, n)
-        images = T._mod_p(images - T._matmul_mod_p(images[:, pivots], rows, p), p)
+        images = S._mod_p(images - S._matmul_mod_p(images[:, pivots], rows, p), p)
         images = images[images.any(axis=1)]
         _, picked = _echelon_mod_p(images.T, p)
         if not picked:
             break
         new, new_pivots = _echelon_mod_p(images[picked], p)
         frontier = new[:len(picked)].astype(np.float64)
-        rows = T._mod_p(rows - T._matmul_mod_p(rows[:, new_pivots], frontier, p), p)
+        rows = S._mod_p(rows - S._matmul_mod_p(rows[:, new_pivots], frontier, p), p)
         rows = np.vstack([rows, frontier])
         pivots += new_pivots
     return rows, pivots
@@ -637,24 +679,22 @@ def _two_elimination_spin(gens, seed, p, target=None):
 @pytest.mark.parametrize("family,eps", [("d", 0), ("d", 1), ("hv", None)])
 def test_spin_mod_p_matches_the_two_elimination_spin(family, eps):
     # every seed of the pinned probe and of the hv control, spun fully and
-    # up to e(1 (x) 1): one elimination per step gives the same span in
-    # the same reduced echelon form, entry for entry
-    hw = verma_basis(HWSpec(DECL.param("c"), PHI_X), 2, 1)
-    omega = omega_d(LAM, eps) if family == "d" else omega_hv(LAM, DECL.zero, DECL.zero)
-    spec = TensorSpec(omega, hw)
-    keys = spec.basis_keys(3)
-    moves = _moves(spec, keys, 4, 2)
+    # up to e(1 (x) 1): the sparse spin, one step per level, gives the span
+    # of the dense float64 spin it replaced, in the same reduced echelon
+    # form, entry for entry
+    keys, _, mats = _spin_case(family, eps)
     p = T._PRIMES[0]
-    pos = {k: i for i, k in enumerate(keys)}
-    gens = np.vstack([T._dense_mod_p(cols, pos, p, T._residues(moves)) for cols in moves])
-    one = pos[(0, ())]
+    gens, stacked = _sparse_gens(mats), np.vstack(mats)
+    one = keys.index((0, ()))
     for seed in range(len(keys)):
         for target in (None, one):
-            rows, pivots = T._spin_mod_p(gens, seed, p, target)
-            want_rows, want_pivots = _two_elimination_spin(gens, seed, p, target)
-            assert pivots == want_pivots
-            assert rows.dtype == want_rows.dtype
-            assert (rows == want_rows).all()
+            span = S._spin_sparse_mod_p(gens, len(keys), seed, p,
+                                        () if target is None else (target,))
+            rows, pivots = _dense_span(span, len(keys))
+            want_rows, want_pivots = _two_elimination_spin(stacked, seed, p, target)
+            order = np.argsort(want_pivots)
+            assert pivots == sorted(want_pivots)
+            assert (rows == want_rows[order]).all()
 
 
 def _pinned_probe(eps):
@@ -666,32 +706,34 @@ def _pinned_probe(eps):
 @pytest.mark.parametrize("eps", [0, 1])
 def test_seeds_are_certified_through_one_tensor_one(eps, monkeypatch):
     # one full spin of e(1 (x) 1); every other seed stops within 3 spin
-    # steps, as soon as its span holds e(1 (x) 1).  Per-seed full spins
-    # would break both counts.
+    # steps, as soon as its span holds e(t) for a seed t certified before
+    # it, 1 (x) 1 first.  Per-seed full spins would break both counts.
     spec, keys, moves = _pinned_probe(eps)
     assert len(keys) == 32
-    spin, colspace = T._spin_mod_p, T._colspace_mod_p
+    spin, colspace = S._spin_sparse_mod_p, S._colspace_mod_p
     steps, spins = [0], []
 
-    def counted_colspace(m, p):
+    def counted_colspace(span, vecs, p):
         steps[0] += 1
-        return colspace(m, p)
+        return colspace(span, vecs, p)
 
-    def counted_spin(gens, seed, p, target=None):
-        before = steps[0]
-        rows, pivots = spin(gens, seed, p, target)
-        spins.append((seed, target, steps[0] - before, len(pivots)))
-        return rows, pivots
+    def counted_spin(gens, n, seed, p, stop=()):
+        before, stops = steps[0], set(stop)
+        span = spin(gens, n, seed, p, stop)
+        spins.append((seed, stops, steps[0] - before, len(span)))
+        return span
 
-    monkeypatch.setattr(T, "_colspace_mod_p", counted_colspace)
-    monkeypatch.setattr(T, "_spin_mod_p", counted_spin)
+    monkeypatch.setattr(S, "_colspace_mod_p", counted_colspace)
+    monkeypatch.setattr(T, "_spin_sparse_mod_p", counted_spin)
     assert T._modular_full_seeds(keys, moves) == set(keys)
     one = keys.index((0, ()))
-    full = [s for s in spins if s[1] is None]
-    assert full == [(one, None, full[0][2], 32)]
-    rest = [s for s in spins if s[1] is not None]
-    assert sorted(s[0] for s in rest) == [i for i in range(32) if i != one]
-    assert all(target == one and n_steps <= 3 for _, target, n_steps, _ in rest)
+    full = [s for s in spins if not s[1]]
+    assert full == [(one, set(), full[0][2], 32)]
+    rest = [s for s in spins if s[1]]
+    assert [s[0] for s in rest] == [i for i in range(32) if i != one]
+    # each seed may stop at any seed certified before it, and only at those
+    assert [s[1] for s in rest] == [{one, *range(seed)} - {seed} for seed, *_ in rest]
+    assert all(n_steps <= 3 for _, _, n_steps, _ in rest)
     assert steps[0] <= full[0][2] + 3 * 31
 
 
@@ -700,15 +742,15 @@ def test_seed_missing_one_tensor_one_goes_to_the_exact_path(monkeypatch):
     keys = spec.basis_keys(2)
     moves = _moves(spec, keys, 3, 2)
     miss = keys[5]
-    spin = T._spin_mod_p
+    spin = S._spin_sparse_mod_p
 
-    def short_spin(gens, seed, p, target=None):
+    def short_spin(gens, n, seed, p, stop=()):
         # the forced seed's span stops at the seed itself
         if keys[seed] == miss:
-            return spin(gens, seed, p, target=seed)
-        return spin(gens, seed, p, target)
+            return spin(gens, n, seed, p, stop=(seed,))
+        return spin(gens, n, seed, p, stop)
 
-    monkeypatch.setattr(T, "_spin_mod_p", short_spin)
+    monkeypatch.setattr(T, "_spin_sparse_mod_p", short_spin)
     assert T._modular_full_seeds(keys, moves) == set(keys) - {miss}
     first_vectors = {}
     add = T.SpanBasis.add
@@ -729,9 +771,9 @@ def test_short_closure_of_one_tensor_one_certifies_nothing(monkeypatch):
     spec = make_spec(1, L=1, N=1)
     keys = spec.basis_keys(2)
     moves = _moves(spec, keys, 3, 2)
-    spin = T._spin_mod_p
-    monkeypatch.setattr(T, "_spin_mod_p",
-                        lambda gens, seed, p, target=None: spin(gens, seed, p, target=seed))
+    spin = S._spin_sparse_mod_p
+    monkeypatch.setattr(T, "_spin_sparse_mod_p",
+                        lambda gens, n, seed, p, stop=(): spin(gens, n, seed, p, (seed,)))
     assert T._modular_full_seeds(keys, moves) == set()
     rep = irreducibility_probe(spec, 2, 3, 2)
     assert rep == irreducibility_probe(spec, 2, 3, 2, exact=True)
@@ -744,26 +786,33 @@ def test_control_seeds_inside_a_short_closure_are_not_spun(bounds, monkeypatch):
     # seed inside it, so those seeds are skipped; the certified set is the
     # one that spinning every seed gives
     d, L, N, mb = bounds
-    spec = TensorSpec(omega_hv(LAM, DECL.zero, DECL.zero),
-                      verma_basis(HWSpec(DECL.param("c"), PHI_X), L, N))
-    keys = spec.basis_keys(d)
-    moves = _moves(spec, keys, mb, 2)
+    keys, moves, mats = _spin_case("hv", None, L, N, d, mb)
     p = T._PRIMES[0]
-    pos = {k: i for i, k in enumerate(keys)}
-    gens = np.vstack([T._dense_mod_p(cols, pos, p, T._residues(moves)) for cols in moves])
-    one = pos[(0, ())]
+    gens, n = _sparse_gens(mats), len(keys)
+    one = keys.index((0, ()))
     each = {key for seed, key in enumerate(keys)
-            if T._contains_unit(*T._spin_mod_p(gens, seed, p, one), one)}
+            if S._spin_sparse_mod_p(gens, n, seed, p, (one,)).get(one) == []}
     assert 0 < len(each) < len(keys)
-    spin, spun = T._spin_mod_p, []
+    spin, spun = S._spin_sparse_mod_p, []
 
-    def counted_spin(gens, seed, p, target=None):
+    def counted_spin(gens, n, seed, p, stop=()):
         spun.append(seed)
-        return spin(gens, seed, p, target)
+        return spin(gens, n, seed, p, stop)
 
-    monkeypatch.setattr(T, "_spin_mod_p", counted_spin)
+    monkeypatch.setattr(T, "_spin_sparse_mod_p", counted_spin)
     assert T._modular_full_seeds(keys, moves) == each
     assert len(spun) < len(keys)
+
+
+def test_a_seed_reaching_an_uncertified_seed_is_not_certified():
+    # s reaches e(t) in one step, but the closure of t, and with it that of
+    # s, misses e(1 (x) 1): stopping at e(t) would certify s wrongly.  t
+    # is spun before s in one order and after it in the other.
+    one, s, t, u = (0, ()), (1, ()), (2, ()), (3, ())
+    moves = [{one: {s: RATIONALS.one}, s: {t: RATIONALS.one},
+              t: {u: RATIONALS.one}, u: {t: RATIONALS.one}}]
+    for keys in ([one, s, t, u], [one, t, s, u]):
+        assert T._modular_full_seeds(keys, moves) == {one}
 
 
 # -- differential tests against the exact paths -----------------------------------
@@ -781,6 +830,26 @@ def test_probe_matches_the_exact_probe(family, eps, symbolic, lam, charge, d, L,
     lam = LAM if symbolic else RATIONALS.rational(lam)
     omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
     spec = TensorSpec(omega, verma_basis(HWSpec(c, PHI_X), L, N))
+    assert irreducibility_probe(spec, d, mb, nb) == \
+        irreducibility_probe(spec, d, mb, nb, exact=True)
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(["d", "hv"]), eps=st.integers(0, 1), sym_lam=st.booleans(),
+       sym_c=st.booleans(), lam=nonzero_fracs, charge=nonzero_fracs, d=st.integers(1, 2),
+       L=st.integers(0, 2), N=st.integers(0, 1), mb=st.integers(1, 3), nb=st.integers(1, 2))
+def test_transitive_certificate_matches_the_exact_probe(family, eps, sym_lam, sym_c, lam,
+                                                        charge, d, L, N, mb, nb):
+    # seeds certified through any earlier certified seed, not only 1 (x) 1,
+    # give the exact verdict, with lambda and c each symbolic or rational.
+    # The 24-dimensional spaces (d = 2 on the L = 2, N = 1 window) are left
+    # out: one exact probe there takes 5-30 s.
+    hw = verma_basis(HWSpec(DECL.param("c") if sym_c else RATIONALS.rational(charge), PHI_X),
+                     L, N)
+    assume((d + 1) * len(hw.basis()) <= 16)
+    lam = LAM if sym_lam else RATIONALS.rational(lam)
+    omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
+    spec = TensorSpec(omega, hw)
     assert irreducibility_probe(spec, d, mb, nb) == \
         irreducibility_probe(spec, d, mb, nb, exact=True)
 
@@ -808,14 +877,12 @@ def test_modular_kernel_dim_matches_the_exact_kernel(sides, same, charge, d, L, 
 
 import tracemalloc  # noqa: E402
 
-from weylmod import slots as S  # noqa: E402
-
 
 def _kronecker_block(cols_a, cols_b, keys_a, keys_b, p):
     """One generator's constraints T A = B T as the dense Kronecker system
     I (x) A^T - B (x) I, the first block the sparse elimination replaced."""
-    A = T._dense_mod_p(cols_a, {k: i for i, k in enumerate(keys_a)}, p, {})
-    B = T._dense_mod_p(cols_b, {k: i for i, k in enumerate(keys_b)}, p, {})
+    A = _dense_mod_p(cols_a, {k: i for i, k in enumerate(keys_a)}, p, {})
+    B = _dense_mod_p(cols_b, {k: i for i, k in enumerate(keys_b)}, p, {})
     return np.kron(np.eye(len(keys_b)), A.T) - np.kron(B, np.eye(len(keys_a)))
 
 
