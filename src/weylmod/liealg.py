@@ -11,8 +11,8 @@ the cocycle sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
-from math import comb
+from itertools import chain, product as iproduct
+from math import comb, lcm
 from typing import NamedTuple
 
 from .scalars import (
@@ -320,6 +320,26 @@ def generated_span_probe(generators, m_bound: int, n_bound: int, depth: int) -> 
     probe reports which windowed basis monomials are certainly reachable;
     a monomial listed as missing may still be reachable through larger
     intermediates.
+
+    With pi the truncation to the window and S_0 the windowed span of the
+    generators, step s computes S_{s+1} = S_s + pi[S_s, S_s].  Each S_s is
+    a subspace fixed by the inputs alone, not by the vectors chosen to
+    span it or the order they are added in, and ``depth_used`` is the last
+    step at which it grew, so every reported value is a function of that
+    sequence.  These shortcuts leave the sequence as it is:
+
+    - each pair of window monomials is bracketed once, into a table of
+      windowed structure constants that holds both orders ([x, y] =
+      -[y, x]), and pi is linear, so pi[v, w] is read off the table term
+      by term;
+    - the pivot rows of S_{s-1} already bracket into S_s, so step s
+      brackets each row new in S_s only against the older rows and the
+      new rows after it: [w, v] = -[v, w] and [v, v] = 0;
+    - once S_s fills the window every later step adds nothing, so the
+      probe stops and every monomial is reached;
+    - rows are integer vectors: each generator is cleared of denominators
+      and ``SpanBasis`` stores integer rows divided by their gcd, and
+      scaling a vector leaves its span alone.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -334,42 +354,61 @@ def generated_span_probe(generators, m_bound: int, n_bound: int, depth: int) -> 
         for n in iproduct(*[range(n_bound + 1)] * rank)
     ]
     basis_keys.sort(key=term_sort_key)
-    # Vectors over the window with Fraction entries, keyed by window
+    full = len(basis_keys)
+    # Vectors over the window with integer entries, keyed by window
     # position, so the echelon pivots on the first nonzero coordinate in the
     # canonical term order; terms outside the window are dropped.
     key_pos = {k: i for i, k in enumerate(basis_keys)}
     span = SpanBasis()
     for g in generators:
-        span.add({key_pos[k]: c.rational_value() for k, c in g.terms.items() if k in key_pos})
-    # new pivot rows are appended to span.pivots, so each step's frontier
-    # is the tail added during the previous step
-    frontier = list(span.pivots.values())
+        vec = {key_pos[k]: c.rational_value() for k, c in g.terms.items() if k in key_pos}
+        den = lcm(*(q.denominator for q in vec.values()))
+        span.add({i: (q * den).numerator for i, q in vec.items()})
 
+    # {(i1, i2): [(pos, k), ...]}: the windowed bracket of two window positions
+    table: dict = {}
+
+    def windowed_bracket(v: dict, w: dict) -> dict:
+        prod: dict = {}
+        for i1, c1 in v.items():
+            for i2, c2 in w.items():
+                terms = table.get((i1, i2))
+                if terms is None:
+                    terms = table[i1, i2] = [
+                        (key_pos[key], k)
+                        for key, k in basis_bracket(*basis_keys[i1], *basis_keys[i2]).items()
+                        if key in key_pos
+                    ]
+                    # [x, y] = -[y, x]
+                    table[i2, i1] = [(pos, -k) for pos, k in terms]
+                c = c1 * c2
+                for pos, k in terms:
+                    accumulate(prod, pos, c * k)
+        return prod
+
+    # new pivot rows are appended to span.pivots, so each step's new rows
+    # are the tail rows[start:] added during the previous step
+    start = 0
     depth_used = 0
     for step in range(depth):
-        if not frontier:
-            break
-        # bracket every frontier vector against every current pivot row
         rows = list(span.pivots.values())
-        for v in frontier:
-            for w in rows:
-                prod: dict = {}
-                for i1, c1 in v.items():
-                    m1, n1 = basis_keys[i1]
-                    for i2, c2 in w.items():
-                        m2, n2 = basis_keys[i2]
-                        for key, k in basis_bracket(m1, n1, m2, n2).items():
-                            if key in key_pos:
-                                accumulate(prod, key_pos[key], c1 * c2 * k)
-                span.add(prod)
-        frontier = list(span.pivots.values())[len(rows):]
-        if frontier:
-            depth_used = step + 1
+        if span.dim == full or start == len(rows):
+            break
+        pairs = ((rows[i], w) for i in range(start, len(rows))
+                 for w in chain(rows[:start], rows[i + 1:]))
+        for v, w in pairs:
+            if span.add(windowed_bracket(v, w)):
+                depth_used = step + 1
+                if span.dim == full:
+                    break
+        start = len(rows)
 
+    if span.dim == full:
+        return SpanProbeReport(basis_keys, [], full, depth_used)
     reached = []
     missing = []
     for i, key in enumerate(basis_keys):
-        if span.contains({i: Fraction(1)}):
+        if span.contains({i: 1}):
             reached.append(key)
         else:
             missing.append(key)

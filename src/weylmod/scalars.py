@@ -19,6 +19,7 @@ are pure, so values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from numbers import Integral
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -881,7 +882,10 @@ class SpanBasis:
     rationals (int or Fraction); zeros are tested by truthiness, so all of
     them work.  Reduction is by
     cross-multiplication, so the span is taken over the fraction field of
-    the parameter ring while all stored entries stay polynomial.
+    the parameter ring while all stored entries stay polynomial.  A row of
+    Python ints is stored divided by the gcd of its entries: cross-multiplying
+    against rows kept unreduced would about double the entry size with
+    every row added.
     """
 
     def __init__(self):
@@ -923,6 +927,10 @@ class SpanBasis:
         v = self.reduce(vec)
         if not v:
             return False
+        if all(type(c) is int for c in v.values()):
+            g = gcd(*v.values())
+            if g != 1:
+                v = {k: c // g for k, c in v.items()}
         self.pivots[self._lead(v)] = v
         return True
 

@@ -431,10 +431,14 @@ def _residues(moves) -> dict:
     return {n: 37 + 10 * i for i, n in enumerate(names)}
 
 
-def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
+def _scalar_mod_p(s: Scalar, assign: dict, p: int, powers: dict | None = None) -> int:
     """s mod p with each parameter sent to assign[name].  Raises
     ZeroDivisionError when p divides a denominator: reduction is then no
-    ring homomorphism, so the prime is unusable."""
+    ring homomorphism, so the prime is unusable.  powers, shared by calls
+    with the same assign and p, keeps the residue of each parameter power
+    (name, e) once it is computed."""
+    if powers is None:
+        powers = {}
     total = 0
     for mono, q in s.terms.items():
         if type(q) is int:
@@ -443,9 +447,13 @@ def _scalar_mod_p(s: Scalar, assign: dict, p: int) -> int:
             if q.denominator % p == 0:
                 raise ZeroDivisionError(f"{p} divides the denominator of {q}")
             v = q.numerator * pow(q.denominator, p - 2, p) % p
-        for name, e in mono:
-            # negative exponents via Fermat: the assigned residues are nonzero
-            v = v * pow(assign[name], e % (p - 1), p) % p
+        for power in mono:
+            r = powers.get(power)
+            if r is None:
+                name, e = power
+                # negative exponents via Fermat: the assigned residues are nonzero
+                r = powers[power] = pow(assign[name], e % (p - 1), p)
+            v = v * r % p
         total = (total + v) % p
     return total
 
@@ -455,7 +463,8 @@ def _residue_cols(cols, p, assign=None):
     sent to its residue in assign (none for a rational matrix), as
     {col key: {row key: residue}}."""
     assign = assign or {}
-    return {ck: {rk: _scalar_mod_p(c, assign, p) for rk, c in col.items()}
+    powers: dict = {}
+    return {ck: {rk: _scalar_mod_p(c, assign, p, powers) for rk, c in col.items()}
             for ck, col in cols.items()}
 
 
@@ -478,17 +487,21 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     (``_modular_kernel_dim``); further primes plus an exact elimination
     stand behind the rare gap.  A prime dividing a denominator the
     elimination reads is skipped.  Two sides on equal windows share one
-    host.
+    host, and with equal modules as well one set of moves.
     """
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
+    same_window = _same_window(spec_a.hw, spec_b.hw)
     host_a = _host(spec_a.hw, m_bound)
-    host_b = host_a if _same_window(spec_a.hw, spec_b.hw) else _host(spec_b.hw, m_bound)
+    host_b = host_a if same_window else _host(spec_b.hw, m_bound)
     moves_a = _compressed_moves(spec_a, keys_a, m_bound, n_bound, host_a)
-    moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound, host_b)
+    if same_window and spec_a.omega == spec_b.omega:
+        moves_b = moves_a
+    else:
+        moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound, host_b)
 
     # explicitly verified kernel vectors: the identity for equal data
-    explicit = int(keys_a == keys_b and moves_a == moves_b)
+    explicit = int(moves_b is moves_a or (keys_a == keys_b and moves_a == moves_b))
     assign = _residues(moves_a + moves_b)
     for p in _PRIMES:
         try:

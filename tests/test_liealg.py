@@ -2,13 +2,15 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weylmod import liealg
 from weylmod.liealg import (
-    AlgebraCtx, CentralUnsupported, CtxMismatch, D_ALG, D_HAT,
+    AlgebraCtx, CentralUnsupported, CtxMismatch, D_ALG, D_HAT, SpanProbeReport,
     assoc_product, basis_bracket, basis_product, bracket, cocycle_basis,
-    cocycle_phi, generated_span_probe, grade_components,
+    cocycle_phi, generated_span_probe, grade_components, term_sort_key,
 )
-from weylmod.scalars import ParamDecl, RATIONALS
+from weylmod.scalars import ParamDecl, RATIONALS, SpanBasis, accumulate
 
 
 def op(m, n, coeff=1, ctx=D_ALG):
@@ -245,6 +247,153 @@ def test_span_probe_rank2_generators():
 def test_span_probe_empty_generators():
     with pytest.raises(ValueError):
         generated_span_probe([], 1, 1, 1)
+
+
+class _RationalEchelon:
+    """Echelon rows over Q, each divided by its lead entry; a store kept apart
+    from ``SpanBasis`` so the reference shares no elimination code with the
+    probe."""
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def reduce(self, vec):
+        v = {k: Fraction(c) for k, c in vec.items() if c}
+        while v and min(v) in self.pivots:
+            a = v[min(v)]
+            for k, c in self.pivots[min(v)].items():
+                accumulate(v, k, -a * c)
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        if v:
+            a = v[min(v)]
+            self.pivots[min(v)] = {k: c / a for k, c in v.items()}
+        return bool(v)
+
+
+def _reference_span_probe(generators, m_bound, n_bound, depth):
+    """The plain closure loop: every step brackets each new pivot row with
+    every pivot row, both ways round, one ``basis_bracket`` per pair of
+    monomials, and runs all ``depth`` steps unless a step adds nothing."""
+    rank = generators[0].ctx.rank
+    basis_keys = sorted(((m, n) for m in iproduct(*[range(-m_bound, m_bound + 1)] * rank)
+                         for n in iproduct(*[range(n_bound + 1)] * rank)), key=term_sort_key)
+    key_pos = {k: i for i, k in enumerate(basis_keys)}
+    span = _RationalEchelon()
+    for g in generators:
+        span.add({key_pos[k]: c.rational_value() for k, c in g.terms.items() if k in key_pos})
+    frontier = list(span.pivots.values())
+    depth_used = 0
+    for step in range(depth):
+        if not frontier:
+            break
+        rows = list(span.pivots.values())
+        for v in frontier:
+            for w in rows:
+                prod: dict = {}
+                for i1, c1 in v.items():
+                    m1, n1 = basis_keys[i1]
+                    for i2, c2 in w.items():
+                        m2, n2 = basis_keys[i2]
+                        for key, k in basis_bracket(m1, n1, m2, n2).items():
+                            if key in key_pos:
+                                accumulate(prod, key_pos[key], c1 * c2 * k)
+                span.add(prod)
+        frontier = list(span.pivots.values())[len(rows):]
+        if frontier:
+            depth_used = step + 1
+    reached, missing = [], []
+    for i, key in enumerate(basis_keys):
+        (missing if span.reduce({i: 1}) else reached).append(key)
+    return SpanProbeReport(reached, missing, len(span.pivots), depth_used)
+
+
+@st.composite
+def _span_probe_inputs(draw):
+    # windows up to |m_i| <= 3, n_i <= 3 at rank 1 and the suite's |m_i| <= 1,
+    # n_i <= 1 at rank 2, where the reference loop takes up to a second
+    rank = draw(st.sampled_from([1, 2]))
+    m_bound = draw(st.integers(1, 3 if rank == 1 else 1))
+    n_bound = draw(st.integers(0, 3 if rank == 1 else 1))
+    ctx = AlgebraCtx(rank)
+    keys = st.sampled_from([(m, n) for m in iproduct(range(-m_bound, m_bound + 1), repeat=rank)
+                            for n in iproduct(range(n_bound + 1), repeat=rank)])
+    coeffs = st.sampled_from([1, -1, 2, Fraction(3, 2)])
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = ctx.zero()
+        for m, n in draw(st.lists(keys, min_size=1, max_size=3)):
+            g = g + ctx.basis(m, n, draw(coeffs))
+        gens.append(g)
+    return gens, m_bound, n_bound, draw(st.integers(0, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_span_probe_inputs())
+def test_span_probe_matches_the_reference_loop(inputs):
+    gens, m_bound, n_bound, depth = inputs
+    got = generated_span_probe(gens, m_bound, n_bound, depth)
+    want = _reference_span_probe(gens, m_bound, n_bound, depth)
+    assert (got.reached, got.missing, got.dimension, got.depth_used) == tuple(want)
+
+
+def _dense_rank2_generators():
+    ctx = AlgebraCtx(2)
+    return [
+        ctx.basis((-1, 1), (0, 2), Fraction(3, 2)) + ctx.basis((0, -1), (2, 1))
+        + ctx.basis((1, -1), (0, 0), Fraction(3, 2)),
+        ctx.basis((-1, 1), (1, 1)) + ctx.basis((-1, 1), (1, 0), 2) - ctx.basis((0, 1), (2, 2)),
+        ctx.basis((-1, 0), (1, 1), 2) + ctx.basis((-1, 1), (1, 0), Fraction(3, 2)),
+    ]
+
+
+def test_span_probe_finishes_a_dense_rank2_window():
+    # reduced by cross-multiplication alone, the pivot rows of this 81-monomial
+    # window double in bit length with each row added (past a million bits
+    # at 31 rows), and the probe never finishes
+    gens = _dense_rank2_generators()
+    rep = generated_span_probe(gens, 1, 2, 3)
+    assert tuple(rep) == tuple(_reference_span_probe(gens, 1, 2, 3))
+    assert (rep.dimension, rep.depth_used) == (66, 3)
+    # the full closure is the reference loop's answer too, but too slow for
+    # it to rerun here
+    rep = generated_span_probe(gens, 1, 2, 8)
+    assert (rep.missing, rep.dimension, rep.depth_used) == ([], 81, 4)
+
+
+def test_span_probe_brackets_each_pair_once_and_stops_at_full_rank(monkeypatch):
+    # the rank-2 window of ``verify --suite span-closure``
+    ctx = AlgebraCtx(2)
+    gens = [
+        ctx.basis((1, 0), (0, 0)), ctx.basis((-1, 0), (0, 0)),
+        ctx.basis((0, 1), (0, 0)), ctx.basis((0, -1), (0, 0)),
+        ctx.basis((0, 0), (1, 1)),
+        ctx.basis((0, 0), (2, 0)), ctx.basis((0, 0), (0, 2)),
+    ]
+    window = 3 ** 2 * 2 ** 2
+    pairs = []
+    real_bracket = liealg.basis_bracket
+
+    def counted_bracket(*args):
+        pairs.append(args)
+        return real_bracket(*args)
+
+    dims = []
+    real_add = SpanBasis.add
+
+    def counted_add(self, vec):
+        dims.append(self.dim)
+        return real_add(self, vec)
+
+    monkeypatch.setattr(liealg, "basis_bracket", counted_bracket)
+    monkeypatch.setattr(SpanBasis, "add", counted_add)
+    rep = generated_span_probe(gens, 1, 1, 8)
+    assert rep.missing == [] and rep.dimension == window
+    assert len(pairs) == len(set(pairs)) <= window ** 2
+    # the last add fills the window, and none comes after it
+    assert max(dims) == window - 1 and dims[-1] == window - 1
 
 
 # -- printing ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -582,7 +583,7 @@ def test_span_basis_membership():
     assert span.contains({0: A, 1: A * LAM})
     assert not span.contains({2: DECL.one})
     assert span.dim == 2
-    # Fraction coordinates, as in the generator-closure probe
+    # Fraction coordinates
     span = SpanBasis()
     assert span.add({0: Fraction(1), 1: Fraction(2, 3)})
     assert not span.add({0: Fraction(-3, 2), 1: Fraction(-1)})
@@ -591,6 +592,20 @@ def test_span_basis_membership():
     assert span.add({1: Fraction(1, 5), 2: Fraction(1)})
     assert span.contains({0: Fraction(1), 2: Fraction(-10, 3)})
     assert span.dim == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-6, 6), max_size=6), max_size=8))
+def test_integer_rows_are_stored_primitive(vecs):
+    # integer coordinates, as in the generator-closure probe: each stored
+    # row is divided by the gcd of its entries, which leaves the span alone
+    ints, fractions = SpanBasis(), SpanBasis()
+    for v in vecs:
+        assert ints.add(v) == fractions.add({k: Fraction(c) for k, c in v.items()})
+    assert all(gcd(*row.values()) == 1 for row in ints.pivots.values())
+    assert all(type(c) is int for row in ints.pivots.values() for c in row.values())
+    for v in vecs + [{k: 1} for k in range(6)]:
+        assert ints.contains(v) == fractions.contains({k: Fraction(c) for k, c in v.items()})
 
 
 def _sparse_pair(kind):

@@ -296,6 +296,24 @@ def test_windows_differing_in_bounds_or_declarations_are_not_shared():
     assert not T._same_window(hw, verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), phi2), 1, 1))
 
 
+@pytest.mark.parametrize("lam_b, eps_b, want", [
+    (LAM, 0, 1), (LAM, 1, 0), (RATIONALS.rational(2), 0, 0),
+])
+def test_equal_sides_build_their_moves_once(lam_b, eps_b, want, monkeypatch):
+    built = []
+    real = T._compressed_moves
+    monkeypatch.setattr(T, "_compressed_moves", lambda *a: built.append(a) or real(*a))
+
+    def window():
+        return verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X), 1, 1)
+
+    # equal by value, built apart
+    sa = TensorSpec(omega_d(DECL.param("lambda"), 0), window())
+    sb = TensorSpec(omega_d(lam_b, eps_b), window())
+    assert intertwiner_dim(sa, sb, 2, 3, 1) == want
+    assert len(built) == 2 - want
+
+
 # -- mod-p kernels --------------------------------------------------------------
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
