@@ -4,8 +4,8 @@ rank-1-free polynomial module families, truncated highest-weight modules,
 and their tensor products."""
 
 from .scalars import (
-    InternalError, Matrix, NonInvertibleParameter, ParamDecl, RATIONALS,
-    Scalar, Series, SpanBasis, exp_series, series_quotient, solve_linear,
+    InternalError, NonInvertibleParameter, ParamDecl, RATIONALS, Scalar,
+    Series, SpanBasis, exp_series, series_quotient, solve_linear,
 )
 from .liealg import (
     AlgebraCtx, CentralUnsupported, CtxMismatch, D_ALG, D_HAT, DiffOp,

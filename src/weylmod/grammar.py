@@ -286,7 +286,11 @@ class _Parser:
 
 
 def _exp_key_from(arg: _Value, pos: int):
-    """Exponent key for exp(expr): expr must be (scalar) * x."""
+    """Exponent key for exp(expr): expr must be (scalar) * x.
+
+    An argument whose x-coefficient cancels, as in exp(0*x), is e^0 = 1 and
+    gets the zero key ().
+    """
     coeff = None
     for (x, t, d, cflag, e), s in arg.terms.items():
         if any(t) or any(d) or cflag or e:
@@ -297,7 +301,7 @@ def _exp_key_from(arg: _Value, pos: int):
             raise ParseError("exp argument must be linear in x", pos)
         coeff = s if coeff is None else coeff + s
     if coeff is None:
-        raise ParseError("empty exp argument", pos)
+        return ()
     return tuple(sorted(coeff.terms.items()))
 
 

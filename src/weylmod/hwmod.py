@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .scalars import (
-    Matrix, ParamDecl, RATIONALS, Scalar, Series, SpanBasis, SparseVec,
+    ParamDecl, RATIONALS, Scalar, Series, SpanBasis, SparseVec,
     _term_str, accumulate, exp_series, series_quotient, solve_linear,
 )
 from .liealg import D_HAT, DiffOp, basis_bracket, cocycle_basis
@@ -436,25 +436,18 @@ def singular_vectors(tv: TruncVerma, level: int, order_checked: int) -> Singular
     if level == 0:
         return SingularReport(0, order_checked, tv.order_bound,
                               [tv.vacuum()])
-    columns = []
+    # rows are numbered in first-seen order: the numbering sets the
+    # elimination order, and with it the printed nullspace vectors
     row_keys: dict = {}
-    rows_per_col = []
+    cols = []
     for mono in slice_basis:
-        results = {}
+        col = {}
         for j in range(1, level + 1):
             for mm in range(order_checked + 1):
-                res = tv._apply_basis(j, mm, mono)
-                for mo, c in res.items():
-                    results[(j, mm, mo)] = c
-        rows_per_col.append(results)
-        for key in results:
-            row_keys.setdefault(key, len(row_keys))
-    nrows = max(len(row_keys), 1)
-    entries = [[RATIONALS.zero] * len(slice_basis) for _ in range(nrows)]
-    for ci, results in enumerate(rows_per_col):
-        for key, c in results.items():
-            entries[row_keys[key]][ci] = c
-    sol = solve_linear(Matrix(nrows, len(slice_basis), entries))
+                for mo, c in tv._apply_basis(j, mm, mono).items():
+                    col[row_keys.setdefault((j, mm, mo), len(row_keys))] = c
+        cols.append(col)
+    sol = solve_linear(cols)
     vectors = []
     for vec in sol.nullspace:
         vectors.append(VermaElem(tv, {
@@ -476,33 +469,32 @@ def weight_space_dims(tv: TruncVerma, singulars) -> list:
     true simple quotient can only be smaller still.
     """
     L, N = tv.level_bound, tv.order_bound
-    ops = [(m, n) for m in range(-L, L + 1) for n in range(N + 2)]
     order_cap = 2 * N + 2
 
     def order_ok(elem: VermaElem) -> bool:
         return all(n <= order_cap for mono in elem.terms for _, n in mono)
 
-    closures = {lv: SpanBasis() for lv in range(L + 1)}
-    frontier = []
-    for s in singulars:
-        for lv, comp in s.level_components().items():
-            if closures[lv].add(comp.terms):
-                frontier.append((lv, comp))
-    while frontier:
-        new = []
-        for lv, v in frontier:
-            for (m, n) in ops:
-                if lv - m < 0 or lv - m > L:
-                    continue
-                w = act_verma(D_HAT.basis(m, n), v)
-                if w.is_zero() or not order_ok(w):
-                    continue
-                if closures[lv - m].add(w.terms):
-                    new.append((lv - m, w))
-        frontier = new
+    ops = [(m, D_HAT.basis(m, n)) for m in range(-L, L + 1) for n in range(N + 2)]
+    proto = tv.vacuum()
+
+    def images(terms):
+        # every vector in the span lies in one level, so its images do too
+        lv = monomial_level(next(iter(terms)))
+        v = proto._like(terms)
+        for m, op in ops:
+            if 0 <= lv - m <= L:
+                w = act_verma(op, v)
+                if not w.is_zero() and order_ok(w):
+                    yield w.terms
+
+    # a pivot row has the level of the vector it came from, so a reduction
+    # never mixes levels and the span's rows at each level are the closure
+    # there
+    span = SpanBasis()
+    span.close([comp.terms for s in singulars
+                for comp in s.level_components().values()], images)
 
     # dim(slice) - dim(slice meet closure) = dim(slice + closure) - dim(closure):
-    # count the slice monomials that enter each closure's span
-    return [sum(1 for mono in tv.basis_at_level(lv)
-                if closures[lv].add({mono: RATIONALS.one}))
+    # count the slice monomials that enter the span
+    return [sum(1 for mono in tv.basis_at_level(lv) if span.add({mono: RATIONALS.one}))
             for lv in range(L + 1)]

@@ -684,10 +684,6 @@ class Series(Frozen):
         self._set(order=order, coeffs=coeffs)
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence[Scalar]) -> "Series":
-        return Series(len(coeffs) - 1, tuple(coeffs))
-
-    @staticmethod
     def zero(order: int, decl: ParamDecl = RATIONALS) -> "Series":
         return Series(order, tuple(decl.zero for _ in range(order + 1)))
 
@@ -788,29 +784,6 @@ def exp_series(a: Scalar, order: int) -> Series:
 # ---------------------------------------------------------------------------
 
 
-class Matrix:
-    """Dense matrix of Scalars (row major)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[Scalar]]):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry count must be rows*cols")
-        self.rows = rows
-        self.cols = cols
-        self.entries = [list(r) for r in entries]
-
-    @staticmethod
-    def from_rows(entries: Sequence[Sequence[Scalar]]) -> "Matrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return Matrix(rows, cols, entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-
 class LinearSolution(NamedTuple):
     """Result of exact elimination.
 
@@ -827,35 +800,35 @@ class LinearSolution(NamedTuple):
     consistent: bool
 
 
-def solve_linear(m: Matrix, rhs: Matrix | None = None) -> LinearSolution:
+def solve_linear(cols: Sequence[Mapping], rhs: Sequence[Mapping] = ()) -> LinearSolution:
     """Fraction-free elimination over the parameter ring, read off one SpanBasis.
 
-    Column j enters the span as its entries, keyed (0, i), plus the tag
+    The matrix is given by its columns, sparse {row key: Scalar} maps whose
+    row keys are mutually comparable; a missing key is a zero entry.
+    Column j enters the span as its entries, keyed (0, row), plus the tag
     (1, j) with coefficient 1; tags sort after the entries.  A column whose
     entries reduce to zero leaves a tag-only row r, and x_k = r[(1, k)]
     solves m x = 0: a nullspace vector.  The other columns are the pivot
-    columns.  A right-hand side enters with the tag (1, -1) and is
+    columns.  A right-hand-side column enters with the tag (1, -1) and is
     consistent when its entries reduce to zero; the residue r then gives
     m x = rhs * den for x_k = -r[(1, k)], den = r[(1, -1)].
     """
-    if rhs is not None and rhs.rows != m.rows:
-        raise ValueError("rhs row count must match the matrix")
-    decl = next((e.decl for row in m.entries for e in row if not e.decl.is_empty),
+    decl = next((e.decl for col in cols for e in col.values() if not e.decl.is_empty),
                 RATIONALS)
     span = SpanBasis()
 
-    def residue(src: Matrix, j: int, tag: int) -> dict:
-        vec = {(0, i): src.entries[i][j] for i in range(src.rows)}
+    def residue(col: Mapping, tag: int) -> dict:
+        vec = {(0, i): c for i, c in col.items()}
         vec[(1, tag)] = decl.one
         return span.reduce(vec)
 
     def tags(r: dict) -> list:
-        return [r.get((1, k), decl.zero) for k in range(m.cols)]
+        return [r.get((1, k), decl.zero) for k in range(len(cols))]
 
     pivot_cols: list = []
     nullspace = []
-    for j in range(m.cols):
-        r = residue(m, j, j)
+    for j, col in enumerate(cols):
+        r = residue(col, j)
         span.add(r)
         if min(r)[0] == 0:
             pivot_cols.append(j)
@@ -864,10 +837,10 @@ def solve_linear(m: Matrix, rhs: Matrix | None = None) -> LinearSolution:
 
     consistent = True
     particular = None
-    if rhs is not None:
-        residues = [residue(rhs, j, -1) for j in range(rhs.cols)]
+    if rhs:
+        residues = [residue(col, -1) for col in rhs]
         consistent = all(min(r)[0] == 1 for r in residues)
-        if consistent and rhs.cols == 1:
+        if consistent and len(rhs) == 1:
             r, = residues
             particular = ([-x for x in tags(r)], r[(1, -1)])
 
@@ -936,3 +909,15 @@ class SpanBasis:
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
+
+    def close(self, vecs: Iterable[Mapping], images) -> None:
+        """Add ``vecs``, then the span's closure under ``images``.
+
+        ``images(v)`` yields vectors to add for a vector v that entered the
+        span.  The spin is breadth-first from the vectors that were new, a
+        level at a time, until a level adds nothing; vectors are added in
+        the order the levels produce them, so the pivot rows are too.
+        """
+        frontier = [v for v in vecs if self.add(v)]
+        while frontier:
+            frontier = [w for v in frontier for w in images(v) if self.add(w)]

@@ -339,23 +339,20 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
     if not exact:
         fast_full = _modular_full_seeds(keys, moves)
 
+    def images(vec):
+        for cols in moves:
+            out: dict = {}
+            for key, c in vec.items():
+                for k2, c2 in cols.get(key, {}).items():
+                    accumulate(out, k2, c * c2)
+            if out:
+                yield out
+
     for seed in keys:
         if seed in fast_full:
             continue
         span = SpanBasis()
-        span.add({seed: RATIONALS.one})
-        frontier = [{seed: RATIONALS.one}]
-        while frontier:
-            new = []
-            for vec in frontier:
-                for cols in moves:
-                    out: dict = {}
-                    for key, c in vec.items():
-                        for k2, c2 in cols.get(key, {}).items():
-                            accumulate(out, k2, c * c2)
-                    if out and span.add(out):
-                        new.append(out)
-            frontier = new
+        span.close([{seed: RATIONALS.one}], images)
         reaches_one = span.contains({one: RATIONALS.one})
         if span.dim != full or not reaches_one:
             return TensorProbeReport(

@@ -100,9 +100,6 @@ class OmegaSpec(Frozen):
         c = coeff if isinstance(coeff, Scalar) else RATIONALS.rational(coeff)
         return PolyVec(self, {exps: c} if c else {})
 
-    def one_vec(self) -> "PolyVec":
-        return self.monomial((0,) * self.rank)
-
 
 def omega_d(lam: Scalar, eps: int) -> OmegaSpec:
     return OmegaSpec("d", (lam,), eps=eps)
@@ -619,21 +616,18 @@ def simplicity_probe(spec: OmegaSpec, degree_bound: int) -> SimplicityReport:
         e for e in iproduct(*[range(degree_bound - 1)] * rank)
         if sum(e) <= degree_bound - 2
     ]
+    proto = spec.zero_vec()
+
+    def images(terms):
+        v = proto._like(terms)
+        for g in gens:
+            w = g(v)
+            if not w.is_zero() and w.degree() <= degree_bound:
+                yield w.terms
+
     for seed in seeds:
-        vecs = [spec.monomial(seed)]
         span = SpanBasis()
-        span.add(vecs[0].terms)
-        frontier = vecs[:]
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in gens:
-                    w = g(v)
-                    if w.is_zero() or w.degree() > degree_bound:
-                        continue
-                    if span.add(w.terms):
-                        new.append(w)
-            frontier = new
+        span.close([spec.monomial(seed).terms], images)
         # per-degree dimensions of the closure
         got = [0] * (degree_bound + 1)
         for lead in span.pivots:

@@ -163,10 +163,11 @@ def test_symbolic_intertwiner_loads_no_numpy():
     assert _loads_numpy("intertwiner_symbolic") == (0, "False 0\n", "")
 
 
-@pytest.mark.parametrize("name", ["tensor_probe", "tensor_probe_control"])
+@pytest.mark.parametrize("name", ["tensor_probe", "tensor_probe_control", "singular"])
 def test_tensor_probe_loads_no_numpy(name):
     # the probe's modular certificate spins sparse residue columns in pure
-    # Python, so neither golden probe, cyclic or control, loads numpy
+    # Python, so neither golden probe, cyclic or control, loads numpy; nor
+    # does the exact elimination of the singular-vector system
     assert _loads_numpy(name) == (0, "False 0\n", "")
 
 

@@ -39,6 +39,27 @@ def test_quasipolynomial_examples():
     assert len(q2.terms) == 2
 
 
+def test_exp_of_a_cancelled_argument_is_one():
+    # exp(0*x) is e^0 = 1, however the x-coefficient cancels
+    one = parse_quasipolynomial("1", decl=DECL).terms
+    for text in ("exp(0*x)", "exp(a*x - a*x)", "exp(0)"):
+        assert parse_quasipolynomial(text, decl=DECL).terms == one
+    assert parse_quasipolynomial("x*exp(0*x) - x", decl=DECL).terms == ()
+    assert (parse_quasipolynomial("x*exp(a*x) + 2*exp(0*x) - 2", decl=DECL).terms
+            == parse_quasipolynomial("x*exp(a*x)", decl=DECL).terms)
+
+
+def test_hseq_reads_exp_of_zero_as_one(capsys):
+    from weylmod import cli
+
+    assert cli.main(["hseq", "--phi", "exp(0*x)-1", "--c", "0", "--n", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[1:], err) == (["h_0 = 0", "h_1 = 0", "h_2 = 0"], "")
+    # phi = 1 does not vanish at 0
+    assert cli.main(["hseq", "--phi", "exp(0*x)", "--c", "0"]) == 2
+    assert capsys.readouterr() == ("", "weylmod: error: phi(0) must vanish\n")
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse_operator("t^-1*)")

@@ -9,7 +9,7 @@ from weylmod.hwmod import (
     weight_space_dims,
 )
 from weylmod.liealg import D_HAT, bracket
-from weylmod.scalars import ParamDecl, RATIONALS
+from weylmod.scalars import ParamDecl, RATIONALS, SpanBasis
 
 
 def bernoulli(n):
@@ -275,6 +275,62 @@ def test_weight_space_dims():
     assert dims[1] == 0
     gen = HWSpec.generic(4)
     assert weight_space_dims(verma_basis(gen, 1, 2), []) == [1, 3]
+
+
+def _per_level_weight_space_dims(tv, singulars):
+    """weight_space_dims with one SpanBasis and one frontier per level: the
+    reference for the single closure."""
+    L, N = tv.level_bound, tv.order_bound
+    ops = [(m, n) for m in range(-L, L + 1) for n in range(N + 2)]
+    order_cap = 2 * N + 2
+
+    def order_ok(elem):
+        return all(n <= order_cap for mono in elem.terms for _, n in mono)
+
+    closures = {lv: SpanBasis() for lv in range(L + 1)}
+    frontier = []
+    for s in singulars:
+        for lv, comp in s.level_components().items():
+            if closures[lv].add(comp.terms):
+                frontier.append((lv, comp))
+    while frontier:
+        new = []
+        for lv, v in frontier:
+            for (m, n) in ops:
+                if lv - m < 0 or lv - m > L:
+                    continue
+                w = act_verma(D_HAT.basis(m, n), v)
+                if w.is_zero() or not order_ok(w):
+                    continue
+                if closures[lv - m].add(w.terms):
+                    new.append((lv - m, w))
+        frontier = new
+    return [sum(1 for mono in tv.basis_at_level(lv)
+                if closures[lv].add({mono: RATIONALS.one}))
+            for lv in range(L + 1)]
+
+
+def _vector_sets(tv):
+    """Vector sets with components at one level and at two."""
+    sets = [[], [tv.elem({((1, 0),): 1, ((2, 0),): 1})],
+            [tv.elem({((1, 1),): 2, ((1, 0), (1, 0)): -1}), tv.elem({((2, 1),): 1})]]
+    vs = singular_vectors(tv, 1, tv.order_bound + 2).vectors
+    if vs:
+        # the level-2 parts t^-1 w lie in the submodule the singulars generate
+        lift = [v + act_verma(D_HAT.t(-1), w) for v, w in zip(vs, reversed(vs))]
+        sets += [vs, lift, [vs[0] + tv.elem({((2, 0),): 1})]]
+    return sets
+
+
+@pytest.mark.parametrize("spec,order", [
+    (HWSpec(RATIONALS.zero, Quasipolynomial.zero()), 1),
+    (HWSpec(RATIONALS.zero, PHI_X), 3),
+    (HWSpec.generic(4), 1),
+], ids=["trivial", "phi=x", "generic"])
+def test_weight_space_dims_match_the_per_level_closures(spec, order):
+    tv = verma_basis(spec, 2, order)
+    for singulars in _vector_sets(tv):
+        assert weight_space_dims(tv, singulars) == _per_level_weight_space_dims(tv, singulars)
 
 
 def test_weight_of_rejects_non_weight_vectors():

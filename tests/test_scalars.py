@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylmod.scalars import (
-    Matrix, NonInvertibleParameter, ParamDecl, RATIONALS, Scalar,
+    NonInvertibleParameter, ParamDecl, RATIONALS, Scalar,
     ScalarDivisionError, Series, SeriesError, SparseVec, SpanBasis,
     exp_series, series_quotient, solve_linear,
 )
@@ -341,7 +341,7 @@ def test_multiplying_by_one_returns_the_operand():
 
 
 def _series(coeffs):
-    return Series.from_coeffs([RATIONALS.rational(c) for c in coeffs])
+    return Series(len(coeffs) - 1, tuple(RATIONALS.rational(c) for c in coeffs))
 
 
 def test_series_quotient_x_over_expm1():
@@ -396,8 +396,8 @@ def test_series_quotient_roundtrip(qc, dc):
 
 def test_series_quotient_symbolic_lead():
     # denominator leading coefficient lambda is a unit
-    den = Series.from_coeffs([LAM, DECL.one])
-    num = Series.from_coeffs([DECL.one, DECL.zero])
+    den = Series(1, (LAM, DECL.one))
+    num = Series(1, (DECL.one, DECL.zero))
     q = series_quotient(num, den)
     assert q[0] == LAM.inverse()
 
@@ -405,8 +405,14 @@ def test_series_quotient_symbolic_lead():
 # -- linear algebra -----------------------------------------------------------
 
 
+def _cols(rows):
+    """The columns of a row-major matrix as sparse {row: entry} maps."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]}
+            for j in range(len(rows[0]))]
+
+
 def _int_matrix(rows):
-    return Matrix.from_rows([[RATIONALS.rational(v) for v in row] for row in rows])
+    return _cols([[RATIONALS.rational(v) for v in row] for row in rows])
 
 
 def test_identity_solve():
@@ -444,12 +450,11 @@ def test_inconsistent_system():
 
 def test_symbolic_nullspace():
     # (lambda, -1) annihilates rows proportional to (1, lambda)
-    m = Matrix.from_rows([[DECL.one, LAM]])
-    sol = solve_linear(m)
+    sol = solve_linear(_cols([[DECL.one, LAM]]))
     assert sol.rank == 1
     assert len(sol.nullspace) == 1
     v = sol.nullspace[0]
-    assert (m[0, 0] * v[0] + m[0, 1] * v[1]).is_zero()
+    assert (v[0] + LAM * v[1]).is_zero()
 
 
 # independent oracle: naive rational Gauss-Jordan
@@ -540,14 +545,14 @@ def _independent(vectors):
 
 
 def _column(entries):
-    return Matrix.from_rows([[e] for e in entries])
+    return _cols([[e] for e in entries])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_solve_symbolic_matrices(nr, nc, data):
     rows = [[data.draw(symbolic_entries) for _ in range(nc)] for _ in range(nr)]
-    m = Matrix.from_rows(rows)
+    m = _cols(rows)
     sol = solve_linear(m)
     assert sol.rank + len(sol.nullspace) == nc
     for v in sol.nullspace:
@@ -567,8 +572,7 @@ def test_solve_symbolic_matrices(nr, nc, data):
     for i in range(nr):
         e = [DECL.one if k == i else DECL.zero for k in range(nr)]
         sol_e = solve_linear(m, _column(e))
-        aug_rank = solve_linear(Matrix.from_rows(
-            [row + [ek] for row, ek in zip(rows, e)])).rank
+        aug_rank = solve_linear(m + _column(e)).rank
         assert sol_e.consistent == (aug_rank == sol.rank)
         assert (sol_e.particular is None) == (not sol_e.consistent)
         outside += not sol_e.consistent
@@ -606,6 +610,99 @@ def test_integer_rows_are_stored_primitive(vecs):
     assert all(type(c) is int for row in ints.pivots.values() for c in row.values())
     for v in vecs + [{k: 1} for k in range(6)]:
         assert ints.contains(v) == fractions.contains({k: Fraction(c) for k, c in v.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_solve_linear_reads_sparse_columns_like_padded_ones(nr, data):
+    # a missing row key is a zero entry: padding every column with explicit
+    # zeros changes nothing in the solution
+    nc = data.draw(st.integers(1, 4))
+    rows = [[data.draw(symbolic_entries) for _ in range(nc)] for _ in range(nr)]
+    b = [data.draw(symbolic_entries) for _ in range(nr)]
+
+    def padded(cols):
+        return [{i: col.get(i, DECL.zero) for i in range(nr)} for col in cols]
+
+    sparse = solve_linear(_cols(rows), _column(b))
+    assert sparse == solve_linear(padded(_cols(rows)), padded(_column(b)))
+    assert solve_linear(_cols(rows)) == solve_linear(padded(_cols(rows)))
+
+
+# -- closures -----------------------------------------------------------------
+
+
+def _apply_map(mat, v):
+    """The image of a sparse vector under a sparse {(row, col): entry} matrix."""
+    out = {}
+    for (i, j), c in mat.items():
+        if j in v:
+            out[i] = out.get(i, 0) + c * v[j]
+    return {i: c for i, c in out.items() if c}
+
+
+def _in_span(gens, v):
+    def scalars(u):
+        return {k: c if isinstance(c, Scalar) else RATIONALS.rational(c) for k, c in u.items()}
+    return solve_linear([scalars(g) for g in gens], [scalars(v)]).consistent
+
+
+def _naive_closure(seeds, maps):
+    """A basis of the closure: pass over every (generator, map) pair, keeping
+    each image outside the span, until a whole pass keeps nothing."""
+    gens = []
+    for v in seeds:
+        if not _in_span(gens, v):
+            gens.append(v)
+    grew = True
+    while grew:
+        grew = False
+        for v in list(gens):
+            for mat in maps:
+                w = _apply_map(mat, v)
+                if not _in_span(gens, w):
+                    gens.append(w)
+                    grew = True
+    return gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([st.integers(-3, 3), symbolic_entries]),
+       st.data())
+def test_close_matches_a_naive_fixed_point(n, entries, data):
+    coords = st.integers(0, n - 1)
+    maps = data.draw(st.lists(st.dictionaries(st.tuples(coords, coords), entries,
+                                              max_size=4), max_size=3))
+    seeds = data.draw(st.lists(st.dictionaries(coords, entries, max_size=n),
+                               min_size=1, max_size=3))
+    # a seed already in the span when it is reached
+    seeds.append({k: seeds[0].get(k, 0) + seeds[-1].get(k, 0) for k in range(n)})
+    span = SpanBasis()
+    span.close(seeds, lambda v: [_apply_map(mat, v) for mat in maps])
+    want = _naive_closure(seeds, maps)
+    assert span.dim == len(want)
+    for k in range(n):
+        assert span.contains({k: 1}) == _in_span(want, {k: 1})
+    # closing seeds already in the span adds nothing and spins from nothing
+    span.close(seeds, lambda v: pytest.fail("a vector already in the span spun"))
+    assert span.dim == len(want)
+
+
+def test_close_spins_only_from_new_vectors_level_by_level():
+    shift = {(1, 0): 1, (2, 1): 1, (4, 3): 1}  # e0 -> e1 -> e2 -> 0, e3 -> e4 -> 0
+    seen = []
+
+    def images(v):
+        seen.append(min(v))
+        return [_apply_map(shift, v), {}]
+
+    span = SpanBasis()
+    span.close([{0: 1}, {0: 2}, {}, {3: 1}], images)
+    assert span.dim == 5 and seen == [0, 3, 1, 4, 2]
+    # a map that yields nothing leaves the span of the seeds
+    span = SpanBasis()
+    span.close([{0: LAM}, {1: A}], lambda v: ())
+    assert span.dim == 2 and not span.contains({2: DECL.one})
 
 
 def _sparse_pair(kind):
@@ -658,7 +755,7 @@ def test_value_types_are_immutable_values():
          OmegaSpec("d", (LAM,), 0), "eps"),
         (TensorSpec(OmegaSpec("d", (LAM,), 0), hw), TensorSpec(OmegaSpec("d", (LAM,), 0), hw),
          TensorSpec(OmegaSpec("d", (LAM,), 1), hw), "omega"),
-        (Series(1, (A, LAM)), Series.from_coeffs([A, LAM]), Series(1, (LAM, A)), "coeffs"),
+        (Series(1, (A, LAM)), Series(1, (A, LAM)), Series(1, (LAM, A)), "coeffs"),
     ]
     for u, v, w, field in cases:
         assert u is not v and u == v and hash(u) == hash(v) and not u != v

@@ -320,7 +320,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from weylmod import slots as S, tensor as T  # noqa: E402
-from weylmod.scalars import Matrix, solve_linear  # noqa: E402
+from weylmod.scalars import solve_linear  # noqa: E402
 from weylmod.slots import _echelon_mod_p  # noqa: E402
 
 # entries |x| <= 5 in at most 6 x 6 matrices keep every minor below the
@@ -390,14 +390,14 @@ def test_nullspace_mod_p_is_a_kernel_basis(rows):
     m = np.array(rows, dtype=np.int64)
     null = S._nullspace_mod_p(m, p)
     assert not S._matmul_mod_p(m % p, null, p).any()
-    rank = solve_linear(Matrix.from_rows(
-        [[RATIONALS.rational(x) for x in row] for row in rows])).rank
+    rank = solve_linear(_rational(m)).rank
     assert rank + null.shape[1] == m.shape[1]
     assert len(S._colspace_mod_p({}, _columns(null), p)) == null.shape[1]
 
 
 def _rational(a):
-    return Matrix.from_rows([[RATIONALS.rational(int(x)) for x in row] for row in a])
+    """The columns of an integer array as sparse {row: Scalar} columns."""
+    return [{i: RATIONALS.rational(x) for i, x in col.items()} for col in _columns(a)]
 
 
 def _columns(m):

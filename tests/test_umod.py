@@ -30,29 +30,29 @@ def test_action_examples_eps1():
     s = spec_d(1)
     assert act(D_ALG.d_op(1), s.monomial(1)) == s.monomial(2)
     for m in range(-4, 5):
-        got = act(D_ALG.t(m), s.one_vec())
+        got = act(D_ALG.t(m), s.monomial((0,) * s.rank))
         assert got == s.monomial(0, LAM ** m)  # beta = +1
 
 
 def test_action_examples_eps0():
     s = spec_d(0)
     # beta = -1: D^2 . 1 = -x^2, D^3 . f = x^3 f
-    assert act(D_ALG.d_op(2), s.one_vec()) == s.monomial(2, -1)
+    assert act(D_ALG.d_op(2), s.monomial((0,) * s.rank)) == s.monomial(2, -1)
     f = s.monomial(2, Fraction(1, 3)) + s.monomial(0, 5)
     lhs = act(D_ALG.d_op(3), f)
     expect = PolyVec(s, {(e[0] + 3,): c for e, c in f.terms.items()})
     assert lhs == expect
     for m in range(-4, 5):
-        assert act(D_ALG.t(m), s.one_vec()) == s.monomial(0, -(LAM ** m))
+        assert act(D_ALG.t(m), s.monomial((0,) * s.rank)) == s.monomial(0, -(LAM ** m))
 
 
 def test_action_requires_matching_rank_and_family():
     s = spec_d(1)
     ctx2 = AlgebraCtx(2)
     with pytest.raises(FamilyMismatch):
-        act(ctx2.basis((1, 0), (0, 0)), s.one_vec())
+        act(ctx2.basis((1, 0), (0, 0)), s.monomial((0,) * s.rank))
     with pytest.raises(FamilyMismatch):
-        act(D_ALG.d_op(1), omega_vir(LAM, DECL.zero).one_vec())
+        act(D_ALG.d_op(1), omega_vir(LAM, DECL.zero).monomial(0))
 
 
 def test_central_annihilates_polynomials():
@@ -83,7 +83,7 @@ def test_vir_action():
     # L_0 f = x f for any alpha
     assert act_hv(s, ("L", 0), f) == PolyVec(s, {(3,): RATIONALS.one, (1,): RATIONALS.rational(3)})
     # L_m 1 = lambda^m (x - m alpha)
-    got = act_hv(s, ("L", 2), s.one_vec())
+    got = act_hv(s, ("L", 2), s.monomial((0,) * s.rank))
     assert got == s.monomial(1, LAM ** 2) + s.monomial(0, -(LAM ** 2) * alpha * 2)
 
 
@@ -92,7 +92,7 @@ def test_hv_action():
     beta = DECL.param("beta")
     s = omega_hv(LAM, alpha, beta)
     for m in range(-3, 4):
-        assert act_hv(s, ("I", m), s.one_vec()) == s.monomial(0, beta * LAM ** m)
+        assert act_hv(s, ("I", m), s.monomial((0,) * s.rank)) == s.monomial(0, beta * LAM ** m)
     got = act_hv(s, ("L", 1), s.monomial(1))
     # lambda (x - alpha)(x - 1)
     expect = (s.monomial(2, LAM) + s.monomial(1, -(LAM) * (alpha + 1))
@@ -107,7 +107,7 @@ def test_rank2_action():
     # D1 . x2 = x1 x2
     assert act(ctx.basis((0, 0), (1, 0)), s.monomial((0, 1))) == s.monomial((1, 1))
     # t2^-1 . 1 = l2^-1
-    got = act(ctx.basis((0, -1), (0, 0)), s.one_vec())
+    got = act(ctx.basis((0, -1), (0, 0)), s.monomial((0,) * s.rank))
     assert got == s.monomial((0, 0), decl.param("l2", -1))
 
 
@@ -507,7 +507,7 @@ def test_fast_paths_flagging_every_pair_still_pass(monkeypatch):
 @pytest.mark.parametrize("eps", [0, 1])
 def test_degree_reduction_monomials(eps):
     s = spec_d(eps)
-    assert degree_reduction_witness(s, s.one_vec()) == []
+    assert degree_reduction_witness(s, s.monomial((0,) * s.rank)) == []
     chain = degree_reduction_witness(s, s.monomial(1))
     assert len(chain) == 1
     assert chain[-1][1] == s.monomial(0, -1)
