@@ -88,13 +88,49 @@ def _env_json() -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
+def _write(text: str) -> None:
+    """Print text and a newline to stdout.
+
+    A reader that has gone away (``weylmod verify | head -1``) is no error
+    of the command: stdout is pointed at devnull, so that the flush at exit
+    does not fail again, and the command returns its own exit code.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            # a stream with no descriptor of its own
+            sys.stdout = open(os.devnull, "w")
+        finally:
+            os.close(devnull)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         doc = {"schema": 1, "command": args.command}
         doc.update(payload)
-        print(json.dumps(doc, indent=2))
+        _write(json.dumps(doc, indent=2))
     else:
-        print(text)
+        _write(text)
+
+
+# flags whose default is a parameter name: (attribute, flag, name)
+_NAME_DEFAULTS = (("c", "--c", "c"), ("lam", "--lam", "lambda"))
+
+
+def _fill_name_defaults(args, decl: ParamDecl) -> None:
+    """Set each flag of ``_NAME_DEFAULTS`` left out to its parameter name,
+    which --params must then declare."""
+    for attr, flag, name in _NAME_DEFAULTS:
+        if getattr(args, attr, "") is None:
+            if not decl.has(name):
+                raise UsageError(f"{flag} defaults to the parameter {name!r}, which "
+                                 f"--params does not declare; pass {flag} or declare {name}")
+            setattr(args, attr, name)
 
 
 def _hw_spec(args, decl: ParamDecl) -> H.HWSpec:
@@ -379,12 +415,11 @@ def cmd_verify(args, decl, rank):
             if args.timings:
                 entry["seconds"] = round(r.seconds, 3)
             suites.append(entry)
-        print(json.dumps({"schema": 1, "command": "verify",
-                          "suites": suites, "ok": ok}, indent=2))
+        _write(json.dumps({"schema": 1, "command": "verify",
+                           "suites": suites, "ok": ok}, indent=2))
     else:
-        for r in results:
-            print(r.line(timings=args.timings))
-        print("all suites passed" if ok else "FAILURES PRESENT")
+        _write("\n".join([r.line(timings=args.timings) for r in results]
+                         + ["all suites passed" if ok else "FAILURES PRESENT"]))
     return 0 if ok else 1
 
 
@@ -416,12 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
         if hw:
             p.add_argument("--phi", default="x",
                            help="quasipolynomial weight data, e.g. 'x*exp(a*x) - x'")
-            p.add_argument("--c", default="c", help="central charge expression")
+            p.add_argument("--c", default=None,
+                           help="central charge expression (default: the parameter c)")
         if omega:
             p.add_argument("--family", choices=("d", "vir", "hv", "dnu"), default="d")
             p.add_argument("--eps", type=int, choices=(0, 1), default=None)
-            p.add_argument("--lam", default="lambda",
-                           help="invertible module parameter (';'-separated at rank>1)")
+            p.add_argument("--lam", default=None,
+                           help="invertible module parameter (';'-separated at rank>1; "
+                                "default: the parameter lambda)")
             p.add_argument("--alpha", default="")
             p.add_argument("--beta", default="")
 
@@ -483,13 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op")
     p.add_argument("--xexp", type=int, default=0)
     p.add_argument("--mono", default="1")
-    p.add_argument("--lam", default="lambda")
+    p.add_argument("--lam", default=None, help="default: the parameter lambda")
     p.add_argument("--eps", type=int, choices=(0, 1), default=1)
     common(p, hw=True, bounds=("L", "N"), rank1=True)
     p.set_defaults(fn=cmd_tensor_act)
 
     p = sub.add_parser("tensor-probe", help="bounded cyclicity probe")
-    p.add_argument("--lam", default="lambda")
+    p.add_argument("--lam", default=None, help="default: the parameter lambda")
     p.add_argument("--eps", type=int, choices=(0, 1), default=1)
     p.add_argument("--control-hv", action="store_true",
                    help="replace the polynomial side by the reducible "
@@ -538,6 +575,7 @@ def main(argv=None) -> int:
         if args.json is None:
             args.json = _env_json()
         decl = parse_param_decl(args.params)
+        _fill_name_defaults(args, decl)
         args.bounds = _parse_bounds(args.bounds, args.bound_keys)
         return args.fn(args, decl, rank)
     except (ParseError, UsageError, NonInvertibleParameter, CtxMismatch,

@@ -9,8 +9,8 @@ Machine arithmetic on these tables is trusted only under an absolute-value
 bound checked by ``check_exact``; the GF(p) layer of the modular certificates
 keeps to the same exact ranges.  numpy is imported inside the functions so
 that importing weylmod stays cheap; the sparse GF(p) kernels
-(``_sparse_echelon_mod_p``, ``_colspace_mod_p``, ``_spin_sparse_mod_p``) are
-pure Python and never import it.
+(``_sparse_echelon_mod_p``, ``_colspace_mod_p``, ``_spin_sparse_mod_p``,
+``_spin_words_mod_p``) are pure Python and never import it.
 """
 
 from __future__ import annotations
@@ -343,6 +343,75 @@ def _spin_sparse_mod_p(gens, n: int, seed: int, p, stop=()) -> dict:
         frontier = [{lead: 1, **dict(rest)}
                     for lead, rest in _colspace_mod_p(span, images, p).items()]
     return span
+
+
+def _spin_words_mod_p(gens, n: int, seed: int, p):
+    """Parker's spin of e(seed) with its words and relations over GF(p), or
+    None when the closure has rank below n.
+
+    ``gens`` are sparse residue matrices as in ``_spin_sparse_mod_p``.  The
+    spin takes the generators in turn, in passes, and maps by gens[g] every
+    basis vector s_0 = e(seed), s_1, ... found so far, those gens[g] adds
+    included.  An image outside the span of the basis so far is the next
+    basis vector, and the spin stops as soon as there are n of them or a
+    pass adds none.  (Taken breadth-first instead, one basis vector by every
+    generator at a time, the 24-dimensional intertwiner windows of the
+    benchmark map 331 images before full rank, against 58.)  Returns
+    (words, relations): words[k] = (g, i) says s_k = gens[g] s_i (words[0]
+    is None), and relations lazily yields (g, i, {j: a_j}) with
+    gens[g] s_i = sum_j a_j s_j for every other pair, i in order, then g.
+
+    The span is kept as a reduced echelon basis (``_colspace_mod_p``'s
+    pivot rows) of rows [vector | combination], each with
+    vector = sum_k combination[k] s_k and the combination in columns n + k.
+    An image w enters as [w | e(n + its index)] and is reduced in one pass;
+    with no vector part left, w = -(the rest of its combination).  Once the
+    span is full, row c is [e(c) | row c of the inverse of the basis].
+    """
+    basis = [{seed: 1}]
+    words: list = [None]
+    rows = {seed: [(n, 1)]}
+
+    def image(g, i):
+        out: dict = {}
+        for c, x in basis[i].items():
+            for r, y in gens[g].get(c, ()):
+                out[r] = out.get(r, 0) + x * y
+        return {r: x % p for r, x in out.items() if x % p}
+
+    def place(w):
+        """The coordinates of w, or None after adding w to the span."""
+        new = n + len(basis)
+        v = _reduce_mod_p({**w, new: 1}, rows, p)
+        lead = min(v)
+        if lead >= n:
+            return {c - n: -x % p for c, x in v.items() if c != new}
+        inv = pow(v.pop(lead), p - 2, p)
+        row = [(c, x * inv % p) for c, x in v.items()]
+        for other, rest in rows.items():
+            if any(c == lead for c, _ in rest):
+                rows[other] = list(_reduce_mod_p(dict(rest), {lead: row}, p).items())
+        rows[lead] = row
+        return None
+
+    grew = True
+    while grew and len(basis) < n:
+        grew = False
+        for g in range(len(gens)):
+            i = 0
+            while i < len(basis) < n:
+                w = image(g, i)
+                if place(w) is None:
+                    basis.append(w)
+                    words.append((g, i))
+                    grew = True
+                i += 1
+    if len(basis) < n:
+        return None
+    word_set = set(words)
+    relations = ((g, i, place(image(g, i)))
+                 for i in range(n) for g in range(len(gens)) if (g, i) not in word_set)
+    return words, relations
 
 
 def _primes():

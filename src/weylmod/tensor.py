@@ -21,7 +21,9 @@ from .scalars import (
 from .liealg import D_ALG, D_HAT, DiffOp
 from .umod import OmegaSpec, _basis_act_ints, act, act_hv
 from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
-from .slots import _PRIMES, BoundsTooLarge, _sparse_echelon_mod_p, _spin_sparse_mod_p
+from .slots import (
+    _PRIMES, BoundsTooLarge, _sparse_echelon_mod_p, _spin_sparse_mod_p, _spin_words_mod_p,
+)
 # imported for perfbench/tracer.py, which times them as tensor.colspace_mod_p
 # (the spin's step) and tensor.nullspace_mod_p
 from .slots import _colspace_mod_p, _nullspace_mod_p  # noqa: F401
@@ -266,8 +268,10 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
     {monomial: Scalar}) are computed once per generator, and every column
     is assembled from them.  host is ``_host(spec.hw, m_bound)``: it
     reaches m_bound levels past the window and no generator has degree
-    below -m_bound, so no action leaves it.  Callers that share a window
-    share one host, and with it one straightening memo."""
+    below -m_bound, so no action leaves it.  t^m D^n lowers the level by
+    exactly m, so a monomial at level l with l - m above the window has its
+    whole image dropped, and it is never straightened.  Callers that share
+    a window share one host, and with it one straightening memo."""
     omega = spec.omega
     degrees = sorted({j for j, _ in keys})
     def poly_side(apply):
@@ -287,10 +291,15 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
                 for m in range(-m_bound, m_bound + 1)
                 for kind, n in (("L", 1), ("I", 0))]
     window = set(keys)
-    monos = list(dict.fromkeys(mono for _, mono in keys))
+    levels = {mono: monomial_level(mono) for _, mono in keys}
     moves = []
     for poly, mn, central in gens:
-        verma = {mono: host._apply_basis(*mn, mono) for mono in monos} if mn else {}
+        verma = {}
+        if mn:
+            m, n = mn
+            # t^m D^n lowers the level by m: an image above the window is dropped whole
+            verma = {mono: host._apply_basis(m, n, mono) for mono, level in levels.items()
+                     if level - m <= spec.hw.level_bound}
         cols = {}
         for key in keys:
             j, mono = key
@@ -461,8 +470,18 @@ def _residue_cols(cols, p, assign=None):
     {col key: {row key: residue}}."""
     assign = assign or {}
     powers: dict = {}
-    return {ck: {rk: _scalar_mod_p(c, assign, p, powers) for rk, c in col.items()}
-            for ck, col in cols.items()}
+    # one Scalar object often fills many entries; cols keeps each one alive
+    # through the call, so its id names it
+    seen: dict = {}
+    out = {}
+    for ck, col in cols.items():
+        out[ck] = res = {}
+        for rk, c in col.items():
+            r = seen.get(id(c))
+            if r is None:
+                r = seen[id(c)] = _scalar_mod_p(c, assign, p, powers)
+            res[rk] = r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +500,12 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     the lower bound, and the constraints modulo a prime, with symbolic
     parameters sent to fixed residues, give the upper bound (rank can only
     drop under specialisation).  One sparse elimination meets the two
-    (``_modular_kernel_dim``); further primes plus an exact elimination
-    stand behind the rare gap.  A prime dividing a denominator the
-    elimination reads is skipped.  Two sides on equal windows share one
-    host, and with equal modules as well one set of moves.
+    (``_modular_kernel_dim``): when 1 (x) 1 spans side a mod p, on the
+    dim_b entries of T(1 (x) 1), which fix T, else on all dim_a * dim_b
+    entries of T.  Further primes plus an exact elimination stand behind
+    the rare gap.  A prime dividing a denominator the elimination reads is
+    skipped.  Two sides on equal windows share one host, and with equal
+    modules as well one set of moves.
     """
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
@@ -559,23 +580,111 @@ def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p, explicit=0,
     """An upper bound on the kernel dimension of {T A_g = B_g T} over the
     parameter field, which is exact when it equals ``explicit``, the number
     of kernel vectors known to be independent.  Raises ZeroDivisionError
-    when p divides a denominator of a generator that it reads.
+    when p divides a denominator of a generator that it reads.  numpy is
+    never loaded.
 
-    Every generator's constraint rows (``_constraint_rows``), in generator
-    order and reduced mod p with each parameter sent to its residue in
-    ``assign``, go into one ``slots._sparse_echelon_mod_p``.  The kernel of
-    a subset of the constraints mod p bounds the full kernel from above and
-    ``explicit`` bounds it from below, so the elimination stops once
-    n - rank equals ``explicit``; the generators past that point are never
-    reduced.  numpy is never loaded.
+    The cyclic certificate comes first (``_cyclic_rows``).  When 1 (x) 1
+    spans side a mod p, every intertwiner T is fixed by u = T(1 (x) 1), so
+    the constraints are linear in the dim_b entries of u.  Each relation
+    A_g s_i = sum_j a_j s_j of the spin gives dim_b rows
+    (B_g W_i - sum_j a_j W_j) u = 0, W_k being the word of s_k written in
+    side b's generators.  It bounds dim Hom from above:
+
+    - the spin's basis vectors are independent mod p, so the same words
+      give independent vectors over the parameter field (a minor nonzero
+      mod p is a nonzero rational function), and 1 (x) 1 is cyclic there too;
+    - the denominators of the a_j divide that minor times denominators of
+      the generators, which p does not divide (such a p raises), so the
+      system over the parameter field specialises to this one, whose rank
+      can only be lower;
+    - a subset of the relations only makes the kernel larger.
+
+    Over GF(p) itself the two systems have equal kernels.  The rows go
+    into one ``slots._sparse_echelon_mod_p``, which stops once dim_b - rank
+    equals ``explicit``; relations past that point are never computed.
+
+    When 1 (x) 1 is not cyclic mod p (it is not with n_bound = 0, no D
+    among the generators), or p divides a denominator the certificate
+    reads, every generator's constraint rows (``_constraint_rows``) on all
+    dim_a * dim_b entries of T, in generator order and reduced mod p with
+    each parameter sent to its residue in ``assign``, go into one
+    elimination instead, which stops the same way; the generators past
+    that point are never reduced.
     """
     pos_a = {k: i for i, k in enumerate(keys_a)}
     pos_b = {k: i for i, k in enumerate(keys_b)}
+    try:
+        rows = _cyclic_rows(moves_a, moves_b, pos_a, pos_b, p, assign)
+        if rows is not None:
+            n = len(keys_b)
+            return n - len(_sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
+    except ZeroDivisionError:
+        pass
     n = len(keys_a) * len(keys_b)
     rows = (row for cols_a, cols_b in zip(moves_a, moves_b)
             for row in _constraint_rows(_residue_cols(cols_a, p, assign),
                                         _residue_cols(cols_b, p, assign), pos_a, pos_b))
     return n - len(_sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
+
+
+def _cyclic_rows(moves_a, moves_b, pos_a, pos_b, p, assign):
+    """The constraints of T A_g = B_g T on u = T(1 (x) 1) mod p, as lazy
+    {entry of u: residue} rows, or None when 1 (x) 1 does not span side a
+    mod p (``slots._spin_words_mod_p``).  Side a's generators are reduced
+    at once, side b's when a word or a relation first reads them; a
+    residue p cannot take raises ZeroDivisionError, then or later."""
+    res_a = [_residue_cols(cols, p, assign) for cols in moves_a[:len(moves_b)]]
+    gens_a = [{pos_a[ck]: [(pos_a[rk], x) for rk, x in col.items() if x]
+               for ck, col in cols.items()} for cols in res_a]
+    spin = _spin_words_mod_p(gens_a, len(pos_a), pos_a[(0, ())], p)
+    if spin is None:
+        return None
+    words, relations = spin
+    n = len(pos_b)
+    # B_g by rows, {row: [(column, residue), ...]}
+    rows_b: dict = {}
+
+    def times(g, w):
+        """B_g w for w a list of n {entry of u: residue} rows."""
+        b = rows_b.get(g)
+        if b is None:
+            res = res_a[g] if moves_b is moves_a else _residue_cols(moves_b[g], p, assign)
+            b = rows_b[g] = {}
+            for ck, col in res.items():
+                for rk, x in col.items():
+                    if x:
+                        b.setdefault(pos_b[rk], []).append((pos_b[ck], x))
+        out = []
+        for r in range(n):
+            row: dict = {}
+            for t, y in b.get(r, ()):
+                for c, x in w[t].items():
+                    row[c] = row.get(c, 0) + x * y
+            out.append({c: x % p for c, x in row.items() if x % p})
+        return out
+
+    # W[k]: the word of s_k in side b's generators, so that T s_k = W[k] u
+    W = [[{c: 1} for c in range(n)]] + [None] * (len(words) - 1)
+
+    def word(k):
+        chain = []
+        while W[k] is None:
+            chain.append(k)
+            k = words[k][1]
+        for j in reversed(chain):
+            g, i = words[j]
+            W[j] = times(g, W[i])
+        return W[chain[0]] if chain else W[k]
+
+    def rows():
+        for g, i, coords in relations:
+            m = times(g, word(i))
+            for j, a in coords.items():
+                for row, wrow in zip(m, word(j)):
+                    for c, x in wrow.items():
+                        row[c] = row.get(c, 0) - a * x
+            yield from m
+    return rows()
 
 
 def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:

@@ -385,3 +385,63 @@ def test_grading_defects_are_internal_errors(monkeypatch, capsys, suite, module,
     assert code == 3
     assert err.startswith("weylmod: internal error: InternalError:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["hseq", "--phi", "x", "--c", "0", "--n", "40"],
+                                  ["verify", "--suite", "cocycle"]])
+def test_a_closed_stdout_exits_quietly(argv):
+    # the reader is gone before the first write (`weylmod ... | head -0`):
+    # the command keeps its own exit code and writes no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "weylmod.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_stdout_that_refuses_writes_keeps_the_command_exit_code(monkeypatch):
+    # a verification failure still exits 1 when its report cannot be
+    # written, and the rest of the output goes to devnull
+    from weylmod import cli
+    from weylmod.verify import SuiteResult
+
+    class GoneReader:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "run_suites",
+                        lambda names, bounds, seed: [SuiteResult("cocycle", False, 1, 0.0)])
+    monkeypatch.setattr(sys, "stdout", GoneReader())
+    assert cli.main(["verify", "--suite", "cocycle"]) == 1
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+
+
+@pytest.mark.parametrize("argv, flag, name", [
+    (["hseq", "--phi", "x", "--params", "a"], "--c", "c"),
+    (["verma", "--params", "lambda!"], "--c", "c"),
+    (["tensor-act", "D", "--c", "0", "--params", "a"], "--lam", "lambda"),
+    (["act", "D", "x", "--family", "d", "--eps", "1", "--params", "a"], "--lam", "lambda"),
+])
+def test_an_undeclared_default_parameter_names_its_flag(argv, flag, name):
+    # the default of --c is the parameter c and that of --lam the parameter
+    # lambda; when --params leaves it out, the error names the flag the user
+    # never passed instead of an unknown name in scalar input
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == (f"weylmod: error: {flag} defaults to the parameter {name!r}, which --params "
+                   f"does not declare; pass {flag} or declare {name}\n")
+
+
+def test_a_declared_default_parameter_is_read():
+    code, out, err = run_cli(["hseq", "--phi", "x", "--params", "c", "--n", "1"])
+    assert (code, err) == (0, "")
+    assert out.endswith("h_1 = 1/2\n")
+    code, out, _ = run_cli(["hseq", "--phi", "x", "--params", "a", "--c", "0", "--n", "1"])
+    assert code == 0 and out.endswith("h_1 = 1/2\n")

@@ -1060,10 +1060,14 @@ def test_a_bad_prime_past_the_stop_point_is_never_reduced(monkeypatch):
 
 def test_the_first_block_builds_no_kronecker_array():
     # the benchmark's windows, 576 unknowns: one N^2 x N^2 float64 array is
-    # 2.65 MB.  A full-rank first block is answered from sparse rows alone;
-    # equal data leave a kernel of 192 after the first block, and the one
-    # elimination then holds at most 575 sparse rows, below five 576 x 192
-    # float64 arrays, never a Kronecker system.
+    # 2.65 MB.  Both systems are answered through the cyclic vector 1 (x) 1:
+    # the spin of side a on its 24 keys, the words it records written in side
+    # b's generators as they are read, and rows on the 24 entries of
+    # T(1 (x) 1).  The bounds are those of the row elimination it stands in
+    # front of (which equal data leave with a kernel of 192 after the first
+    # generator, and which holds at most 575 sparse rows): below an eighth
+    # of one Kronecker array at full rank, below five 576 x 192 float64
+    # arrays for equal data.
     hw = verma_basis(HWSpec(RATIONALS.rational(Fraction(3, 7)), PHI_X), 2, 1)
     specs = [TensorSpec(omega_d(RATIONALS.rational(lam), 1), hw) for lam in (2, 3)]
     keys = specs[0].basis_keys(2)
@@ -1091,3 +1095,184 @@ def test_the_first_block_builds_no_kronecker_array():
     assert n - len(first) == 192
     k, same = peak(moves_a, moves_a)
     assert k == 1 and same < 5 * n * 192 * 8 < 2 * kron_bytes
+
+
+# -- the cyclic certificate --------------------------------------------------------
+
+from itertools import product as iproduct  # noqa: E402
+
+
+def _rows_kernel(moves, keys, p, explicit, assign):
+    """The kernel mod p of every generator's constraint rows on all
+    dim_a * dim_b entries of T, stopped at ``explicit``: the elimination the
+    cyclic certificate stands in front of."""
+    pos = [{k: i for i, k in enumerate(ks)} for ks in keys]
+    n = len(keys[0]) * len(keys[1])
+    rows = (row for cols_a, cols_b in zip(*moves)
+            for row in T._constraint_rows(T._residue_cols(cols_a, p, assign),
+                                          T._residue_cols(cols_b, p, assign), *pos))
+    return n - len(S._sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
+
+
+def _certificate_kernel(moves, keys, p, explicit, assign):
+    """The cyclic certificate's kernel mod p, stopped at ``explicit``, or
+    None where it cannot answer."""
+    pos = [{k: i for i, k in enumerate(ks)} for ks in keys]
+    n = len(keys[1])
+    try:
+        rows = T._cyclic_rows(*moves, *pos, p, assign)
+        if rows is None:
+            return None
+        return n - len(S._sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
+    except ZeroDivisionError:
+        return None
+
+
+def _apply_sparse(gen, vec, p):
+    out: dict = {}
+    for c, x in vec.items():
+        for r, y in gen.get(c, ()):
+            out[r] = (out.get(r, 0) + x * y) % p
+    return {r: x for r, x in out.items() if x}
+
+
+sparse_gen_sets = st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(-3, 3), max_size=2 * n), max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sparse_gen_sets, seed=st.integers(0, 5))
+def test_spin_words_rebuild_the_basis_and_express_every_other_image(case, seed):
+    # the words rebuild n independent vectors from e(seed), the relations
+    # hold, and words and relations together are every (generator, basis
+    # vector) pair once, relations in basis-vector order; the spin gives up
+    # exactly when the closure of e(seed) falls short
+    n, entries = case
+    seed %= n
+    p = T._PRIMES[0]
+    gens = []
+    for entry in entries:
+        gen: dict = {}
+        for (r, c), x in entry.items():
+            if x:
+                gen.setdefault(c, []).append((r, x % p))
+        gens.append(gen)
+    got = S._spin_words_mod_p(gens, n, seed, p)
+    assert (got is not None) == (len(S._spin_sparse_mod_p(gens, n, seed, p)) == n)
+    if got is None:
+        return
+    words, relations = got
+    assert words[0] is None and len(words) == n
+    basis = [{seed: 1}]
+    for g, i in words[1:]:
+        assert i < len(basis)
+        basis.append(_apply_sparse(gens[g], basis[i], p))
+    assert len(S._sparse_echelon_mod_p(basis, p)) == n
+    pairs = []
+    for g, i, coords in relations:
+        rhs: dict = {}
+        for j, a in coords.items():
+            for c, x in basis[j].items():
+                rhs[c] = (rhs.get(c, 0) + a * x) % p
+        assert _apply_sparse(gens[g], basis[i], p) == {c: x for c, x in rhs.items() if x}
+        pairs.append((g, i))
+    assert pairs == sorted(pairs, key=lambda gi: (gi[1], gi[0]))
+    assert sorted(pairs + words[1:]) == sorted(iproduct(range(len(gens)), range(n)))
+
+
+# None draws the symbol: lambda or c
+certificate_sides = st.tuples(symbolic_or_fracs, st.integers(0, 1), symbolic_or_fracs,
+                              st.integers(0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["d", "hv"]), sides=st.lists(certificate_sides, min_size=2,
+                                                          max_size=2),
+       same=st.booleans(), N=st.integers(0, 1), d=st.integers(1, 2), mb=st.integers(1, 3),
+       nb=st.integers(0, 1))
+def test_cyclic_certificate_matches_the_constraint_rows(family, sides, same, N, d, mb, nb):
+    # at every prime where 1 (x) 1 spans side a and every residue it reads
+    # exists, the kernel on the dim_b entries of T(1 (x) 1) is the kernel of
+    # the constraint rows on all dim_a * dim_b entries of T, stopped at the
+    # same explicit bound or not; and _modular_kernel_dim answers it.  Sides
+    # on unequal windows, lambda and c symbolic or rational, the d family
+    # and the hv control (where 1 (x) 1 is not cyclic).
+    specs = []
+    for lam, eps, charge, L in (sides[:1] * 2 if same else sides):
+        c = DECL.param("c") if charge is None else DECL.rational(charge)
+        lam = LAM if lam is None else DECL.rational(lam)
+        omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
+        specs.append(TensorSpec(omega, verma_basis(HWSpec(c, PHI_X), L, N)))
+    keys = [s.basis_keys(d) for s in specs]
+    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    if same:
+        moves[1] = moves[0]
+    explicit = int(keys[0] == keys[1] and moves[0] == moves[1])
+    assign = T._residues(moves[0] + moves[1])
+    for p in T._PRIMES:
+        for e in {0, explicit}:
+            got = _certificate_kernel(moves, keys, p, e, assign)
+            if got is not None:
+                assert got == _rows_kernel(moves, keys, p, e, assign)
+                assert T._modular_kernel_dim(*moves, *keys, p, explicit=e,
+                                             assign=assign) == got
+
+
+def test_a_short_cyclic_closure_falls_back_to_the_constraint_rows(monkeypatch):
+    # without D among the generators (n = 0), 1 (x) 1 spans only part of the
+    # space at every prime, so the row elimination answers, and
+    # intertwiner_dim gives the exact dimension, here above the identity
+    spec = _rational_spec(2, 1)
+    keys = spec.basis_keys(2)
+    moves = _moves(spec, keys, 2, 0)
+    pos = {k: i for i, k in enumerate(keys)}
+    exact = _exact_intertwiner_dim(moves, moves, keys, keys)
+    assert exact == 6
+    for p in T._PRIMES:
+        assert T._cyclic_rows(moves, moves, pos, pos, p, {}) is None
+    real, read = T._constraint_rows, []
+    monkeypatch.setattr(T, "_constraint_rows", lambda *a: read.append(1) or real(*a))
+    assert intertwiner_dim(spec, spec, 2, 2, 0) == exact
+    assert read
+
+
+@pytest.mark.parametrize("case", ["benchmark", "symbolic_golden"])
+def test_equal_data_are_certified_on_the_cyclic_vector_alone(case, monkeypatch):
+    # the benchmark's equal-data window (576 unknowns) and the symbolic
+    # intertwiner golden (1024 unknowns, lambda symbolic): with the row
+    # elimination made to fail, the first prime answers 1, and every row
+    # the elimination reads lies on the dim_b entries of T(1 (x) 1)
+    if case == "benchmark":
+        hw = verma_basis(HWSpec(RATIONALS.rational(Fraction(3, 7)), PHI_X), 2, 1)
+        sa, sb = (TensorSpec(omega_d(RATIONALS.rational(2), 1), hw) for _ in range(2))
+        d, n = 2, 576
+    else:
+        hw = verma_basis(HWSpec(DECL.rational(Fraction(1, 2)), PHI_X), 2, 1)
+        sa, sb = (TensorSpec(omega_d(LAM, 1), hw) for _ in range(2))
+        d, n = 3, 1024
+    dim_b = len(sb.basis_keys(d))
+    assert len(sa.basis_keys(d)) * dim_b == n
+
+    def no_rows(*args):
+        raise AssertionError("the constraint rows were read")
+
+    kernel, echelon, primes = T._modular_kernel_dim, T._sparse_echelon_mod_p, []
+
+    def counted_kernel(*args, **kwargs):
+        primes.append(args[4])
+        return kernel(*args, **kwargs)
+
+    def checked_echelon(rows, p, rank_bound=None):
+        def check():
+            for row in rows:
+                assert all(0 <= c < dim_b for c in row)
+                yield row
+        return echelon(check(), p, rank_bound=rank_bound)
+
+    monkeypatch.setattr(T, "_constraint_rows", no_rows)
+    monkeypatch.setattr(T, "_exact_intertwiner_dim", no_rows)
+    monkeypatch.setattr(T, "_modular_kernel_dim", counted_kernel)
+    monkeypatch.setattr(T, "_sparse_echelon_mod_p", checked_echelon)
+    assert intertwiner_dim(sa, sb, d, 4, 1) == 1
+    assert primes == [T._PRIMES[0]]
