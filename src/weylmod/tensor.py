@@ -258,9 +258,13 @@ def _host(hw: TruncVerma, m_bound: int) -> TruncVerma:
 
 def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
                       host: TruncVerma):
-    """Compressed generator actions on the bounded space, one {col key:
-    {row key: Scalar}} sparse matrix per generator; components outside the
+    """Compressed generator actions on the bounded space, one sparse matrix
+    {col: [(row, Scalar), ...]} per generator; components outside the
     window are dropped.
+
+    Rows and columns are positions in keys.  This is the one place where
+    keys become positions; every reader of the moves works on positions,
+    with 1 (x) 1 at position 0 (``TensorSpec.basis_keys`` lists it first).
 
     A generator acts on x^j (x) v as the Kronecker sum P (x) 1 + 1 (x) V,
     plus its central part times the central charge.  The polynomial-side
@@ -290,7 +294,7 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
         gens = [(poly_side(partial(act_hv, omega, (kind, m))), (m, n), None)
                 for m in range(-m_bound, m_bound + 1)
                 for kind, n in (("L", 1), ("I", 0))]
-    window = set(keys)
+    pos = {k: i for i, k in enumerate(keys)}
     levels = {mono: monomial_level(mono) for _, mono in keys}
     moves = []
     for poly, mn, central in gens:
@@ -301,18 +305,17 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
             verma = {mono: host._apply_basis(m, n, mono) for mono, level in levels.items()
                      if level - m <= spec.hw.level_bound}
         cols = {}
-        for key in keys:
-            j, mono = key
+        for i, (j, mono) in enumerate(keys):
             col: dict = {}
             for e, c in poly.get(j, {}).items():
                 accumulate(col, (e, mono), c)
             for mo, c in verma.get(mono, {}).items():
                 accumulate(col, (j, mo), c)
             if central:
-                accumulate(col, key, central)
-            col = {k: c for k, c in col.items() if k in window}
-            if col:
-                cols[key] = col
+                accumulate(col, (j, mono), central)
+            rows = [(pos[k], c) for k, c in col.items() if k in pos]
+            if rows:
+                cols[i] = rows
         moves.append(cols)
     return moves
 
@@ -341,7 +344,6 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
     """
     keys = spec.basis_keys(x_degree)
     moves = _compressed_moves(spec, keys, m_bound, n_bound, _host(spec.hw, m_bound))
-    one = (0, ())
     full = len(keys)
 
     fast_full = set()
@@ -351,52 +353,49 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
     def images(vec):
         for cols in moves:
             out: dict = {}
-            for key, c in vec.items():
-                for k2, c2 in cols.get(key, {}).items():
-                    accumulate(out, k2, c * c2)
+            for i, c in vec.items():
+                for r, c2 in cols.get(i, ()):
+                    accumulate(out, r, c * c2)
             if out:
                 yield out
 
-    for seed in keys:
+    for i, seed in enumerate(keys):
         if seed in fast_full:
             continue
         span = SpanBasis()
-        span.close([{seed: RATIONALS.one}], images)
-        reaches_one = span.contains({one: RATIONALS.one})
+        span.close([{i: RATIONALS.one}], images)
+        reaches_one = span.contains({0: RATIONALS.one})  # 1 (x) 1 is position 0
         if span.dim != full or not reaches_one:
             return TensorProbeReport(
-                "not-cyclic-within-bounds", keys.index(seed) + 1, full,
+                "not-cyclic-within-bounds", i + 1, full,
                 failing_seed=seed, witness_dim=span.dim,
             )
     return TensorProbeReport("cyclic-within-bounds", len(keys), full)
 
 
 def _modular_full_seeds(keys, moves) -> set:
-    """Seeds whose bounded closure is provably full.
+    """The keys of the seeds whose bounded closure is provably full.
 
-    Works over GF(p) with every symbolic parameter sent to a fixed nonzero
-    residue.  Evaluation and reduction are ring homomorphisms on the Laurent
-    coefficients, so the specialized closure is a quotient-image of the
-    symbolic one and its rank is a lower bound; reaching full rank certifies
-    a seed.  Each generator is reduced once to sparse residue columns, and
-    each seed is spun by ``slots._spin_sparse_mod_p`` in pure Python.  A
-    closure is invariant under the generators, so once a seed's span holds
-    e(t) for a certified seed t, its closure holds the closure of t, which
-    is full.  The closure of 1 (x) 1 is spun to full rank first, and every
-    other seed only until its span holds e(t) for some seed certified
-    before it; when the closure of 1 (x) 1 falls short mod p, nothing is
-    certified, and a seed inside a closure that fell short is not spun.  A
-    prime dividing a denominator is skipped; with no usable prime nothing is
+    Works over GF(p) with every symbolic parameter sent to its fixed
+    nonzero residue (``_scalar_mod_p``).  Evaluation and reduction are ring
+    homomorphisms on the Laurent coefficients, so the specialized closure
+    is a quotient-image of the symbolic one and its rank is a lower bound;
+    reaching full rank certifies a seed.  Each generator is reduced once to
+    sparse residue columns (``_residue_cols``), and each seed is spun by
+    ``slots._spin_sparse_mod_p`` in pure Python.  A closure is invariant
+    under the generators, so once a seed's span holds e(t) for a certified
+    seed t, its closure holds the closure of t, which is full.  The closure
+    of 1 (x) 1 (position 0) is spun to full rank first, and every other
+    seed only until its span holds e(t) for some seed certified before it;
+    when the closure of 1 (x) 1 falls short mod p, nothing is certified,
+    and a seed inside a closure that fell short is not spun.  A prime
+    dividing a denominator is skipped; with no usable prime nothing is
     certified.  Misses are handed back for exact treatment.  numpy is never
     loaded.
     """
-    assign = _residues(moves)
-    pos = {k: i for i, k in enumerate(keys)}
     for p in _PRIMES:
         try:
-            gens = [{pos[ck]: [(pos[rk], x) for rk, x in col.items() if x]
-                     for ck, col in _residue_cols(cols, p, assign).items()}
-                    for cols in moves]
+            gens = [_residue_cols(cols, p) for cols in moves]
             break
         except ZeroDivisionError:
             continue
@@ -404,10 +403,9 @@ def _modular_full_seeds(keys, moves) -> set:
         return set()
 
     n = len(keys)
-    one = pos[(0, ())]
-    if len(_spin_sparse_mod_p(gens, n, one, p)) < n:
+    if len(_spin_sparse_mod_p(gens, n, 0, p)) < n:
         return set()
-    certified = {one}
+    certified = {0}
     # closures that fell short; a seed inside one has a closure inside it
     short = []
     for seed in range(n):
@@ -422,27 +420,22 @@ def _modular_full_seeds(keys, moves) -> set:
     return {keys[i] for i in certified}
 
 
-def _residues(moves) -> dict:
-    """The fixed nonzero residues 37, 47, 57, ... assigned to the parameters
-    of the entries of moves, in name order; empty when every entry is
-    rational."""
-    names = sorted({
-        n
-        for cols in moves
-        for col in cols.values()
-        for c in col.values()
-        for mono in c.terms
-        for n, _ in mono
-    })
-    return {n: 37 + 10 * i for i, n in enumerate(names)}
+def _residue(name: str) -> int:
+    """The residue every parameter called name is sent to mod p: a pure
+    function of the name, in 1 .. ``_PRIMES[-1]`` - 1 (the least prime), so
+    nonzero mod every prime."""
+    return pow(3, int.from_bytes(name.encode(), "big"), _PRIMES[-1])
 
 
-def _scalar_mod_p(s: Scalar, assign: dict, p: int, powers: dict | None = None) -> int:
-    """s mod p with each parameter sent to assign[name].  Raises
+def _scalar_mod_p(s: Scalar, p: int, powers: dict | None = None) -> int:
+    """s mod p with each parameter sent to ``_residue(name)``.  Raises
     ZeroDivisionError when p divides a denominator: reduction is then no
     ring homomorphism, so the prime is unusable.  powers, shared by calls
-    with the same assign and p, keeps the residue of each parameter power
-    (name, e) once it is computed."""
+    with the same p, keeps the residue of each parameter power (name, e)
+    once it is computed.  The certificates hold at any point that is
+    consistent (one value per name, on both sides) and nonzero, so two
+    names sharing a residue can only make one fall short, and go to the
+    next prime or the exact path, never make an answer wrong."""
     if powers is None:
         powers = {}
     total = 0
@@ -457,30 +450,31 @@ def _scalar_mod_p(s: Scalar, assign: dict, p: int, powers: dict | None = None) -
             r = powers.get(power)
             if r is None:
                 name, e = power
-                # negative exponents via Fermat: the assigned residues are nonzero
-                r = powers[power] = pow(assign[name], e % (p - 1), p)
+                # negative exponents via Fermat: the residues are nonzero
+                r = powers[power] = pow(_residue(name), e % (p - 1), p)
             v = v * r % p
         total = (total + v) % p
     return total
 
 
-def _residue_cols(cols, p, assign=None):
-    """The {col key: {row key: Scalar}} matrix cols mod p, each parameter
-    sent to its residue in assign (none for a rational matrix), as
-    {col key: {row key: residue}}."""
-    assign = assign or {}
+def _residue_cols(cols, p):
+    """One generator's moves cols mod p (``_scalar_mod_p``), as
+    {col: [(row, residue), ...]} with zero residues dropped: the form that
+    ``slots._spin_sparse_mod_p``, ``slots._spin_words_mod_p`` and
+    ``_constraint_rows`` read."""
     powers: dict = {}
     # one Scalar object often fills many entries; cols keeps each one alive
     # through the call, so its id names it
     seen: dict = {}
     out = {}
-    for ck, col in cols.items():
-        out[ck] = res = {}
-        for rk, c in col.items():
-            r = seen.get(id(c))
-            if r is None:
-                r = seen[id(c)] = _scalar_mod_p(c, assign, p, powers)
-            res[rk] = r
+    for i, col in cols.items():
+        out[i] = res = []
+        for r, c in col:
+            x = seen.get(id(c))
+            if x is None:
+                x = seen[id(c)] = _scalar_mod_p(c, p, powers)
+            if x:
+                res.append((r, x))
     return out
 
 
@@ -496,17 +490,21 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     The compressed generator actions A_g, B_g on the two bounded spaces give
     the constraint T A_g = B_g T; the compression is applied identically on
     both sides, so the identity map always survives for equal data.  The
-    dimension is certified exactly: explicitly verified kernel vectors give
-    the lower bound, and the constraints modulo a prime, with symbolic
-    parameters sent to fixed residues, give the upper bound (rank can only
-    drop under specialisation).  One sparse elimination meets the two
-    (``_modular_kernel_dim``): when 1 (x) 1 spans side a mod p, on the
-    dim_b entries of T(1 (x) 1), which fix T, else on all dim_a * dim_b
-    entries of T.  Further primes plus an exact elimination stand behind
-    the rare gap.  A prime dividing a denominator the elimination reads is
-    skipped.  Two sides on equal windows share one host, and with equal
-    modules as well one set of moves.
+    two sides must be of one family (TensorMismatch otherwise): the
+    generators of the d family (t^m D^n) and of the hv control (L_m, I_m)
+    have nothing to pair.  The dimension is certified exactly: explicitly
+    verified kernel vectors give the lower bound, and the constraints
+    modulo a prime, with symbolic parameters sent to fixed residues, give
+    the upper bound (rank can only drop under specialisation).  One sparse
+    elimination meets the two (``_modular_kernel_dim``): when 1 (x) 1 spans
+    side a mod p, on the dim_b entries of T(1 (x) 1), which fix T, else on
+    all dim_a * dim_b entries of T.  Further primes plus an exact
+    elimination stand behind the rare gap.  A prime dividing a denominator
+    the elimination reads is skipped.  Two sides on equal windows share one
+    host, and with equal modules as well one set of moves.
     """
+    if spec_a.omega.family != spec_b.omega.family:
+        raise TensorMismatch("intertwiner sides must be modules of one family")
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
     same_window = _same_window(spec_a.hw, spec_b.hw)
@@ -519,18 +517,26 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
         moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound, host_b)
 
     # explicitly verified kernel vectors: the identity for equal data
-    explicit = int(moves_b is moves_a or (keys_a == keys_b and moves_a == moves_b))
-    assign = _residues(moves_a + moves_b)
+    explicit = int(moves_b is moves_a or (keys_a == keys_b and _same_moves(moves_a, moves_b)))
     for p in _PRIMES:
         try:
-            k = _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p,
-                                    explicit=explicit, assign=assign)
+            k = _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p, explicit=explicit)
         except ZeroDivisionError:
             continue
         if k == explicit:
             return k
     # fall through to the exact elimination on a persistent gap
     return _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b)
+
+
+def _same_moves(moves_a, moves_b) -> bool:
+    """Whether two move lists hold equal matrices.  A column lists its rows
+    in the order ``_compressed_moves`` met them, and a diagonal entry that
+    cancels and comes back moves to the end, so equal matrices can list
+    their rows in different orders: the columns are compared as dicts."""
+    return len(moves_a) == len(moves_b) and all(
+        a.keys() == b.keys() and all(dict(col) == dict(b[i]) for i, col in a.items())
+        for a, b in zip(moves_a, moves_b))
 
 
 def _same_window(a: TruncVerma, b: TruncVerma) -> bool:
@@ -549,34 +555,32 @@ def _same_window(a: TruncVerma, b: TruncVerma) -> bool:
             and sa.c == sb.c and sa.phi == sb.phi and decls(sa) == decls(sb))
 
 
-def _constraint_rows(cols_a, cols_b, pos_a, pos_b):
+def _constraint_rows(cols_a, cols_b, dim_a, dim_b):
     """The constraint rows of T A = B T for one generator, A and B given as
-    {col key: {row key: coefficient}} on the keys indexed by pos_a, pos_b.
+    sparse {col: [(row, coefficient), ...]} matrices on dim_a and dim_b
+    positions, with no zero coefficient.
 
     T is the dim_b x dim_a matrix of unknowns, flattened row-major: T[i, k]
-    is unknown pos_b[i] * dim_a + pos_a[k].  Entry (i, u) of T A - B T is
-    one {unknown: coefficient} row; zero rows are skipped.
+    is unknown i * dim_a + k.  Entry (i, u) of T A - B T is one
+    {unknown: coefficient} row; zero rows are skipped.
     """
-    dim_a = len(pos_a)
-    # row i of B as (pos_b[k] * dim_a, -B[i, k]) pairs
+    # row i of B as (k * dim_a, -B[i, k]) pairs
     b_rows: dict = {}
-    for ck, col in cols_b.items():
-        for rk, c in col.items():
-            if c:
-                b_rows.setdefault(rk, []).append((pos_b[ck] * dim_a, -c))
-    for u, ui in pos_a.items():
-        col_u = [(pos_a[k], c) for k, c in cols_a.get(u, {}).items() if c]
-        for i, ii in pos_b.items():
+    for k, col in cols_b.items():
+        for i, c in col:
+            b_rows.setdefault(i, []).append((k * dim_a, -c))
+    for u in range(dim_a):
+        col_u = cols_a.get(u, ())
+        for i in range(dim_b):
             # the entries of T A are distinct unknowns; B T may meet one
-            row = {ii * dim_a + k: c for k, c in col_u}
+            row = {i * dim_a + k: c for k, c in col_u}
             for offset, c in b_rows.get(i, ()):
-                accumulate(row, offset + ui, c)
+                accumulate(row, offset + u, c)
             if row:
                 yield row
 
 
-def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p, explicit=0,
-                        assign=None) -> int:
+def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p, explicit=0) -> int:
     """An upper bound on the kernel dimension of {T A_g = B_g T} over the
     parameter field, which is exact when it equals ``explicit``, the number
     of kernel vectors known to be independent.  Raises ZeroDivisionError
@@ -606,56 +610,49 @@ def _modular_kernel_dim(moves_a, moves_b, keys_a, keys_b, p, explicit=0,
     When 1 (x) 1 is not cyclic mod p (it is not with n_bound = 0, no D
     among the generators), or p divides a denominator the certificate
     reads, every generator's constraint rows (``_constraint_rows``) on all
-    dim_a * dim_b entries of T, in generator order and reduced mod p with
-    each parameter sent to its residue in ``assign``, go into one
-    elimination instead, which stops the same way; the generators past
-    that point are never reduced.
+    dim_a * dim_b entries of T, in generator order and reduced mod p by
+    ``_residue_cols``, go into one elimination instead, which stops the
+    same way; the generators past that point are never reduced.
     """
-    pos_a = {k: i for i, k in enumerate(keys_a)}
-    pos_b = {k: i for i, k in enumerate(keys_b)}
+    dim_a, dim_b = len(keys_a), len(keys_b)
     try:
-        rows = _cyclic_rows(moves_a, moves_b, pos_a, pos_b, p, assign)
+        rows = _cyclic_rows(moves_a, moves_b, dim_a, dim_b, p)
         if rows is not None:
-            n = len(keys_b)
-            return n - len(_sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
+            return dim_b - len(_sparse_echelon_mod_p(rows, p, rank_bound=dim_b - explicit))
     except ZeroDivisionError:
         pass
-    n = len(keys_a) * len(keys_b)
+    n = dim_a * dim_b
     rows = (row for cols_a, cols_b in zip(moves_a, moves_b)
-            for row in _constraint_rows(_residue_cols(cols_a, p, assign),
-                                        _residue_cols(cols_b, p, assign), pos_a, pos_b))
+            for row in _constraint_rows(_residue_cols(cols_a, p), _residue_cols(cols_b, p),
+                                        dim_a, dim_b))
     return n - len(_sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
 
 
-def _cyclic_rows(moves_a, moves_b, pos_a, pos_b, p, assign):
+def _cyclic_rows(moves_a, moves_b, dim_a, dim_b, p):
     """The constraints of T A_g = B_g T on u = T(1 (x) 1) mod p, as lazy
-    {entry of u: residue} rows, or None when 1 (x) 1 does not span side a
-    mod p (``slots._spin_words_mod_p``).  Side a's generators are reduced
-    at once, side b's when a word or a relation first reads them; a
-    residue p cannot take raises ZeroDivisionError, then or later."""
-    res_a = [_residue_cols(cols, p, assign) for cols in moves_a[:len(moves_b)]]
-    gens_a = [{pos_a[ck]: [(pos_a[rk], x) for rk, x in col.items() if x]
-               for ck, col in cols.items()} for cols in res_a]
-    spin = _spin_words_mod_p(gens_a, len(pos_a), pos_a[(0, ())], p)
+    {entry of u: residue} rows, or None when 1 (x) 1 (position 0) does not
+    span side a mod p (``slots._spin_words_mod_p``).  Side a's generators
+    are reduced at once, side b's when a word or a relation first reads
+    them; a residue p cannot take raises ZeroDivisionError, then or later."""
+    res_a = [_residue_cols(cols, p) for cols in moves_a]
+    spin = _spin_words_mod_p(res_a, dim_a, 0, p)
     if spin is None:
         return None
     words, relations = spin
-    n = len(pos_b)
     # B_g by rows, {row: [(column, residue), ...]}
     rows_b: dict = {}
 
     def times(g, w):
-        """B_g w for w a list of n {entry of u: residue} rows."""
+        """B_g w for w a list of dim_b {entry of u: residue} rows."""
         b = rows_b.get(g)
         if b is None:
-            res = res_a[g] if moves_b is moves_a else _residue_cols(moves_b[g], p, assign)
+            res = res_a[g] if moves_b is moves_a else _residue_cols(moves_b[g], p)
             b = rows_b[g] = {}
-            for ck, col in res.items():
-                for rk, x in col.items():
-                    if x:
-                        b.setdefault(pos_b[rk], []).append((pos_b[ck], x))
+            for k, col in res.items():
+                for r, x in col:
+                    b.setdefault(r, []).append((k, x))
         out = []
-        for r in range(n):
+        for r in range(dim_b):
             row: dict = {}
             for t, y in b.get(r, ()):
                 for c, x in w[t].items():
@@ -664,7 +661,7 @@ def _cyclic_rows(moves_a, moves_b, pos_a, pos_b, p, assign):
         return out
 
     # W[k]: the word of s_k in side b's generators, so that T s_k = W[k] u
-    W = [[{c: 1} for c in range(n)]] + [None] * (len(words) - 1)
+    W = [[{c: 1} for c in range(dim_b)]] + [None] * (len(words) - 1)
 
     def word(k):
         chain = []
@@ -692,9 +689,8 @@ def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
     (``_constraint_rows``) of every generator goes into one sparse
     ``SpanBasis`` (cross-multiplying elimination over the parameter
     fraction field)."""
-    pos_a = {k: i for i, k in enumerate(keys_a)}
-    pos_b = {k: i for i, k in enumerate(keys_b)}
-    n_unknown = len(keys_a) * len(keys_b)
+    dim_a, dim_b = len(keys_a), len(keys_b)
+    n_unknown = dim_a * dim_b
     if n_unknown > 700:
         raise BoundsTooLarge(
             f"bounded intertwiner system of {n_unknown} unknowns is too large for "
@@ -702,6 +698,6 @@ def _exact_intertwiner_dim(moves_a, moves_b, keys_a, keys_b) -> int:
         )
     span = SpanBasis()
     for cols_a, cols_b in zip(moves_a, moves_b):
-        for row in _constraint_rows(cols_a, cols_b, pos_a, pos_b):
+        for row in _constraint_rows(cols_a, cols_b, dim_a, dim_b):
             span.add(row)
     return n_unknown - span.dim

@@ -225,6 +225,17 @@ def test_intertwiner_separates_lambda_and_eps():
     assert intertwiner_dim(_rational_spec(2, 0), _rational_spec(2, 1), 2, 3, 1) == 0
 
 
+def test_intertwiner_refuses_sides_of_different_families():
+    # t^m D^n and L_m / I_m have nothing to pair, in either order
+    hw = verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X), 1, 1)
+    d_side = TensorSpec(omega_d(RATIONALS.rational(2), 1), hw)
+    hv_side = TensorSpec(omega_hv(RATIONALS.rational(2), RATIONALS.zero, RATIONALS.zero), hw)
+    for sa, sb in ((d_side, hv_side), (hv_side, d_side)):
+        with pytest.raises(TensorMismatch):
+            intertwiner_dim(sa, sb, 1, 2, 1)
+    assert intertwiner_dim(hv_side, hv_side, 1, 2, 1) >= 1
+
+
 def test_intertwiner_modular_agrees_with_exact():
     for la, lb, ea, eb in [(2, 2, 1, 1), (2, 3, 1, 1), (2, 2, 0, 1)]:
         sa, sb = _rational_spec(la, ea), _rational_spec(lb, eb)
@@ -441,8 +452,8 @@ def test_colspace_mod_p_is_the_reduced_echelon_basis(rows, split):
     a_t = _rational(m[np.ix_(pivot_rows, sol.pivot_cols)].T)
     for i in range(m.shape[0] if rank else 0):
         nums, den = solve_linear(a_t, _rational(m[[i]][:, sol.pivot_cols].T)).particular
-        inv = pow(T._scalar_mod_p(den, {}, p), -1, p)
-        assert [T._scalar_mod_p(x, {}, p) * inv % p for x in nums] == basis[i].tolist()
+        inv = pow(T._scalar_mod_p(den, p), -1, p)
+        assert [T._scalar_mod_p(x, p) * inv % p for x in nums] == basis[i].tolist()
     # extending a span by the rest of the columns, one step later, gives the
     # same reduced rows; the step returns the rows it added
     part = {}
@@ -473,17 +484,18 @@ def test_pinned_probe_and_intertwiner_run_no_float64_product(monkeypatch):
 
 
 @pytest.mark.parametrize("p", T._PRIMES + _WIDE_PRIMES)
-def test_scalar_mod_p_specialises_laurent_scalars(p):
+def test_scalar_mod_p_specialises_laurent_scalars(p, monkeypatch):
     c = DECL.param("c")
     s = Fraction(3, 5) * LAM ** -2 * c + 7
     for lam, cv in [(37, 47), (p - 1, 2 ** 25), (2, p - 2)]:
         value = Fraction(3, 5) * Fraction(1, lam ** 2) * cv + 7
         want = value.numerator * pow(value.denominator, -1, p) % p
-        assert T._scalar_mod_p(s, {"lambda": lam, "c": cv}, p) == want
+        monkeypatch.setattr(T, "_residue", {"lambda": lam, "c": cv}.get)
+        assert T._scalar_mod_p(s, p) == want
 
 
 @pytest.mark.parametrize("p", T._PRIMES + _WIDE_PRIMES)
-def test_scalar_mod_p_reduces_integer_coefficients(p):
+def test_scalar_mod_p_reduces_integer_coefficients(p, monkeypatch):
     # integer coefficients skip the Fermat inverse; negative ones and ones
     # beyond p must still reduce correctly
     c = DECL.param("c")
@@ -492,16 +504,74 @@ def test_scalar_mod_p_reduces_integer_coefficients(p):
     for lam, cv in [(37, 47), (p - 1, 2 ** 25), (2, p - 2)]:
         value = Fraction(-9 * cv, lam) + (3 * p + 4) * cv ** 2 - 1
         want = value.numerator * pow(value.denominator, -1, p) % p
-        assert T._scalar_mod_p(s, {"lambda": lam, "c": cv}, p) == want
+        monkeypatch.setattr(T, "_residue", {"lambda": lam, "c": cv}.get)
+        assert T._scalar_mod_p(s, p) == want
 
 
 def test_scalar_mod_p_rejects_a_prime_dividing_a_denominator():
     p = T._PRIMES[0]
     with pytest.raises(ZeroDivisionError):
-        T._scalar_mod_p(RATIONALS.rational(Fraction(1, p)), {}, p)
+        T._scalar_mod_p(RATIONALS.rational(Fraction(1, p)), p)
     with pytest.raises(ZeroDivisionError):
-        T._scalar_mod_p(Fraction(2, 3 * p) * LAM + 1, {"lambda": 37}, p)
-    assert T._scalar_mod_p(RATIONALS.rational(Fraction(1, p)), {}, T._PRIMES[1]) != 0
+        T._scalar_mod_p(Fraction(2, 3 * p) * LAM + 1, p)
+    assert T._scalar_mod_p(RATIONALS.rational(Fraction(1, p)), T._PRIMES[1]) != 0
+
+
+laurent_terms = st.lists(st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                                   st.integers(-3, 3), st.integers(0, 3)), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=laurent_terms, p=st.sampled_from(T._PRIMES + _WIDE_PRIMES))
+def test_scalar_mod_p_evaluates_at_the_residue_of_each_name(terms, p):
+    # each parameter is sent to the residue its name fixes, nonzero mod
+    # every prime; the reduction is the Fraction value there, mod p
+    c = DECL.param("c")
+    lam, cv = T._residue("lambda"), T._residue("c")
+    assert all(0 < r < min(T._PRIMES) for r in (lam, cv))
+    s, value = DECL.zero, Fraction(0)
+    for q, a, b in terms:
+        s += q * LAM ** a * c ** b
+        value += q * Fraction(lam) ** a * cv ** b
+    want = value.numerator * pow(value.denominator, -1, p) % p
+    assert T._scalar_mod_p(s, p) == want
+
+
+def test_symbolic_moves_need_no_residue_argument():
+    # lambda and c symbolic: the kernel mod p, stopped at the identity, is
+    # the exact kernel, with every residue read off the parameter names
+    spec = make_spec(1, L=1, N=1)
+    keys = spec.basis_keys(1)
+    moves = _moves(spec, keys, 2, 1)
+    assert {n for cols in moves for col in cols.values() for _, x in col
+            for mono in x.terms for n, _ in mono} == {"lambda", "c"}
+    exact = _exact_intertwiner_dim(moves, moves, keys, keys)
+    assert exact == 1
+    for p in T._PRIMES:
+        assert T._modular_kernel_dim(moves, moves, keys, keys, p, explicit=1) == exact
+
+
+@pytest.mark.parametrize("eps_b, want", [(1, 1), (0, 0)])
+def test_sides_over_different_declarations_share_the_residue_of_lambda(eps_b, want,
+                                                                      monkeypatch):
+    # side a over (lambda!), side b over (lambda!, c), equal windows by
+    # value: lambda is sent to one residue on both sides, so equal data meet
+    # the identity and unequal eps reach full rank, both at the first prime
+    kernel, primes = T._modular_kernel_dim, []
+
+    def counted_kernel(*args, **kwargs):
+        primes.append(args[4])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(T, "_modular_kernel_dim", counted_kernel)
+    decl_a = ParamDecl(invertible=("lambda",))
+    sides = []
+    for decl, eps in ((decl_a, 1), (DECL, eps_b)):
+        hw = verma_basis(HWSpec(decl.rational(Fraction(1, 2)), PHI_X), 1, 1)
+        sides.append(TensorSpec(omega_d(decl.param("lambda"), eps), hw))
+    assert sides[0].omega.lam[0].decl != sides[1].omega.lam[0].decl
+    assert intertwiner_dim(*sides, 2, 3, 1) == want
+    assert primes == [T._PRIMES[0]]
 
 
 def test_first_prime_as_lambda_skips_to_the_next_prime():
@@ -534,6 +604,18 @@ def test_no_usable_prime_certifies_no_seed(monkeypatch):
 
 
 # -- Kronecker-sum moves and the 1 (x) 1 certificate ------------------------------
+
+
+def _keyed(moves, keys):
+    """Positional moves {col: [(row, x), ...]} as {col key: {row key: x}}."""
+    return [{keys[i]: {keys[r]: x for r, x in col} for i, col in cols.items()}
+            for cols in moves]
+
+
+def _positional(moves, keys):
+    """Keyed moves {col key: {row key: x}} as {col: [(row, x), ...]}."""
+    return [{keys.index(ck): [(keys.index(rk), x) for rk, x in col.items()]
+             for ck, col in cols.items()} for cols in moves]
 
 
 def _moves_by_key(spec, keys, m_bound, n_bound):
@@ -587,7 +669,7 @@ def test_kronecker_sum_moves_match_the_per_key_action(family, eps, symbolic, bou
     omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
     spec = TensorSpec(omega, hw)
     keys = spec.basis_keys(d)
-    assert _moves(spec, keys, mb, nb) == _moves_by_key(spec, keys, mb, nb)
+    assert _keyed(_moves(spec, keys, mb, nb), keys) == _moves_by_key(spec, keys, mb, nb)
 
 
 def test_contains_unit_reads_the_reduced_row():
@@ -603,13 +685,13 @@ def test_contains_unit_reads_the_reduced_row():
     assert span == {0: [], 1: [], 2: []}
 
 
-def _dense_mod_p(cols, pos, p, assign):
-    """The {col key: {row key: Scalar}} matrix cols on the keys indexed by
-    pos, as a dense int64 array over GF(p)."""
-    m = np.zeros((len(pos), len(pos)), dtype=np.int64)
-    for key, col in cols.items():
-        for k2, c in col.items():
-            m[pos[k2], pos[key]] = T._scalar_mod_p(c, assign, p)
+def _dense_mod_p(cols, n, p):
+    """The {col: [(row, Scalar), ...]} matrix cols on n positions, as a
+    dense int64 array over GF(p)."""
+    m = np.zeros((n, n), dtype=np.int64)
+    for i, col in cols.items():
+        for r, c in col:
+            m[r, i] = T._scalar_mod_p(c, p)
     return m
 
 
@@ -626,8 +708,7 @@ def _spin_case(family, eps, L=2, N=1, d=3, mb=4):
     spec = TensorSpec(omega, hw)
     keys = spec.basis_keys(d)
     moves = _moves(spec, keys, mb, 2)
-    pos = {k: i for i, k in enumerate(keys)}
-    mats = [_dense_mod_p(cols, pos, T._PRIMES[0], T._residues(moves)) for cols in moves]
+    mats = [_dense_mod_p(cols, len(keys), T._PRIMES[0]) for cols in moves]
     return keys, moves, mats
 
 
@@ -780,7 +861,7 @@ def test_seed_missing_one_tensor_one_goes_to_the_exact_path(monkeypatch):
     monkeypatch.setattr(T.SpanBasis, "add", watched_add)
     rep = irreducibility_probe(spec, 2, 3, 2)
     # exactly the missed seed was closed with exact arithmetic
-    assert list(first_vectors.values()) == [miss]
+    assert list(first_vectors.values()) == [keys.index(miss)]
     monkeypatch.setattr(T.SpanBasis, "add", add)
     assert rep == irreducibility_probe(spec, 2, 3, 2, exact=True)
 
@@ -830,7 +911,7 @@ def test_a_seed_reaching_an_uncertified_seed_is_not_certified():
     moves = [{one: {s: RATIONALS.one}, s: {t: RATIONALS.one},
               t: {u: RATIONALS.one}, u: {t: RATIONALS.one}}]
     for keys in ([one, s, t, u], [one, t, s, u]):
-        assert T._modular_full_seeds(keys, moves) == {one}
+        assert T._modular_full_seeds(keys, _positional(moves, keys)) == {one}
 
 
 # -- differential tests against the exact paths -----------------------------------
@@ -886,8 +967,8 @@ import tracemalloc  # noqa: E402
 def _kronecker_block(cols_a, cols_b, keys_a, keys_b, p):
     """One generator's constraints T A = B T as the dense Kronecker system
     I (x) A^T - B (x) I, the first block the sparse elimination replaced."""
-    A = _dense_mod_p(cols_a, {k: i for i, k in enumerate(keys_a)}, p, {})
-    B = _dense_mod_p(cols_b, {k: i for i, k in enumerate(keys_b)}, p, {})
+    A = _dense_mod_p(cols_a, len(keys_a), p)
+    B = _dense_mod_p(cols_b, len(keys_b), p)
     return np.kron(np.eye(len(keys_b)), A.T) - np.kron(B, np.eye(len(keys_a)))
 
 
@@ -923,9 +1004,8 @@ def test_sparse_constraint_block_matches_the_kronecker_system(family, sides, cha
     moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
     g = gen % len(moves[0])
     p = T._PRIMES[0]
-    pos = [{k: i for i, k in enumerate(ks)} for ks in keys]
     rows = T._constraint_rows(T._residue_cols(moves[0][g], p),
-                              T._residue_cols(moves[1][g], p), *pos)
+                              T._residue_cols(moves[1][g], p), *map(len, keys))
     pivots = S._sparse_echelon_mod_p(rows, p)
     _, want = _echelon_mod_p(_kronecker_block(moves[0][g], moves[1][g], *keys, p), p)
     assert sorted(pivots) == want
@@ -977,8 +1057,7 @@ def test_specialised_modular_route_matches_the_exact_kernel(sides, same, L, N, m
     exact = _exact_intertwiner_dim(*moves, *keys)
     explicit = int(keys[0] == keys[1] and moves[0] == moves[1])
     assert explicit <= exact and explicit >= same
-    assign = T._residues(moves[0] + moves[1])
-    dims = [T._modular_kernel_dim(*moves, *keys, p, explicit=e, assign=assign)
+    dims = [T._modular_kernel_dim(*moves, *keys, p, explicit=e)
             for p in T._PRIMES for e in {0, explicit}]
     assert min(dims) == exact and all(k >= exact for k in dims)
     assert intertwiner_dim(*specs, d, mb, nb) == exact
@@ -1089,9 +1168,9 @@ def test_the_first_block_builds_no_kronecker_array():
     kron_bytes = n * n * 8
     k, full_rank = peak(moves_a, moves_b)
     assert k == 0 and full_rank < kron_bytes / 8
-    pos = {key: i for i, key in enumerate(keys)}
     first = S._sparse_echelon_mod_p(T._constraint_rows(
-        T._residue_cols(moves_a[0], p), T._residue_cols(moves_a[0], p), pos, pos), p)
+        T._residue_cols(moves_a[0], p), T._residue_cols(moves_a[0], p), len(keys), len(keys)),
+        p)
     assert n - len(first) == 192
     k, same = peak(moves_a, moves_a)
     assert k == 1 and same < 5 * n * 192 * 8 < 2 * kron_bytes
@@ -1102,25 +1181,23 @@ def test_the_first_block_builds_no_kronecker_array():
 from itertools import product as iproduct  # noqa: E402
 
 
-def _rows_kernel(moves, keys, p, explicit, assign):
+def _rows_kernel(moves, keys, p, explicit):
     """The kernel mod p of every generator's constraint rows on all
     dim_a * dim_b entries of T, stopped at ``explicit``: the elimination the
     cyclic certificate stands in front of."""
-    pos = [{k: i for i, k in enumerate(ks)} for ks in keys]
     n = len(keys[0]) * len(keys[1])
     rows = (row for cols_a, cols_b in zip(*moves)
-            for row in T._constraint_rows(T._residue_cols(cols_a, p, assign),
-                                          T._residue_cols(cols_b, p, assign), *pos))
+            for row in T._constraint_rows(T._residue_cols(cols_a, p),
+                                          T._residue_cols(cols_b, p), *map(len, keys)))
     return n - len(S._sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
 
 
-def _certificate_kernel(moves, keys, p, explicit, assign):
+def _certificate_kernel(moves, keys, p, explicit):
     """The cyclic certificate's kernel mod p, stopped at ``explicit``, or
     None where it cannot answer."""
-    pos = [{k: i for i, k in enumerate(ks)} for ks in keys]
     n = len(keys[1])
     try:
-        rows = T._cyclic_rows(*moves, *pos, p, assign)
+        rows = T._cyclic_rows(*moves, *map(len, keys), p)
         if rows is None:
             return None
         return n - len(S._sparse_echelon_mod_p(rows, p, rank_bound=n - explicit))
@@ -1209,14 +1286,12 @@ def test_cyclic_certificate_matches_the_constraint_rows(family, sides, same, N, 
     if same:
         moves[1] = moves[0]
     explicit = int(keys[0] == keys[1] and moves[0] == moves[1])
-    assign = T._residues(moves[0] + moves[1])
     for p in T._PRIMES:
         for e in {0, explicit}:
-            got = _certificate_kernel(moves, keys, p, e, assign)
+            got = _certificate_kernel(moves, keys, p, e)
             if got is not None:
-                assert got == _rows_kernel(moves, keys, p, e, assign)
-                assert T._modular_kernel_dim(*moves, *keys, p, explicit=e,
-                                             assign=assign) == got
+                assert got == _rows_kernel(moves, keys, p, e)
+                assert T._modular_kernel_dim(*moves, *keys, p, explicit=e) == got
 
 
 def test_a_short_cyclic_closure_falls_back_to_the_constraint_rows(monkeypatch):
@@ -1226,11 +1301,10 @@ def test_a_short_cyclic_closure_falls_back_to_the_constraint_rows(monkeypatch):
     spec = _rational_spec(2, 1)
     keys = spec.basis_keys(2)
     moves = _moves(spec, keys, 2, 0)
-    pos = {k: i for i, k in enumerate(keys)}
     exact = _exact_intertwiner_dim(moves, moves, keys, keys)
     assert exact == 6
     for p in T._PRIMES:
-        assert T._cyclic_rows(moves, moves, pos, pos, p, {}) is None
+        assert T._cyclic_rows(moves, moves, len(keys), len(keys), p) is None
     real, read = T._constraint_rows, []
     monkeypatch.setattr(T, "_constraint_rows", lambda *a: read.append(1) or real(*a))
     assert intertwiner_dim(spec, spec, 2, 2, 0) == exact
