@@ -1,7 +1,7 @@
 """Tensor products of a rank-1 polynomial module with a Verma window.
 
 Elements are finite sums x^j (x) v with v ranging over PBW monomials of the
-hosting truncation.  The algebra acts by the Leibniz rule, the center acting
+Verma window.  The algebra acts by the Leibniz rule, the center acting
 by 0 on the polynomial side plus the central charge on the highest-weight
 side.  The probes here exercise the constructive reduction (sampling the
 one-parameter operator family and interpolating the samples with the exact
@@ -12,14 +12,13 @@ intertwiner spaces.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .scalars import (
     RATIONALS, Frozen, InternalError, Scalar, SpanBasis, SparseVec, accumulate,
 )
-from .liealg import D_ALG, D_HAT, DiffOp
-from .umod import OmegaSpec, _basis_act_ints, act, act_hv
+from .liealg import D_HAT, DiffOp
+from .umod import OmegaSpec, _basis_act_ints, _basis_factor, act_hv
 from .hwmod import LevelOverflow, TruncVerma, VermaElem, _verma_label, monomial_level
 from .slots import (
     _PRIMES, BoundsTooLarge, _sparse_echelon_mod_p, _spin_sparse_mod_p, _spin_words_mod_p,
@@ -90,12 +89,6 @@ class TensorElem(SparseVec):
             return -1
         return max(j for j, _ in self.terms)
 
-    def component(self, j: int) -> VermaElem:
-        """The Verma coefficient of x^j."""
-        return VermaElem(self.spec.hw, {
-            mono: c for (jj, mono), c in self.terms.items() if jj == j
-        })
-
     def to_json(self) -> dict:
         return {
             "terms": [
@@ -112,18 +105,16 @@ def act_tensor(op: DiffOp, w: TensorElem) -> TensorElem:
 
     The center contributes 0 from the polynomial side plus c from the
     highest-weight side.  Raises LevelOverflow when the Verma side leaves
-    the hosting truncation.
+    the window.
     """
     spec = w.spec
     if op.ctx.rank != 1:
         raise TensorMismatch("tensor modules are over the rank-1 algebra")
     omega = spec.omega
-    beta = omega.beta_sign
     out: dict = {}
     for (m, n), c in op.terms.items():
         m0, n0 = m[0], n[0]
-        sign = beta ** ((1 - n0) % 2)
-        prefactor = c * omega.lam_power(m) * sign
+        prefactor = c * _basis_factor(omega, m, n)
         for (j, mono), fc in w.terms.items():
             # polynomial side
             coeff = prefactor * fc
@@ -165,12 +156,12 @@ def difference_collapse(spec: TensorSpec, w: TensorElem) -> TensorElem:
     """Map a pure x (x) v element to a nonzero multiple of 1 (x) v.
 
     Applies lambda^-m t^m - lambda^-m' t^m' for m, m' past the vanishing
-    bound of every component; on x (x) v this equals beta (m'-m) (1 (x) v).
+    bound of every component, as ``vandermonde_reduce`` reads it; on
+    x (x) v this equals beta (m'-m) (1 (x) v).
     """
     if w.x_degree() != 1:
         raise ValueError("difference collapse expects top x-degree exactly 1")
-    comps = [w.component(j) for j in range(2)]
-    K = max(vanishing_bound(c) for c in comps if not c.is_zero())
+    K = 1 + max(monomial_level(mono) for _, mono in w.terms)
     a = act_tensor(_scaled_weight_op(spec, K, 0), w)
     b = act_tensor(_scaled_weight_op(spec, K + 1, 0), w)
     return a - b
@@ -180,13 +171,13 @@ def vandermonde_reduce(spec: TensorSpec, w: TensorElem) -> TensorElem:
     """One step of the degree reduction that drives cyclic vectors to 1 (x) v.
 
     Writes lambda^-m t^m D (w) as a polynomial in m by sampling
-    m = K .. K+s+1 past every component's vanishing bound and interpolating
-    exactly: one inverse of the Vandermonde matrix, read off the Lagrange
-    basis of the sample points, serves every key.  For the eps = 1 sign
-    structure the top coefficient is +-(1 (x) v_s); for eps = 0 it vanishes
-    identically and the next coefficient +-(x (x) v_s) is extracted instead,
-    followed by one difference step when the degree would not otherwise
-    drop.
+    m = K .. K+s+1 past every component's vanishing bound (one more than
+    the highest level among the keys) and interpolating exactly: one inverse
+    of the Vandermonde matrix, read off the Lagrange basis of the sample
+    points, serves every key.  For the eps = 1 sign structure the top
+    coefficient is +-(1 (x) v_s); for eps = 0 it vanishes identically and
+    the next coefficient +-(x (x) v_s) is extracted instead, followed by one
+    difference step when the degree would not otherwise drop.
     """
     if w.is_zero():
         raise ValueError("cannot reduce the zero element")
@@ -194,8 +185,7 @@ def vandermonde_reduce(spec: TensorSpec, w: TensorElem) -> TensorElem:
     if s == 0:
         return w
     eps = spec.omega.eps
-    comps = [w.component(j) for j in range(s + 1)]
-    K = max(vanishing_bound(c) for c in comps if not c.is_zero())
+    K = 1 + max(monomial_level(mono) for _, mono in w.terms)
     ms = list(range(K, K + s + 2))
     samples = [act_tensor(_scaled_weight_op(spec, m, 1), w) for m in ms]
     keys = sorted({k for u in samples for k in u.terms})
@@ -251,13 +241,7 @@ class TensorProbeReport(NamedTuple):
     witness_dim: int | None = None
 
 
-def _host(hw: TruncVerma, m_bound: int) -> TruncVerma:
-    """The window hw extended by m_bound levels, where the generators act."""
-    return TruncVerma(hw.spec, hw.level_bound + m_bound, hw.order_bound)
-
-
-def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
-                      host: TruncVerma):
+def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int):
     """Compressed generator actions on the bounded space, one sparse matrix
     {col: [(row, Scalar), ...]} per generator; components outside the
     window are dropped.
@@ -270,30 +254,39 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
     plus its central part times the central charge.  The polynomial-side
     map P (j -> {j': Scalar}) and the Verma-side map V (PBW monomial ->
     {monomial: Scalar}) are computed once per generator, and every column
-    is assembled from them.  host is ``_host(spec.hw, m_bound)``: it
-    reaches m_bound levels past the window and no generator has degree
-    below -m_bound, so no action leaves it.  t^m D^n lowers the level by
+    is assembled from them.  P is read as ``umod.act`` reads it, the
+    ``_basis_factor`` times ``_basis_act_ints``.
+
+    V is straightened on the window itself.  t^m D^n lowers the level by
     exactly m, so a monomial at level l with l - m above the window has its
-    whole image dropped, and it is never straightened.  Callers that share
-    a window share one host, and with it one straightening memo."""
+    whole image dropped, and it is never straightened.  This skip is what
+    keeps the window from overflowing: every ``_apply_basis`` or
+    ``_left_mul_mono`` call that t^m D^n makes on a level-l monomial works
+    at level l - m, a commutator term t^(m-j) D^k too, since it acts on the
+    rest of the monomial, at level l - j.  Callers that share a window share
+    its straightening memo."""
     omega = spec.omega
     degrees = sorted({j for j, _ in keys})
-    def poly_side(apply):
-        return {j: {e: c for (e,), c in apply(omega.monomial((j,))).terms.items()}
-                for j in degrees}
 
     # (P, (m, n) of the Verma-side operator t^m D^n or None, central part)
+    gens = []
     if omega.family == "d":
-        gens = [(poly_side(partial(act, D_ALG.basis((m,), (n,)))), (m, n), None)
-                for m in range(-m_bound, m_bound + 1) for n in range(n_bound + 1)]
+        for m in range(-m_bound, m_bound + 1):
+            for n in range(n_bound + 1):
+                f = _basis_factor(omega, (m,), (n,))
+                gens.append(({j: {e: f * k for (e,), k in
+                                  _basis_act_ints(omega.eps, (m,), (n,), (j,)).items()}
+                              for j in degrees}, (m, n), None))
         # the center: 0 on the polynomial side, the charge on the Verma side
-        gens.append(({}, None, host.spec.c))
+        gens.append(({}, None, spec.hw.spec.c))
     else:
         # degenerate control: L_m / I_m act through the hv action on the
         # polynomial side and the embedding t^m D / t^m on the Verma side
-        gens = [(poly_side(partial(act_hv, omega, (kind, m))), (m, n), None)
-                for m in range(-m_bound, m_bound + 1)
-                for kind, n in (("L", 1), ("I", 0))]
+        for m in range(-m_bound, m_bound + 1):
+            for kind, n in (("L", 1), ("I", 0)):
+                gens.append(({j: {e: c for (e,), c in
+                                  act_hv(omega, (kind, m), omega.monomial((j,))).terms.items()}
+                              for j in degrees}, (m, n), None))
     pos = {k: i for i, k in enumerate(keys)}
     levels = {mono: monomial_level(mono) for _, mono in keys}
     moves = []
@@ -302,7 +295,7 @@ def _compressed_moves(spec: TensorSpec, keys, m_bound: int, n_bound: int,
         if mn:
             m, n = mn
             # t^m D^n lowers the level by m: an image above the window is dropped whole
-            verma = {mono: host._apply_basis(m, n, mono) for mono, level in levels.items()
+            verma = {mono: spec.hw._apply_basis(m, n, mono) for mono, level in levels.items()
                      if level - m <= spec.hw.level_bound}
         cols = {}
         for i, (j, mono) in enumerate(keys):
@@ -343,7 +336,7 @@ def irreducibility_probe(spec: TensorSpec, x_degree: int, m_bound: int,
     verdict never rests on the specialization).
     """
     keys = spec.basis_keys(x_degree)
-    moves = _compressed_moves(spec, keys, m_bound, n_bound, _host(spec.hw, m_bound))
+    moves = _compressed_moves(spec, keys, m_bound, n_bound)
     full = len(keys)
 
     fast_full = set()
@@ -500,21 +493,22 @@ def intertwiner_dim(spec_a: TensorSpec, spec_b: TensorSpec, x_degree: int,
     side a mod p, on the dim_b entries of T(1 (x) 1), which fix T, else on
     all dim_a * dim_b entries of T.  Further primes plus an exact
     elimination stand behind the rare gap.  A prime dividing a denominator
-    the elimination reads is skipped.  Two sides on equal windows share one
-    host, and with equal modules as well one set of moves.
+    the elimination reads is skipped.  When the two windows are equal
+    (``_same_window``), side b is read on side a's window, so the window is
+    straightened once; with equal modules as well the two sides share one
+    set of moves.
     """
     if spec_a.omega.family != spec_b.omega.family:
         raise TensorMismatch("intertwiner sides must be modules of one family")
+    if _same_window(spec_a.hw, spec_b.hw):
+        spec_b = TensorSpec(spec_b.omega, spec_a.hw)
     keys_a = spec_a.basis_keys(x_degree)
     keys_b = spec_b.basis_keys(x_degree)
-    same_window = _same_window(spec_a.hw, spec_b.hw)
-    host_a = _host(spec_a.hw, m_bound)
-    host_b = host_a if same_window else _host(spec_b.hw, m_bound)
-    moves_a = _compressed_moves(spec_a, keys_a, m_bound, n_bound, host_a)
-    if same_window and spec_a.omega == spec_b.omega:
+    moves_a = _compressed_moves(spec_a, keys_a, m_bound, n_bound)
+    if spec_b == spec_a:
         moves_b = moves_a
     else:
-        moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound, host_b)
+        moves_b = _compressed_moves(spec_b, keys_b, m_bound, n_bound)
 
     # explicitly verified kernel vectors: the identity for equal data
     explicit = int(moves_b is moves_a or (keys_a == keys_b and _same_moves(moves_a, moves_b)))
@@ -542,8 +536,9 @@ def _same_moves(moves_a, moves_b) -> bool:
 def _same_window(a: TruncVerma, b: TruncVerma) -> bool:
     """Whether two windows are equal by value: the same bounds, central
     charge and weight function, over the same declarations.  Equal windows
-    straighten alike, so they can share one host.  (``TruncVerma`` keeps
-    identity equality, so elements of two windows never mix.)"""
+    straighten alike, so side b of an intertwiner can share side a's
+    window.  (``TruncVerma`` keeps identity equality, so elements of two
+    windows never mix.)"""
     if a is b:
         return True
     sa, sb = a.spec, b.spec

@@ -160,12 +160,17 @@ def _basis_act_ints(eps: int, m, n, j) -> dict:
 
     Covers prod_i (x_i - eps*m_i)^{n_i} (x_i - m_i)^{j_i}, which is
     (x_i - m_i)^(n_i + j_i) at eps = 1 and x_i^n_i (x_i - m_i)^j_i at eps = 0;
-    the caller applies the beta sign and the Lambda^m prefactor.
+    the caller multiplies by ``_basis_factor``.
     """
     if eps:
         return _slot_product(_shift(mi, ni + ji) for mi, ni, ji in zip(m, n, j))
     return _slot_product({e + ni: c for e, c in _shift(mi, ji).items()}
                          for mi, ni, ji in zip(m, n, j))
+
+
+def _basis_factor(spec: OmegaSpec, m, n) -> Scalar:
+    """The Scalar part of t^m D^n on a d/dnu module: beta^((1 - |n|) mod 2) Lambda^m."""
+    return spec.lam_power(m) * spec.beta_sign ** ((1 - sum(n)) % 2)
 
 
 def act(op: DiffOp, v: PolyVec) -> PolyVec:
@@ -177,11 +182,9 @@ def act(op: DiffOp, v: PolyVec) -> PolyVec:
         raise FamilyMismatch(
             f"operator rank {op.ctx.rank} vs module rank {spec.rank}"
         )
-    beta = spec.beta_sign
     out: dict = {}
     for (m, n), c in op.terms.items():
-        sign = beta ** ((1 - sum(n)) % 2)
-        prefactor = c * spec.lam_power(m) * sign
+        prefactor = c * _basis_factor(spec, m, n)
         for j, fc in v.terms.items():
             coeff = prefactor * fc
             for exps, k in _basis_act_ints(spec.eps, m, n, j).items():

@@ -8,8 +8,7 @@ from weylmod.hwmod import (
 from weylmod.liealg import D_HAT
 from weylmod.scalars import ParamDecl, RATIONALS
 from weylmod.tensor import (
-    TensorMismatch, TensorSpec, _compressed_moves, _exact_intertwiner_dim,
-    _host, _scaled_weight_op,
+    TensorMismatch, TensorSpec, _compressed_moves, _exact_intertwiner_dim, _scaled_weight_op,
     act_tensor, difference_collapse, intertwiner_dim, irreducibility_probe,
     vandermonde_reduce, vanishing_bound,
 )
@@ -211,10 +210,6 @@ def _rational_spec(lam, eps, L=1, N=1):
     return TensorSpec(omega_d(RATIONALS.rational(lam), eps), verma_basis(hw, L, N))
 
 
-def _moves(spec, keys, m_bound, n_bound):
-    return _compressed_moves(spec, keys, m_bound, n_bound, _host(spec.hw, m_bound))
-
-
 def test_intertwiner_identity_included():
     a = _rational_spec(2, 1)
     assert intertwiner_dim(a, _rational_spec(2, 1), 2, 3, 1) >= 1
@@ -242,13 +237,14 @@ def test_intertwiner_modular_agrees_with_exact():
         fast = intertwiner_dim(sa, sb, 1, 2, 1)
         # dense exact elimination over the same compressed systems
         keys_a, keys_b = sa.basis_keys(1), sb.basis_keys(1)
-        exact = _exact_intertwiner_dim(_moves(sa, keys_a, 2, 1),
-                                       _moves(sb, keys_b, 2, 1),
+        exact = _exact_intertwiner_dim(_compressed_moves(sa, keys_a, 2, 1),
+                                       _compressed_moves(sb, keys_b, 2, 1),
                                        keys_a, keys_b)
         assert fast == exact
 
 
-def test_intertwiner_builds_one_host_per_window(monkeypatch):
+def _count_windows(monkeypatch):
+    """The argument tuples of every TruncVerma built from here on."""
     built = []
 
     class CountingVerma(TruncVerma):
@@ -257,39 +253,43 @@ def test_intertwiner_builds_one_host_per_window(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(T, "TruncVerma", CountingVerma)
-    hw = HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X)
-    shared = verma_basis(hw, 1, 1)
-    sa = TensorSpec(omega_d(RATIONALS.rational(2), 1), shared)
-    sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), shared)
-    dim = intertwiner_dim(sa, sb, 1, 2, 1)
-    assert len(built) == 1
-    built.clear()
-    other = HWSpec(RATIONALS.rational(Fraction(1, 3)), PHI_X)
-    sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), verma_basis(other, 1, 1))
-    assert intertwiner_dim(sa, sb, 1, 2, 1) == dim
-    assert len(built) == 2
+    monkeypatch.setattr(H, "TruncVerma", CountingVerma)
+    return built
+
+
+def test_intertwiner_and_probe_build_no_window(monkeypatch):
+    sa = _rational_spec(2, 1)
+    sides_b = [_rational_spec(3, 1, L) for L in (1, 2)]
+    probe = make_spec(1, L=2)
+    control = TensorSpec(omega_hv(LAM, DECL.zero, DECL.zero), probe.hw)
+    built = _count_windows(monkeypatch)
+    assert [intertwiner_dim(sa, sb, 1, 2, 1) for sb in sides_b] == [0, 0]
+    assert irreducibility_probe(probe, 2, 3, 1).verdict == "cyclic-within-bounds"
+    assert irreducibility_probe(control, 2, 3).verdict == "not-cyclic-within-bounds"
+    assert built == []
 
 
 @pytest.mark.parametrize("same", [True, False])
-def test_equal_windows_built_apart_share_one_host(same, monkeypatch):
-    built = []
-
-    class CountingVerma(TruncVerma):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    def window():
-        return verma_basis(HWSpec(RATIONALS.rational(Fraction(1, 2)), PHI_X), 1, 1)
-
+def test_equal_windows_built_apart_straighten_once(same, monkeypatch):
     lam_b = 2 if same else 3
     want = intertwiner_dim(_rational_spec(2, 1), _rational_spec(lam_b, 1), 1, 2, 1)
-    monkeypatch.setattr(T, "TruncVerma", CountingVerma)
-    sa = TensorSpec(omega_d(RATIONALS.rational(2), 1), window())
-    sb = TensorSpec(omega_d(RATIONALS.rational(lam_b), 1), window())
-    assert sa.hw is not sb.hw
+    sa, sb = _rational_spec(2, 1), _rational_spec(lam_b, 1)
+    assert sa.hw is not sb.hw and T._same_window(sa.hw, sb.hw)
+    built = _count_windows(monkeypatch)
     assert intertwiner_dim(sa, sb, 1, 2, 1) == want == int(same)
-    assert len(built) == 1
+    assert sa.hw._apply_memo and not sb.hw._apply_memo
+    assert built == []
+
+
+def test_windows_that_differ_straighten_apart():
+    sa = _rational_spec(2, 1)
+    other = HWSpec(RATIONALS.rational(Fraction(1, 3)), PHI_X)
+    for sb in (_rational_spec(3, 1, L=2),
+               TensorSpec(omega_d(RATIONALS.rational(3), 1), verma_basis(other, 1, 1))):
+        sa.hw._apply_memo.clear()
+        assert not T._same_window(sa.hw, sb.hw)
+        assert intertwiner_dim(sa, sb, 1, 2, 1) == 0
+        assert sa.hw._apply_memo and sb.hw._apply_memo
 
 
 def test_windows_differing_in_bounds_or_declarations_are_not_shared():
@@ -330,7 +330,7 @@ def test_equal_sides_build_their_moves_once(lam_b, eps_b, want, monkeypatch):
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
-from weylmod import slots as S, tensor as T  # noqa: E402
+from weylmod import hwmod as H, slots as S, tensor as T  # noqa: E402
 from weylmod.scalars import solve_linear  # noqa: E402
 from weylmod.slots import _echelon_mod_p  # noqa: E402
 
@@ -542,7 +542,7 @@ def test_symbolic_moves_need_no_residue_argument():
     # the exact kernel, with every residue read off the parameter names
     spec = make_spec(1, L=1, N=1)
     keys = spec.basis_keys(1)
-    moves = _moves(spec, keys, 2, 1)
+    moves = _compressed_moves(spec, keys, 2, 1)
     assert {n for cols in moves for col in cols.values() for _, x in col
             for mono in x.terms for n, _ in mono} == {"lambda", "c"}
     exact = _exact_intertwiner_dim(moves, moves, keys, keys)
@@ -579,7 +579,7 @@ def test_first_prime_as_lambda_skips_to_the_next_prime():
     p = T._PRIMES[0]
     spec = _rational_spec(p, 1)
     keys = spec.basis_keys(2)
-    moves = _moves(spec, keys, 3, 2)
+    moves = _compressed_moves(spec, keys, 3, 2)
     assert T._modular_full_seeds(keys, moves) == set(keys)
     rep = irreducibility_probe(spec, 2, 3, 2)
     assert rep == irreducibility_probe(spec, 2, 3, 2, exact=True)
@@ -587,8 +587,8 @@ def test_first_prime_as_lambda_skips_to_the_next_prime():
     for other in (p, 2):
         sb = _rational_spec(other, 1)
         keys_b = sb.basis_keys(2)
-        exact = _exact_intertwiner_dim(_moves(spec, keys, 3, 1),
-                                       _moves(sb, keys_b, 3, 1),
+        exact = _exact_intertwiner_dim(_compressed_moves(spec, keys, 3, 1),
+                                       _compressed_moves(sb, keys_b, 3, 1),
                                        keys, keys_b)
         assert intertwiner_dim(spec, sb, 2, 3, 1) == exact
 
@@ -596,7 +596,7 @@ def test_first_prime_as_lambda_skips_to_the_next_prime():
 def test_no_usable_prime_certifies_no_seed(monkeypatch):
     spec = _rational_spec(T._PRIMES[0], 1)
     keys = spec.basis_keys(1)
-    moves = _moves(spec, keys, 2, 1)
+    moves = _compressed_moves(spec, keys, 2, 1)
     monkeypatch.setattr(T, "_PRIMES", T._PRIMES[:1])
     assert T._modular_full_seeds(keys, moves) == set()
     rep = irreducibility_probe(spec, 1, 2, 1)
@@ -621,8 +621,9 @@ def _positional(moves, keys):
 def _moves_by_key(spec, keys, m_bound, n_bound):
     """The compressed moves built key by key from act_tensor (d family) or
     act_hv plus the Verma action (hv control): the construction the
-    Kronecker-sum builder replaces."""
-    host = _host(spec.hw, m_bound)
+    Kronecker-sum builder replaces, straightened on the window extended by
+    m_bound levels, where no generator's image overflows."""
+    host = TruncVerma(spec.hw.spec, spec.hw.level_bound + m_bound, spec.hw.order_bound)
     hspec = TensorSpec(spec.omega, host)
     window = set(keys)
     if spec.omega.family == "d":
@@ -660,6 +661,10 @@ def _moves_by_key(spec, keys, m_bound, n_bound):
     ("d", 1, False, (2, 1, 1, 3, 2)),
     ("hv", None, True, (3, 2, 1, 4, 2)),
     ("hv", None, False, (2, 1, 1, 3, 2)),
+    # the top level meets every negative generator, which would overflow it
+    ("d", 1, True, (2, 3, 1, 4, 0)),
+    ("d", 0, False, (2, 3, 1, 4, 2)),
+    ("hv", None, True, (2, 3, 1, 4, 2)),
 ])
 def test_kronecker_sum_moves_match_the_per_key_action(family, eps, symbolic, bounds):
     d, L, N, mb, nb = bounds
@@ -669,7 +674,7 @@ def test_kronecker_sum_moves_match_the_per_key_action(family, eps, symbolic, bou
     omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
     spec = TensorSpec(omega, hw)
     keys = spec.basis_keys(d)
-    assert _keyed(_moves(spec, keys, mb, nb), keys) == _moves_by_key(spec, keys, mb, nb)
+    assert _keyed(_compressed_moves(spec, keys, mb, nb), keys) == _moves_by_key(spec, keys, mb, nb)
 
 
 def test_contains_unit_reads_the_reduced_row():
@@ -707,7 +712,7 @@ def _spin_case(family, eps, L=2, N=1, d=3, mb=4):
     omega = omega_d(LAM, eps) if family == "d" else omega_hv(LAM, DECL.zero, DECL.zero)
     spec = TensorSpec(omega, hw)
     keys = spec.basis_keys(d)
-    moves = _moves(spec, keys, mb, 2)
+    moves = _compressed_moves(spec, keys, mb, 2)
     mats = [_dense_mod_p(cols, len(keys), T._PRIMES[0]) for cols in moves]
     return keys, moves, mats
 
@@ -799,7 +804,7 @@ def test_spin_mod_p_matches_the_two_elimination_spin(family, eps):
 def _pinned_probe(eps):
     spec = make_spec(eps, L=2, N=1)
     keys = spec.basis_keys(3)
-    return spec, keys, _moves(spec, keys, 4, 2)
+    return spec, keys, _compressed_moves(spec, keys, 4, 2)
 
 
 @pytest.mark.parametrize("eps", [0, 1])
@@ -839,7 +844,7 @@ def test_seeds_are_certified_through_one_tensor_one(eps, monkeypatch):
 def test_seed_missing_one_tensor_one_goes_to_the_exact_path(monkeypatch):
     spec = make_spec(1, L=1, N=1)
     keys = spec.basis_keys(2)
-    moves = _moves(spec, keys, 3, 2)
+    moves = _compressed_moves(spec, keys, 3, 2)
     miss = keys[5]
     spin = S._spin_sparse_mod_p
 
@@ -869,7 +874,7 @@ def test_seed_missing_one_tensor_one_goes_to_the_exact_path(monkeypatch):
 def test_short_closure_of_one_tensor_one_certifies_nothing(monkeypatch):
     spec = make_spec(1, L=1, N=1)
     keys = spec.basis_keys(2)
-    moves = _moves(spec, keys, 3, 2)
+    moves = _compressed_moves(spec, keys, 3, 2)
     spin = S._spin_sparse_mod_p
     monkeypatch.setattr(T, "_spin_sparse_mod_p",
                         lambda gens, n, seed, p, stop=(): spin(gens, n, seed, p, (seed,)))
@@ -949,7 +954,7 @@ def test_modular_kernel_dim_matches_the_exact_kernel(sides, same, charge, d, L, 
     specs = [TensorSpec(omega_d(RATIONALS.rational(lam), eps), hw)
              for lam, eps in (sides[:1] * 2 if same else sides)]
     keys = [s.basis_keys(d) for s in specs]
-    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    moves = [_compressed_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
     exact = _exact_intertwiner_dim(*moves, *keys)
     # specialisation only enlarges the kernel; an unlucky prime at all three
     # primes at once does not happen on these systems
@@ -1001,7 +1006,7 @@ def test_sparse_constraint_block_matches_the_kronecker_system(family, sides, cha
     # system; the two sides may have different windows and dimensions
     specs = _rational_sides(family, sides, charges, Ls, N)
     keys = [s.basis_keys(d) for s in specs]
-    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    moves = [_compressed_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
     g = gen % len(moves[0])
     p = T._PRIMES[0]
     rows = T._constraint_rows(T._residue_cols(moves[0][g], p),
@@ -1022,7 +1027,7 @@ def test_modular_kernel_dim_matches_the_exact_kernel_across_windows(family, side
     # for the hv control too; intertwiner_dim returns the exact dimension
     sa, sb = _rational_sides(family, sides, charges, Ls, N)
     keys = [s.basis_keys(d) for s in (sa, sb)]
-    moves = [_moves(s, k, mb, nb) for s, k in zip((sa, sb), keys)]
+    moves = [_compressed_moves(s, k, mb, nb) for s, k in zip((sa, sb), keys)]
     exact = _exact_intertwiner_dim(*moves, *keys)
     dims = [T._modular_kernel_dim(*moves, *keys, p) for p in T._PRIMES]
     assert min(dims) == exact and all(k >= exact for k in dims)
@@ -1053,7 +1058,7 @@ def test_specialised_modular_route_matches_the_exact_kernel(sides, same, L, N, m
         specs.append(TensorSpec(omega_d(lam, eps), verma_basis(HWSpec(c, PHI_X), L, N)))
     keys = [s.basis_keys(d) for s in specs]
     assert len(keys[0]) * len(keys[1]) <= 700
-    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    moves = [_compressed_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
     exact = _exact_intertwiner_dim(*moves, *keys)
     explicit = int(keys[0] == keys[1] and moves[0] == moves[1])
     assert explicit <= exact and explicit >= same
@@ -1080,7 +1085,7 @@ def test_a_prime_dividing_a_denominator_is_skipped(where, bad, monkeypatch):
     hw = verma_basis(HWSpec(RATIONALS.rational(charge), PHI_X), 1, 1)
     spec = TensorSpec(omega_d(RATIONALS.rational(q if where == "lambda" else 2), 1), hw)
     keys = spec.basis_keys(1)
-    moves = _moves(spec, keys, 2, 1)
+    moves = _compressed_moves(spec, keys, 2, 1)
     assert len(moves) == 11
     for p in T._PRIMES[:bad]:
         with pytest.raises(ZeroDivisionError):
@@ -1123,7 +1128,7 @@ def test_a_bad_prime_past_the_stop_point_is_never_reduced(monkeypatch):
     hw_b = verma_basis(HWSpec(RATIONALS.rational(Fraction(1, q)), PHI_X), 1, 1)
     sb = TensorSpec(omega_d(RATIONALS.rational(3), 1), hw_b)
     keys = sa.basis_keys(1)
-    ma, mb = _moves(sa, keys, 2, 1), _moves(sb, keys, 2, 1)
+    ma, mb = _compressed_moves(sa, keys, 2, 1), _compressed_moves(sb, keys, 2, 1)
     with pytest.raises(ZeroDivisionError):
         T._residue_cols(mb[-1], T._PRIMES[0])
     want = _exact_intertwiner_dim(ma, mb, keys, keys)
@@ -1152,7 +1157,7 @@ def test_the_first_block_builds_no_kronecker_array():
     keys = specs[0].basis_keys(2)
     n = len(keys) ** 2
     assert n == 576
-    moves_a, moves_b = (_moves(s, keys, 4, 1) for s in specs)
+    moves_a, moves_b = (_compressed_moves(s, keys, 4, 1) for s in specs)
     p = T._PRIMES[0]
 
     def peak(ma, mb):
@@ -1282,7 +1287,7 @@ def test_cyclic_certificate_matches_the_constraint_rows(family, sides, same, N, 
         omega = omega_d(lam, eps) if family == "d" else omega_hv(lam, DECL.zero, DECL.zero)
         specs.append(TensorSpec(omega, verma_basis(HWSpec(c, PHI_X), L, N)))
     keys = [s.basis_keys(d) for s in specs]
-    moves = [_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
+    moves = [_compressed_moves(s, k, mb, nb) for s, k in zip(specs, keys)]
     if same:
         moves[1] = moves[0]
     explicit = int(keys[0] == keys[1] and moves[0] == moves[1])
@@ -1300,7 +1305,7 @@ def test_a_short_cyclic_closure_falls_back_to_the_constraint_rows(monkeypatch):
     # intertwiner_dim gives the exact dimension, here above the identity
     spec = _rational_spec(2, 1)
     keys = spec.basis_keys(2)
-    moves = _moves(spec, keys, 2, 0)
+    moves = _compressed_moves(spec, keys, 2, 0)
     exact = _exact_intertwiner_dim(moves, moves, keys, keys)
     assert exact == 6
     for p in T._PRIMES:
